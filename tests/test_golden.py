@@ -1,0 +1,150 @@
+"""Golden outputs: SHA-256 digests of every artifact of a fixed set of CLI runs.
+
+Each run writes into its own directory; every CSV and ``.dat`` file is
+hashed as written, and ``report.json`` with its ``timestamp`` line removed.
+The digests pin ENGINE_VERSION 0.1.0 as computed with numpy 2.4.6 and
+scipy 1.17.1 on x86-64 Linux. A change that alters any byte here changes
+seeded output and needs an ENGINE_VERSION bump; a mismatch on another
+numpy/scipy build or CPU means that platform's transcendental functions
+round differently, which the message's digest table shows file by file.
+"""
+
+import hashlib
+import re
+
+import pytest
+
+from abcfuzz import ENGINE_VERSION
+from abcfuzz.cli import main
+
+# Run name -> CLI arguments. Paths are relative to one shared working
+# directory so report.json echoes the same --prior path on every machine.
+RUNS = {
+    "gen-prior": ["gen-prior"],
+    "smc-default": ["run", "smc"],
+    "smc-small": ["run", "smc", "--n", "7", "--dims", "5", "--step-std", "2"],
+    # one step needs 300 * 1000 normals, more than any single draw block holds
+    "smc-wide": ["run", "smc", "--n", "300", "--dims", "1000", "--steps", "3"],
+    "mcmc-random-start": ["run", "mcmc"],
+    "mcmc-trace-all": ["run", "mcmc", "--initial-index", "2", "--trace-all"],
+    "mcmc-prior-file": ["run", "mcmc", "--prior", "gen-prior/prior.csv", "--steps", "300",
+                        "--burn-in", "50"],
+    "compare": ["compare", "--budget", "500"],
+}
+
+GOLDEN = {
+    "gen-prior": {
+        "plot-prior-histogram.dat":
+            "a1705a50bd2bc39fa8e371c698590e62f4365d20ccaa06500700defa1c60b64e",
+        "plot-prior-surface.dat":
+            "7679ec245c45f6b2fd72e0086b09eec4a5be01e2ac1709d880665b39cf24dfa6",
+        "prior.csv":
+            "123195fb424334441ee3429fd8ef403cb7905477ae2488a007c8f0141051188f",
+        "report.json":
+            "368eb243e1e3cb83e25690dc5d5411c98eb591a67a85c573668f06d714321447",
+        "slice-indices.csv":
+            "119bffa102f35b4135a3a06b431f5925f488ec62beff12e31c31561946b8f8b3",
+    },
+    "smc-default": {
+        "diagnostics.csv":
+            "fd1989e64efab768778b89c91458300d5dda0339fe2e30f46fff8bb9eb5b1c57",
+        "plot-smc-weights.dat":
+            "d36c8c146c97ef01cf982c7102e91862a86ae1e7d19d89a4e412927beb9bae7d",
+        "posterior.csv":
+            "56198de9bb4633b71db95e072972f0fcc8620ccab90341e1b923fbe34da82526",
+        "report.json":
+            "0a69696e716eefd27e9ea26f48321ecc8a0960a3db6dd1682653edb6a1e63ed9",
+    },
+    "smc-small": {
+        "diagnostics.csv":
+            "5222f0a03409e6a473215095ae2191aa40b7736df9b60433c9b8178ba37b8b07",
+        "plot-smc-weights.dat":
+            "8b3e1e484526effa8b4c1203563972c561009002be18f5035adaf8db77b72bd3",
+        "posterior.csv":
+            "52646daaddfc8274e9910ca4e1f6b20bd990c5201c965d0cb2d9a9942aec69f9",
+        "report.json":
+            "1fc8550c2c765e760e13fa172e8ce6e81ecc7f9d07bc5144fb248c27fce2d7fe",
+    },
+    "smc-wide": {
+        "diagnostics.csv":
+            "4839cfa5183cb1e48f1387518442252c164b66f8e24cfdec7d712947616b0628",
+        "plot-smc-weights.dat":
+            "07c29f86b891c56c561d0efa01c6a95d3316c449917582237bb9908d87adeece",
+        "posterior.csv":
+            "c2170e882fb4b52314c44e66da513826d3eb2c5fdde9b51c42c374375180d7ba",
+        "report.json":
+            "9e3827134247ab0d918cb6c478252c03ba27ae1289c909072310ada45344ca75",
+    },
+    "mcmc-random-start": {
+        "diagnostics.csv":
+            "6cfd099a9561e94e9fb0c659b0c862bc7b46672a360f17b48c6b3a328c911ad7",
+        "plot-mcmc-trace.dat":
+            "66f6012f299fd11184862c6d4699692195c6181046bf779269a666cf2a881cc9",
+        "posterior.csv":
+            "5790b1a912b1489a0ea478a310508eb9adacabb5216cd82449b64bee0daace9c",
+        "report.json":
+            "3dc450da4a2b4f258b14a455b902bc268a3f0c92a6fdcdca42cf9aeef5518966",
+    },
+    "mcmc-trace-all": {
+        "diagnostics.csv":
+            "12950d3ec47c2b904177de2924cbe4d7449bfa852b09c6a9f04d13abc48e51d5",
+        "plot-mcmc-trace.dat":
+            "0f3537ef82f7f1ce13830a146cf022aa980ce04634cef352edbc0bc31a4d0d87",
+        "posterior.csv":
+            "6fc98c941998eea01f4dce5538e488f5507acdaa248e2a7846e18d987f383350",
+        "report.json":
+            "d4128fa2ef5008b68f961f7544966420ceda5a91bc9080c198122b94048ab122",
+        "trace-full.csv":
+            "33ee45bfe857b797ed3a502e242442e8ac3933066adb532f5b45756004a713e8",
+    },
+    "mcmc-prior-file": {
+        "diagnostics.csv":
+            "472fd2c7f68399aa3953459add1502a1958913fd72bc1a6b3e845634ffcc1f3e",
+        "plot-mcmc-trace.dat":
+            "5a9e537bbad48d1511246b4d4d96092c0b8d0c58cbeadaf8dd6e2f6af5de72cf",
+        "posterior.csv":
+            "9c9df9830157aa5deccca0aad7bb3135fda8dc2d0fde40d629ef4e5ec34cdf7c",
+        "report.json":
+            "2971e32a3207872cc20ed4bc37cc891dcfad0ce167d51a1884fa022ddf96db1b",
+    },
+    "compare": {
+        "compare-table.csv":
+            "13c1fc07d5e924dad62ae7fc1900cf577b980707ef837131766e36b8b33fe0e4",
+        "report.json":
+            "b0f075e51c97ef641d9793ea317dbb63e70baa46a1bd2bf0b85e8ee50e1dabda",
+    },
+}
+
+_TIMESTAMP_LINE = re.compile(rb'^  "timestamp": "[^"]*",?\n', re.MULTILINE)
+
+
+def _digests(outdir):
+    digests = {}
+    for path in sorted(outdir.iterdir()):
+        data = path.read_bytes()
+        if path.name == "report.json":
+            data = _TIMESTAMP_LINE.sub(b"", data)
+        digests[path.name] = hashlib.sha256(data).hexdigest()
+    return digests
+
+
+@pytest.fixture(scope="module")
+def outputs(tmp_path_factory):
+    """Digests of every run, executed in RUNS order inside one directory."""
+    root = tmp_path_factory.mktemp("golden")
+    results = {}
+    with pytest.MonkeyPatch.context() as patch:
+        patch.chdir(root)
+        for name, argv in RUNS.items():
+            assert main([*argv, "--out", name]) == 0, name
+            results[name] = _digests(root / name)
+    return results
+
+
+def test_engine_version_is_the_pinned_one():
+    assert ENGINE_VERSION == "0.1.0"
+
+
+@pytest.mark.parametrize("run", list(RUNS))
+def test_artifacts_match_golden_digests(outputs, run):
+    assert outputs[run] == GOLDEN[run]
