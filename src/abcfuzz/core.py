@@ -58,6 +58,25 @@ def _validate_seed(seed: int) -> int:
     return int(seed)
 
 
+# Doubles in one sampler draw block: 256 KiB keeps peak memory flat at any
+# run length; a step wider than that gets a block of its own.
+BLOCK_DOUBLES = 32768
+
+
+def _block_rows(width: int, steps: int) -> int:
+    """Steps per draw block when each step consumes ``width`` uniforms."""
+    return max(1, min(steps, BLOCK_DOUBLES // width))
+
+
+def _uniforms_to_normals(u: np.ndarray) -> np.ndarray:
+    """Turn uniforms into standard normals in place: ndtri(max(u, 2**-54)).
+
+    The one definition of the normal-draw contract; returns ``u``.
+    """
+    np.maximum(u, 2.0**-54, out=u)
+    return ndtri(u, out=u)
+
+
 class RandomSource:
     """Deterministic stream of uniform [0, 1) and standard-normal draws.
 
@@ -67,6 +86,10 @@ class RandomSource:
     (scipy.special.ndtri), consuming exactly one uniform per normal draw.
     A uniform of exactly 0.0 (probability 2**-53 per draw) is nudged to
     2**-54 so the transform stays finite.
+
+    Draws are consumed in stream order whatever their grouping: one
+    ``uniform_block(k, w)`` yields the same doubles, row-major, as k * w
+    single ``uniform()`` calls.
 
     The transform is pinned so that seeded runs are auditable and
     reproducible across engine versions that keep this contract.
@@ -83,14 +106,18 @@ class RandomSource:
         _require(n >= 0, f"draw count must be nonnegative, got {n}")
         return self._gen.random(n)
 
+    def uniform_block(self, rows: int, width: int) -> np.ndarray:
+        """Draw a writable (rows, width) block of uniforms, filled row by row."""
+        _require(rows >= 0 and width >= 0,
+                 f"block shape must be nonnegative, got ({rows}, {width})")
+        return self._gen.random((rows, width))
+
     def standard_normal(self, n: Optional[int] = None) -> Union[float, np.ndarray]:
         """Draw one standard normal (n=None) or an array of n of them."""
         if n is None:
-            u = self._gen.random()
-            return float(ndtri(u if u > 0.0 else 2.0**-54))
+            return float(_uniforms_to_normals(self._gen.random(1))[0])
         _require(n >= 0, f"draw count must be nonnegative, got {n}")
-        u = self._gen.random(n)
-        return ndtri(np.maximum(u, 2.0**-54))
+        return _uniforms_to_normals(self._gen.random(n))
 
 
 class Particle:

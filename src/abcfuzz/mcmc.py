@@ -18,6 +18,8 @@ from .core import (
     McmcConfig,
     ParticleSet,
     RandomSource,
+    _block_rows,
+    _uniforms_to_normals,
 )
 from .likelihood import log_likelihood_values
 from .oracle import CountingOracle, Oracle, pass_rate
@@ -82,7 +84,8 @@ def run_mcmc(prior: ParticleSet, config: McmcConfig,
     fixed: D normals for the proposal, then one uniform for the
     accept/reject decision (preceded by one uniform for the starting index
     when it is random), so identical (prior, config) pairs produce
-    bitwise-identical results.
+    bitwise-identical results. The per-step uniforms are drawn in blocks
+    of several steps, which consumes the same doubles in the same order.
 
     When an oracle is given, the prior's and the post-burn-in chain's pass
     rates are evaluated and the verdict count reported in ``oracle_calls``.
@@ -107,28 +110,34 @@ def run_mcmc(prior: ParticleSet, config: McmcConfig,
     log_l = float(log_likelihood_values(state[np.newaxis, :], config.likelihood)[0])
 
     states = np.empty((steps, d))
-    trace = np.empty(steps)
     accepted = np.zeros(steps, dtype=bool)
     n_accepted = 0
+    rows = _block_rows(d + 1, steps)
 
-    for step in range(steps):
-        proposal = state + config.step_std * rng.standard_normal(d)
-        log_l_proposal = float(
-            log_likelihood_values(proposal[np.newaxis, :], config.likelihood)[0])
-        try:
-            prob = accept_probability(log_l, log_l_proposal)
-        except DegenerateStateError as exc:
-            raise DegenerateStateError(
-                f"chain degenerated (state and proposal at -inf) at step {step}",
-                step=step) from exc
-        if rng.uniform() < prob:
-            state = proposal
-            log_l = log_l_proposal
-            accepted[step] = True
-            n_accepted += 1
-        states[step] = state
-        trace[step] = state[0]
+    for first in range(0, steps, rows):
+        block = rng.uniform_block(min(rows, steps - first), d + 1)
+        noise = _uniforms_to_normals(block[:, :d])
+        noise *= config.step_std
+        decisions = block[:, d].tolist()
+        for j, u in enumerate(decisions):
+            step = first + j
+            proposal = state + noise[j]
+            log_l_proposal = float(
+                log_likelihood_values(proposal[np.newaxis, :], config.likelihood)[0])
+            try:
+                prob = accept_probability(log_l, log_l_proposal)
+            except DegenerateStateError as exc:
+                raise DegenerateStateError(
+                    f"chain degenerated (state and proposal at -inf) at step {step}",
+                    step=step) from exc
+            if u < prob:
+                state = proposal
+                log_l = log_l_proposal
+                accepted[step] = True
+                n_accepted += 1
+            states[step] = state
 
+    trace = states[:, 0].copy()
     chain = ParticleSet(states[burn_in:])
     acceptance_rate = n_accepted / steps
 

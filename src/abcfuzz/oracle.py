@@ -7,6 +7,7 @@ black-box hook; its protocol is this engine's own extension).
 
 import math
 import subprocess
+import threading
 from dataclasses import dataclass
 from typing import Callable, Sequence, Tuple
 
@@ -89,21 +90,35 @@ class ExternalOracle:
         _require(self.timeout > 0, f"timeout must be positive, got {self.timeout!r}")
 
     def __call__(self, particle: Particle) -> OracleVerdict:
-        payload = "".join(f"{float(v)!r}\n" for v in particle.values)
+        payload = "".join(f"{float(v)!r}\n" for v in particle.values).encode("ascii")
         try:
-            proc = subprocess.run(
-                list(self.argv),
-                input=payload.encode("ascii"),
-                stdout=subprocess.DEVNULL,
-                stderr=subprocess.DEVNULL,
-                timeout=self.timeout,
-            )
-        except subprocess.TimeoutExpired as exc:
-            raise OracleTimeoutError(
-                f"oracle command {self.argv[0]!r} exceeded {self.timeout} s") from exc
+            proc = subprocess.Popen(list(self.argv), stdin=subprocess.PIPE,
+                                    stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
         except OSError as exc:
             raise OracleSpawnError(
                 f"could not run oracle command {self.argv[0]!r}: {exc}") from exc
+        # The wait blocks in the kernel until the child exits; a watchdog
+        # thread kills a child that outlives the timeout, which also
+        # unblocks a payload write the child never reads.
+        killed = threading.Event()
+
+        def kill():
+            killed.set()
+            proc.kill()
+
+        watchdog = threading.Timer(self.timeout, kill)
+        with proc:
+            watchdog.start()
+            try:
+                proc.communicate(payload)
+            except BaseException:
+                proc.kill()
+                raise
+            finally:
+                watchdog.cancel()
+        if killed.is_set():
+            raise OracleTimeoutError(
+                f"oracle command {self.argv[0]!r} exceeded {self.timeout} s")
         return OracleVerdict(proc.returncode == 0)
 
 

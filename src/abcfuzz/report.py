@@ -8,6 +8,7 @@ target distinct output directories (out/<run-id>/ by convention).
 """
 
 import json
+import warnings
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from typing import Iterable, Optional, Sequence, Union
@@ -95,12 +96,21 @@ def _format(value) -> str:
     return str(value)
 
 
-def write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
-    """Plain comma-separated writer; floats keep full round-trip precision."""
+def write_csv(path, header: Sequence[str], rows: Union[np.ndarray, Iterable[Sequence]]) -> None:
+    """Plain comma-separated writer; floats keep full round-trip precision.
+
+    ``rows`` is a 2-D numeric array, converted to Python numbers one row at
+    a time (never the whole matrix at once, which would multiply peak
+    memory), or an iterable of rows of numbers and strings.
+    """
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_format(v) for v in row) + "\n")
+        if isinstance(rows, np.ndarray):
+            for row in rows:
+                fh.write(",".join(map(repr, row.tolist())) + "\n")
+        else:
+            for row in rows:
+                fh.write(",".join(map(_format, row)) + "\n")
 
 
 def write_particles_csv(particles: ParticleSet, path) -> None:
@@ -110,14 +120,24 @@ def write_particles_csv(particles: ParticleSet, path) -> None:
 
 
 def read_particles_csv(path) -> ParticleSet:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [line.strip() for line in fh if line.strip()]
-    _require(len(lines) >= 2, f"particle CSV {path} needs a header and at least one row")
+    """Load a particle CSV: one header line, then one particle per row.
+
+    Ragged rows, non-numeric or non-finite cells and a file without rows
+    raise ConfigError naming the file.
+    """
     try:
-        rows = [[float(cell) for cell in line.split(",")] for line in lines[1:]]
+        with warnings.catch_warnings():
+            # a file without data rows warns and loads as an empty matrix
+            warnings.simplefilter("ignore", UserWarning)
+            values = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2, comments=None,
+                                encoding="utf-8")
     except ValueError as exc:
-        raise ConfigError(f"particle CSV {path} has a non-numeric cell: {exc}") from exc
-    return ParticleSet(rows)
+        raise ConfigError(f"particle CSV {path} is malformed: {exc}") from exc
+    _require(values.shape[0] >= 1, f"particle CSV {path} needs a header and at least one row")
+    try:
+        return ParticleSet(values)
+    except ConfigError as exc:
+        raise ConfigError(f"particle CSV {path}: {exc}") from exc
 
 
 def emit_plot_data(result: Union[SmcResult, McmcResult, ParticleSet], kind: str,

@@ -21,7 +21,9 @@ from .core import (
     RandomSource,
     SmcConfig,
     WEIGHT_SUM_TOLERANCE,
+    _block_rows,
     _require,
+    _uniforms_to_normals,
 )
 from .likelihood import log_likelihood_values
 from .oracle import CountingOracle, Oracle, pass_rate
@@ -68,12 +70,15 @@ def transition(particle: Particle, step_std: float, rng: RandomSource) -> Partic
     return Particle(particle.values + step_std * noise)
 
 
-def _log_sum_exp(log_values: np.ndarray) -> float:
-    """Max-subtraction log-sum-exp; -inf entries contribute nothing."""
-    m = float(np.max(log_values))
-    if m == -np.inf:
-        return -np.inf
-    return m + float(np.log(np.sum(np.exp(log_values - m))))
+def _weights(log_weights: np.ndarray, peak) -> tuple:
+    """Normalized weights and the log of the raw weight sum, given the max.
+
+    Max-subtraction keeps both stable for log-weights as low as -1e6;
+    -inf entries get weight 0.
+    """
+    scaled = np.exp(log_weights - peak)
+    total = scaled.sum()
+    return scaled / total, peak + np.log(total)
 
 
 def normalize_log_weights(log_weights) -> np.ndarray:
@@ -88,11 +93,16 @@ def normalize_log_weights(log_weights) -> np.ndarray:
     _require(arr.ndim == 1 and arr.size >= 1, "log-weights must be a nonempty flat sequence")
     _require(not bool(np.isnan(arr).any()), "log-weights must not contain NaN")
     _require(not bool(np.isposinf(arr).any()), "log-weights must not contain +inf")
-    m = float(np.max(arr))
-    if m == -np.inf:
+    peak = arr.max()
+    if peak == -np.inf:
         raise DegenerateWeightsError("all log-weights are -inf")
-    w = np.exp(arr - m)
-    return w / w.sum()
+    return _weights(arr, peak)[0]
+
+
+def _select(cumulative: np.ndarray, points) -> np.ndarray:
+    """Index of the cumulative-weight interval each point falls in."""
+    return np.minimum(np.searchsorted(cumulative, points, side="right"),
+                      cumulative.size - 1)
 
 
 def systematic_resample(weights, rng: RandomSource) -> np.ndarray:
@@ -110,16 +120,8 @@ def systematic_resample(weights, rng: RandomSource) -> np.ndarray:
     _require(abs(float(w.sum()) - 1.0) <= WEIGHT_SUM_TOLERANCE,
              f"weights must be normalized, got sum {w.sum()!r}")
     n = w.size
-    u = rng.uniform() / n
-    grid = u + np.arange(n) / n
-    cumulative = np.cumsum(w)
-    indices = np.searchsorted(cumulative, grid, side="right")
-    return np.minimum(indices, n - 1).astype(np.int64)
-
-
-def _categorical_draw(cumulative: np.ndarray, rng: RandomSource) -> int:
-    u = rng.uniform()
-    return int(min(np.searchsorted(cumulative, u, side="right"), cumulative.size - 1))
+    grid = rng.uniform() / n + np.arange(n) / n
+    return _select(np.cumsum(w), grid).astype(np.int64)
 
 
 def run_smc(prior: ParticleSet, config: SmcConfig,
@@ -131,6 +133,12 @@ def run_smc(prior: ParticleSet, config: SmcConfig,
     systematic resampling indices, (7) append one particle drawn by weight
     (pre-resampling coordinates) to the posterior, then replace the
     population with the resampled one.
+
+    Each step consumes N*D + 2 uniforms from the run's stream, in this
+    order: the N*D transition normals (row-major), the resampling offset,
+    then the posterior pick. Uniforms are drawn in blocks of several
+    steps, which consumes the same doubles in the same order as drawing
+    them one step at a time.
 
     When an oracle is given, prior and posterior pass rates are evaluated
     and the verdict count is reported in ``oracle_calls``. Identical
@@ -145,30 +153,40 @@ def run_smc(prior: ParticleSet, config: SmcConfig,
             f"{config.likelihood.target.dim}")
     rng = RandomSource(config.seed)
     n, d = prior.n, prior.dim
+    nd = n * d
     steps = config.n_steps
 
     population = prior.to_array()
     posterior = np.empty((steps, d))
     weight_sums = np.empty(steps)
     ess = np.empty(steps)
+    grid = np.arange(n) / n
+    rows = _block_rows(nd + 2, steps)
 
-    for step in range(steps):
-        population += config.step_std * rng.standard_normal(n * d).reshape(n, d)
-        log_w = log_likelihood_values(population, config.likelihood)
-        weight_sums[step] = _log_sum_exp(log_w)
-        try:
-            w = normalize_log_weights(log_w)
-        except DegenerateWeightsError as exc:
-            raise DegenerateWeightsError(
-                f"all particle weights collapsed to zero at step {step}",
-                step=step) from exc
-        # float round-off can push 1/sum(w^2) past N by ~1e-15; keep the
-        # recorded series inside its documented [1, N] range
-        ess[step] = min(max(1.0 / float(np.sum(w * w)), 1.0), float(n))
-        resample_indices = systematic_resample(w, rng)
-        draw = _categorical_draw(np.cumsum(w), rng)
-        posterior[step] = population[draw]
-        population = population[resample_indices]
+    for first in range(0, steps, rows):
+        block = rng.uniform_block(min(rows, steps - first), nd + 2)
+        noise = _uniforms_to_normals(block[:, :nd])
+        noise *= config.step_std
+        # per step: the n resampling grid points, then the posterior pick
+        points = np.hstack([block[:, nd, np.newaxis] / n + grid, block[:, nd + 1:]])
+
+        for j in range(block.shape[0]):
+            step = first + j
+            population += noise[j].reshape(n, d)
+            log_w = log_likelihood_values(population, config.likelihood)
+            peak = log_w.max()
+            if peak == -np.inf:
+                raise DegenerateWeightsError(
+                    f"all particle weights collapsed to zero at step {step}", step=step)
+            # NaN (an infinite coordinate times alpha 0) propagates through max
+            _require(peak < np.inf, "log-weights must not contain NaN or +inf")
+            w, weight_sums[step] = _weights(log_w, peak)
+            # float round-off can push 1/sum(w^2) past N by ~1e-15; keep the
+            # recorded series inside its documented [1, N] range
+            ess[step] = min(max(1.0 / float(np.sum(w * w)), 1.0), float(n))
+            selected = _select(np.cumsum(w), points[j])
+            posterior[step] = population[selected[n]]
+            population = population[selected[:n]]
 
     posterior_set = ParticleSet(posterior)
     calls = 0

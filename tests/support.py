@@ -4,7 +4,12 @@ import math
 
 import numpy as np
 
-from abcfuzz import RandomSource, log_likelihood_values
+from abcfuzz import (
+    RandomSource,
+    log_likelihood_values,
+    normalize_log_weights,
+    systematic_resample,
+)
 
 
 def replay_chain(prior, config):
@@ -43,3 +48,30 @@ def replay_chain(prior, config):
         states[step] = state
         trace[step] = state[0]
     return trace, accepted, states, uphill
+
+
+def replay_smc(prior, config):
+    """Independent per-step re-walk of run_smc's documented draw order.
+
+    Draws each step on its own (N*D normals, the resampling offset, the
+    posterior pick) through the public RandomSource, normalize and
+    resample entry points. Returns (posterior, weight_sums, ess).
+    """
+    rng = RandomSource(config.seed)
+    n, d = prior.n, prior.dim
+    population = prior.to_array()
+    posterior = np.empty((config.n_steps, d))
+    weight_sums = np.empty(config.n_steps)
+    ess = np.empty(config.n_steps)
+    for step in range(config.n_steps):
+        population += config.step_std * rng.standard_normal(n * d).reshape(n, d)
+        log_w = log_likelihood_values(population, config.likelihood)
+        peak = float(np.max(log_w))
+        weight_sums[step] = peak + float(np.log(np.sum(np.exp(log_w - peak))))
+        w = normalize_log_weights(log_w)
+        ess[step] = min(max(1.0 / float(np.sum(w * w)), 1.0), float(n))
+        indices = systematic_resample(w, rng)
+        pick = min(int(np.searchsorted(np.cumsum(w), rng.uniform(), side="right")), n - 1)
+        posterior[step] = population[pick]
+        population = population[indices]
+    return posterior, weight_sums, ess

@@ -285,6 +285,18 @@ class TestExitCodes:
     def test_missing_subcommand_exits_2(self, capsys):
         assert main([]) == 2
 
+    @pytest.mark.parametrize("flag", ["--prior", "--target"])
+    def test_ragged_particle_csv_exits_2_without_traceback(self, tmp_path, flag):
+        ragged = tmp_path / "ragged.csv"
+        ragged.write_text("x0,x1,x2\n1.0,2.0,3.0\n4.0,5.0\n")
+        proc = subprocess.run(
+            [sys.executable, "-m", "abcfuzz.cli", "run", "smc", "--dims", "3",
+             "--steps", "2", flag, str(ragged), "--out", str(tmp_path / "run")],
+            capture_output=True, text=True)
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert "ragged.csv" in proc.stderr
+
 
 class TestEnvironment:
     def test_out_root_env_var(self, tmp_path, monkeypatch):

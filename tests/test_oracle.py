@@ -3,6 +3,7 @@
 import math
 import shutil
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -132,6 +133,19 @@ class TestExternalOracle:
         oracle = ExternalOracle(("sleep", "5"), timeout=0.2)
         with pytest.raises(OracleTimeoutError):
             oracle(Particle([1.0]))
+
+    def test_timeout_holds_while_the_child_never_reads_a_large_payload(self):
+        # the payload overfills the pipe buffer, so the write blocks until
+        # the watchdog kills the child
+        particle = Particle(np.full(8000, 0.12345678901234566))
+        oracle = ExternalOracle(("sleep", "30"), timeout=0.5)
+        start = time.monotonic()
+        with pytest.raises(OracleTimeoutError):
+            oracle(particle)
+        assert time.monotonic() - start < 10
+
+    def test_child_exiting_without_reading_a_large_payload_passes(self):
+        assert ExternalOracle(("true",))(Particle(np.full(8000, 0.5))).passed
 
     def test_spawn_failure_is_an_environment_error(self):
         with pytest.raises(OracleSpawnError):

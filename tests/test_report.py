@@ -105,8 +105,25 @@ class TestParticleCsv:
     def test_missing_rows_rejected(self, tmp_path):
         path = tmp_path / "particles.csv"
         path.write_text("x0,x1\n")
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="particles.csv"):
             read_particles_csv(path)
+
+    def test_ragged_rows_rejected_naming_the_file(self, tmp_path):
+        path = tmp_path / "ragged.csv"
+        path.write_text("x0,x1\n1.0,2.0\n3.0\n")
+        with pytest.raises(ConfigError, match="ragged.csv"):
+            read_particles_csv(path)
+
+    def test_non_finite_cells_rejected_naming_the_file(self, tmp_path):
+        path = tmp_path / "inf.csv"
+        path.write_text("x0,x1\n1.0,inf\n")
+        with pytest.raises(ConfigError, match="inf.csv"):
+            read_particles_csv(path)
+
+    def test_blank_lines_and_single_column_load(self, tmp_path):
+        path = tmp_path / "column.csv"
+        path.write_text("x0\n1.5\n\n-2.0\n")
+        assert read_particles_csv(path).values.tolist() == [[1.5], [-2.0]]
 
 
 @pytest.fixture(scope="module")

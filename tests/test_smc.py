@@ -22,6 +22,7 @@ from abcfuzz import (
     systematic_resample,
     transition,
 )
+from support import replay_smc
 
 
 class FixedUniformSource:
@@ -174,6 +175,21 @@ class TestRunSmc:
         assert (a.prior_pass_rate, a.posterior_pass_rate, a.oracle_calls) == \
                (b.prior_pass_rate, b.posterior_pass_rate, b.oracle_calls)
 
+    @pytest.mark.parametrize("n, d, steps", [
+        (10, 100, 700),   # 32 steps per draw block, the last block partial
+        (7, 5, 1000),     # 885 steps per block
+        (40, 900, 3),     # one step overfills a block: one step per block
+    ])
+    def test_block_draws_match_the_per_step_replay_bitwise(self, n, d, steps):
+        prior = generate_prior(PriorConfig(n_particles=n, n_dims=d, seed=n))
+        cfg = SmcConfig(likelihood=LikelihoodConfig.for_prior(d, 10.0),
+                        n_steps=steps, step_std=0.5, seed=d)
+        result = run_smc(prior, cfg)
+        posterior, weight_sums, ess = replay_smc(prior, cfg)
+        assert result.posterior.values.tobytes() == posterior.tobytes()
+        assert result.weight_sum_series.tobytes() == weight_sums.tobytes()
+        assert result.ess_series.tobytes() == ess.tobytes()
+
     def test_oracle_call_budget_is_n_plus_t(self):
         prior = generate_prior(PriorConfig(seed=7))
         result = run_smc(prior, _reference_smc_config(seed=7, n_steps=40), RangeOracle())
@@ -200,6 +216,16 @@ class TestRunSmc:
         prior = generate_prior(PriorConfig(n_dims=10, seed=1))
         with pytest.raises(ConfigError):
             run_smc(prior, _reference_smc_config(seed=1))
+
+    def test_nan_log_weights_are_a_config_error(self):
+        # a huge step overflows some first coordinates to inf; with alpha 0
+        # their penalty 0 * inf is NaN
+        prior = ParticleSet(np.full((20, 2), 1e308))
+        cfg = SmcConfig(likelihood=LikelihoodConfig.for_prior(2, 1.0, alpha=0.0),
+                        n_steps=3, step_std=1e308, seed=1)
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(ConfigError, match="NaN"):
+            run_smc(prior, cfg)
 
     def test_directed_drift_toward_zero_first_dimension(self):
         # posterior |x0| must fall well below the unmodified prior's |x0|
