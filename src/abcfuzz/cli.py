@@ -313,7 +313,10 @@ def _resolve_oracle(args, file_cfg: dict):
     if not command:
         raise ConfigError("exec oracle needs a command")
     timeout = _merged(args.oracle_timeout, section, "timeout", 5.0)
-    argv = tuple(shlex.split(command))
+    try:
+        argv = tuple(shlex.split(command))
+    except ValueError as exc:
+        raise ConfigError(f"exec oracle command {command!r} does not parse: {exc}") from exc
     return (ExternalOracle(argv, timeout=timeout),
             {"kind": "exec", "command": command, "timeout": timeout})
 

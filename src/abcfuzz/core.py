@@ -124,7 +124,8 @@ class Particle:
     """One fuzz input: a fixed-length vector of finite floats.
 
     The backing array is copied on construction and marked read-only, so a
-    particle never changes after it exists.
+    particle never changes after it exists. A particle taken from a
+    ParticleSet shares the set's read-only row instead of copying it.
     """
 
     __slots__ = ("_values",)
@@ -136,6 +137,13 @@ class Particle:
         _require(bool(np.isfinite(arr).all()), "particle values must be finite (no NaN/inf)")
         arr.setflags(write=False)
         self._values = arr
+
+    @classmethod
+    def _of_row(cls, row: np.ndarray) -> "Particle":
+        """Wrap a ParticleSet's row view, which the set already keeps finite and read-only."""
+        particle = cls.__new__(cls)
+        particle._values = row
+        return particle
 
     @property
     def values(self) -> np.ndarray:
@@ -201,11 +209,13 @@ class ParticleSet:
         return self.n
 
     def __getitem__(self, index: int) -> Particle:
-        return Particle(self._values[index])
+        row = self._values[index]
+        _require(row.ndim == 1, f"particle must be one-dimensional, got shape {row.shape}")
+        return Particle._of_row(row)
 
     def __iter__(self):
         for row in self._values:
-            yield Particle(row)
+            yield Particle._of_row(row)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ParticleSet):

@@ -115,7 +115,11 @@ class ExternalOracle:
                 proc.kill()
                 raise
             finally:
+                # Joined, not just cancelled, so no thread outlives the call:
+                # the CSV writer forks its pool only from a single-threaded
+                # process.
                 watchdog.cancel()
+                watchdog.join()
         if killed.is_set():
             raise OracleTimeoutError(
                 f"oracle command {self.argv[0]!r} exceeded {self.timeout} s")

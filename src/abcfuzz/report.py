@@ -8,6 +8,7 @@ target distinct output directories (out/<run-id>/ by convention).
 """
 
 import json
+import os
 import warnings
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -96,18 +97,121 @@ def _format(value) -> str:
     return str(value)
 
 
+# Cells per chunk of a matrix's rows: a forked worker formats one chunk per
+# task, and the serial path walks the same chunks.
+CHUNK_CELLS = 65536
+# Matrices smaller than this stay in-process: below it, forking the writer
+# pool costs more than the formatting it spreads.
+POOL_MIN_CELLS = 262144
+# Writer workers never exceed this, whatever the host's CPU count.
+POOL_MAX_WORKERS = 4
+
+
+def _format_rows(rows: np.ndarray) -> str:
+    """The one row formatter: a numeric matrix as CSV lines, floats by repr."""
+    return "".join([",".join(map(repr, row)) + "\n" for row in rows.tolist()])
+
+
+def _pool_worker(conn, matrix: np.ndarray, parent_ends) -> None:
+    """Writer worker: format the (start, stop) row chunks the parent sends.
+
+    ``matrix`` is inherited through fork, so tasks carry only row bounds and
+    the array is never pickled. Ctrl-C is left to the parent. The worker
+    closes its inherited copies of the parent's pipe ends, so it ends when
+    the parent closes its end or dies.
+    """
+    import signal
+
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    for end in parent_ends:
+        end.close()
+    while True:
+        try:
+            start, stop = conn.recv()
+        except EOFError:
+            return
+        conn.send(_format_rows(matrix[start:stop]))
+
+
+def _writer_workers() -> int:
+    """Writer processes this process may fork: min(CPUs, cap), or 0 where it
+    cannot or should not (no ``fork``, a daemonic multiprocessing worker, or
+    another thread running, which a forked child could find holding a lock)."""
+    if not hasattr(os, "fork"):
+        return 0
+    import multiprocessing
+    import threading
+
+    if multiprocessing.current_process().daemon or threading.active_count() > 1:
+        return 0
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return min(cpus or 1, POOL_MAX_WORKERS)
+
+
+def _write_matrix(fh, matrix: np.ndarray) -> None:
+    """Write a 2-D numeric array's rows in order, in chunks of CHUNK_CELLS.
+
+    A large matrix on a host with two or more usable CPUs is formatted by a
+    pool of forked workers. Chunk k goes to worker k mod W, at most two
+    chunks in flight per worker, and the parent writes the results in input
+    order, so the bytes equal the serial path's. A worker that dies raises
+    OSError; on any error or interrupt the workers are terminated and
+    reaped before the exception leaves.
+    """
+    step = max(1, CHUNK_CELLS // max(1, matrix.shape[1]))
+    bounds = [(start, min(start + step, matrix.shape[0]))
+              for start in range(0, matrix.shape[0], step)]
+    if matrix.size < POOL_MIN_CELLS or (workers := _writer_workers()) < 2:
+        for start, stop in bounds:
+            fh.write(_format_rows(matrix[start:stop]))
+        return
+
+    import multiprocessing
+
+    context = multiprocessing.get_context("fork")
+    fh.flush()  # a forked worker must not inherit unwritten buffered text
+    pool = []
+    try:
+        for _ in range(workers):
+            conn, child_conn = context.Pipe()
+            parent_ends = [end for _, end in pool] + [conn]
+            proc = context.Process(target=_pool_worker, args=(child_conn, matrix, parent_ends),
+                                   daemon=True)
+            proc.start()
+            child_conn.close()
+            pool.append((proc, conn))
+        window = 2 * workers
+        try:
+            for k, chunk in enumerate(bounds[:window]):
+                pool[k % workers][1].send(chunk)
+            for k in range(len(bounds)):
+                conn = pool[k % workers][1]
+                text = conn.recv()
+                if k + window < len(bounds):
+                    conn.send(bounds[k + window])
+                fh.write(text)
+        except (EOFError, BrokenPipeError, ConnectionResetError) as exc:
+            # a worker's pipe closed under it: the worker died
+            raise OSError(f"a CSV writer process died while writing {fh.name}") from exc
+    finally:
+        for proc, conn in pool:
+            proc.terminate()
+            conn.close()
+        for proc, _ in pool:
+            proc.join()
+
+
 def write_csv(path, header: Sequence[str], rows: Union[np.ndarray, Iterable[Sequence]]) -> None:
     """Plain comma-separated writer; floats keep full round-trip precision.
 
-    ``rows`` is a 2-D numeric array, converted to Python numbers one row at
-    a time (never the whole matrix at once, which would multiply peak
-    memory), or an iterable of rows of numbers and strings.
+    ``rows`` is a 2-D numeric array, converted to Python numbers one chunk
+    of rows at a time (never the whole matrix at once, which would multiply
+    peak memory), or an iterable of rows of numbers and strings.
     """
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(header) + "\n")
         if isinstance(rows, np.ndarray):
-            for row in rows:
-                fh.write(",".join(map(repr, row.tolist())) + "\n")
+            _write_matrix(fh, rows)
         else:
             for row in rows:
                 fh.write(",".join(map(_format, row)) + "\n")

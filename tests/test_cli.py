@@ -298,6 +298,16 @@ class TestExitCodes:
         assert "ragged.csv" in proc.stderr
 
 
+    def test_unclosed_quote_in_exec_oracle_exits_2_without_traceback(self, tmp_path):
+        proc = subprocess.run(
+            [sys.executable, "-m", "abcfuzz.cli", "run", "smc", "--steps", "2",
+             "--oracle", 'exec:"unterminated', "--out", str(tmp_path / "run")],
+            capture_output=True, text=True)
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert "exec oracle command" in proc.stderr
+
+
 class TestEnvironment:
     def test_out_root_env_var(self, tmp_path, monkeypatch):
         monkeypatch.setenv("ABC_FUZZ_OUT", str(tmp_path / "root"))

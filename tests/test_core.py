@@ -15,9 +15,11 @@ from abcfuzz import (
     ParticleSet,
     PriorConfig,
     RandomSource,
+    RangeOracle,
     SmcConfig,
     WeightedParticleSet,
     load_config_file,
+    pass_rate,
 )
 
 
@@ -116,6 +118,27 @@ class TestParticleSet:
             ParticleSet.from_particles([Particle([1.0]), Particle([1.0, 2.0])])
         ps = ParticleSet.from_particles([Particle([1.0]), Particle([2.0])])
         assert ps.n == 2 and ps.dim == 1
+
+    def test_yielded_particles_are_read_only_views_of_the_rows(self):
+        ps = ParticleSet(RandomSource(4).standard_normal(60).reshape(20, 3) * 0.6)
+        for i, p in enumerate(ps):
+            assert np.array_equal(p.values, ps.values[i])
+            assert np.array_equal(ps[i].values, ps.values[i])
+            assert not p.values.flags.writeable and not ps[i].values.flags.writeable
+            with pytest.raises(ValueError):
+                p.values[0] = 1.0
+        copies = [Particle(row) for row in ps.values]
+        oracle = RangeOracle()
+        expected = sum(oracle(p).passed for p in copies) / len(copies)
+        assert pass_rate(ps, oracle) == expected
+
+    def test_indexing_must_select_one_particle(self):
+        ps = ParticleSet([[1.0, 2.0], [3.0, 4.0]])
+        assert ps[-1] == Particle([3.0, 4.0])
+        with pytest.raises(ConfigError):
+            ps[0:2]
+        with pytest.raises(IndexError):
+            ps[2]
 
     def test_to_array_is_a_writable_copy(self):
         ps = ParticleSet([[1.0, 2.0]])

@@ -3,6 +3,7 @@
 import math
 import shutil
 import sys
+import threading
 import time
 
 import numpy as np
@@ -146,6 +147,14 @@ class TestExternalOracle:
 
     def test_child_exiting_without_reading_a_large_payload_passes(self):
         assert ExternalOracle(("true",))(Particle(np.full(8000, 0.5))).passed
+
+    def test_watchdog_thread_is_joined_after_each_call(self):
+        before = threading.active_count()
+        assert ExternalOracle(("true",))(Particle([1.0])).passed
+        assert threading.active_count() == before
+        with pytest.raises(OracleTimeoutError):
+            ExternalOracle(("sleep", "5"), timeout=0.2)(Particle([1.0]))
+        assert threading.active_count() == before
 
     def test_spawn_failure_is_an_environment_error(self):
         with pytest.raises(OracleSpawnError):

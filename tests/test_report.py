@@ -1,6 +1,10 @@
 """Report persistence: JSON round-trips, CSV dumps, plot-data files."""
 
 import json
+import multiprocessing
+import os
+import signal
+import threading
 
 import numpy as np
 import pytest
@@ -22,7 +26,9 @@ from abcfuzz import (
     write_particles_csv,
     write_report,
 )
-from abcfuzz.report import write_json
+from abcfuzz import report
+from abcfuzz.cli import main
+from abcfuzz.report import write_csv, write_json
 
 
 def _report(**overrides):
@@ -198,3 +204,107 @@ class TestPlotData:
 def test_write_json_rejects_nan(tmp_path):
     with pytest.raises(ValueError):
         write_json({"x": float("nan")}, tmp_path / "bad.json")
+
+
+SPECIAL_VALUES = [-0.0, 5e-324, 1e16, 1e-05, 1.7976931348623157e308]
+
+
+@pytest.fixture
+def pool_writer(tmp_path, monkeypatch):
+    """Force the writer pool on small matrices: 6-cell chunks, no size floor,
+    two workers whatever the host. Returns the pids that formatted chunks."""
+    monkeypatch.setattr(report, "CHUNK_CELLS", 6)
+    monkeypatch.setattr(report, "POOL_MIN_CELLS", 0)
+    monkeypatch.setattr(report, "_writer_workers", lambda: 2)
+    log = tmp_path / "formatter-pids.txt"
+    format_rows = report._format_rows
+
+    def logged(rows):
+        with open(log, "a", encoding="ascii") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return format_rows(rows)
+
+    monkeypatch.setattr(report, "_format_rows", logged)
+    return lambda: {int(pid) for pid in log.read_text().split()}
+
+
+def _serial_bytes(path, matrix, monkeypatch):
+    monkeypatch.setattr(report, "POOL_MIN_CELLS", matrix.size + 1)
+    write_csv(path, ["h"], matrix)
+    return path.read_bytes()
+
+
+class TestPoolWriter:
+    @pytest.mark.parametrize("matrix", [
+        np.arange(21.0).reshape(7, 3) / 7,          # 2 rows a chunk, partial last chunk
+        np.array([[0.1, -2.5, 3e-300, 7.0, 1e100, 0.3, 0.7, -1.0]]),  # one row
+        np.linspace(-1.0, 1.0, 10).reshape(10, 1),   # one column
+        np.array([SPECIAL_VALUES] * 3),
+        np.array([SPECIAL_VALUES] * 3).T.copy(),
+    ], ids=["partial-last-chunk", "one-row", "one-column", "special-rows", "special-columns"])
+    def test_pool_bytes_equal_the_serial_path(self, tmp_path, monkeypatch, pool_writer, matrix):
+        pooled = tmp_path / "pool.csv"
+        write_csv(pooled, ["h"], matrix)
+        assert pool_writer() - {os.getpid()}, "no chunk was formatted by a worker"
+        assert multiprocessing.active_children() == []
+        assert pooled.read_bytes() == _serial_bytes(tmp_path / "serial.csv", matrix, monkeypatch)
+
+    def test_special_values_keep_their_repr(self, tmp_path, pool_writer):
+        path = tmp_path / "special.csv"
+        write_csv(path, ["h"], np.array([SPECIAL_VALUES] * 2))
+        line = ",".join(map(repr, SPECIAL_VALUES))
+        assert path.read_text() == f"h\n{line}\n{line}\n"
+        assert line == "-0.0,5e-324,1e+16,1e-05,1.7976931348623157e+308"
+
+    def test_particle_csv_round_trips_through_the_pool(self, tmp_path, pool_writer):
+        prior = generate_prior(PriorConfig(n_particles=9, n_dims=4, seed=5))
+        path = tmp_path / "prior.csv"
+        write_particles_csv(prior, path)
+        assert read_particles_csv(path).values.tobytes() == prior.values.tobytes()
+
+    def test_no_fork_while_another_thread_runs(self):
+        done = threading.Event()
+        thread = threading.Thread(target=done.wait)
+        thread.start()
+        try:
+            assert report._writer_workers() == 0
+        finally:
+            done.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+
+    def test_killed_worker_exits_3_without_traceback(self, tmp_path, monkeypatch, capfd,
+                                                    pool_writer):
+        parent, format_rows = os.getpid(), report._format_rows
+
+        def die_in_worker(rows):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return format_rows(rows)
+
+        monkeypatch.setattr(report, "_format_rows", die_in_worker)
+        out = tmp_path / "run"
+        assert main(["gen-prior", "--n", "40", "--dims", "10", "--out", str(out)]) == 3
+        err = capfd.readouterr().err
+        assert "environment error" in err and "prior.csv" in err
+        assert "Traceback" not in err
+        assert multiprocessing.active_children() == []
+
+    def test_one_interrupt_in_the_parent_leaves_no_child(self, tmp_path, monkeypatch,
+                                                         pool_writer):
+        parent, format_rows = os.getpid(), report._format_rows
+        sent = tmp_path / "sigint-sent"
+
+        def interrupt_parent(rows):
+            if os.getpid() != parent:
+                try:  # the first worker call to get here sends the one Ctrl-C
+                    os.close(os.open(sent, os.O_CREAT | os.O_EXCL))
+                    os.kill(parent, signal.SIGINT)
+                except FileExistsError:
+                    pass
+            return format_rows(rows)
+
+        monkeypatch.setattr(report, "_format_rows", interrupt_parent)
+        with pytest.raises(KeyboardInterrupt):
+            write_csv(tmp_path / "big.csv", ["h"], np.ones((200, 3)))
+        assert multiprocessing.active_children() == []
