@@ -10,6 +10,7 @@ round differently, which the message's digest table shows file by file.
 """
 
 import hashlib
+import json
 import re
 
 import pytest
@@ -30,6 +31,23 @@ RUNS = {
     "mcmc-prior-file": ["run", "mcmc", "--prior", "gen-prior/prior.csv", "--steps", "300",
                         "--burn-in", "50"],
     "compare": ["compare", "--budget", "500"],
+    # CONFIG_FILE sets every key of every section; one flag overrides it per run
+    "config-smc": ["run", "smc", "--config", "all-keys.json", "--steps", "30"],
+    "config-mcmc-exec": ["run", "mcmc", "--config", "all-keys.json", "--oracle", "exec:true"],
+    "config-compare": ["compare", "--budget", "60", "--config", "all-keys.json"],
+    "config-gen-prior": ["gen-prior", "--config", "all-keys.json", "--seed", "21"],
+}
+
+# Int-valued reals ("mean": 0, "alpha": 1, "timeout": 5) must be echoed as
+# given, and "scale": null derives the scale from the prior std.
+CONFIG_FILE = {
+    "prior": {"n_particles": 6, "n_dims": 4, "mean": 0, "std_dev": 2,
+              "zero_fraction": 0.5, "seed": 11},
+    "likelihood": {"target": [0, 0.25, 0, -0.25], "alpha": 1, "scale": None},
+    "smc": {"n_steps": 40, "step_std": 1, "seed": 3},
+    "mcmc": {"n_steps": 20, "burn_in": 5, "step_std": 1, "initial_index": 0, "seed": 4},
+    "oracle": {"kind": "range", "low": -1, "high": 1, "dimension": 0,
+               "command": "true", "timeout": 5},
 }
 
 GOLDEN = {
@@ -113,6 +131,44 @@ GOLDEN = {
         "report.json":
             "b0f075e51c97ef641d9793ea317dbb63e70baa46a1bd2bf0b85e8ee50e1dabda",
     },
+    "config-smc": {
+        "diagnostics.csv":
+            "9077fddd8252dc858935eb2470199d7351e88f060f9a5bcd84630918f606157b",
+        "plot-smc-weights.dat":
+            "142b037a65301613f31f21678f2d3c8bfb7de7258aa2808f86adfbe64ddcbde3",
+        "posterior.csv":
+            "0829c48dc04a820e85f5bb0b5e0d9cb01c27f05ce40ce37dd5126c0075542c6e",
+        "report.json":
+            "9c72272940c6670f38156e56bda88b9e8acde396892d9817e6c1e0f9f129b6ab",
+    },
+    "config-mcmc-exec": {
+        "diagnostics.csv":
+            "f88597a2cd6dde2108de06ee8a73de0f980e716f174057529434415a9d29235f",
+        "plot-mcmc-trace.dat":
+            "65163efd4878ad0e2386fc739f06d09d87134b2c5e27f70f2f5ef49aba2370a5",
+        "posterior.csv":
+            "082aa9639872243ca1143ae712b54c2b9a0be18d93dd38906bbb08a15e61233b",
+        "report.json":
+            "ae0784876e06e13773d6e23fcadcc14edda276bdbe683e201901c1ef6cfa510b",
+    },
+    "config-compare": {
+        "compare-table.csv":
+            "c12a5ce9c3ae9f8af4787fe44c61ae9c21d63ba5c7a642bbd5ec1fc982f1b15e",
+        "report.json":
+            "15aab12e6faf02050814c0dbe5801b773088c8d346a7f0344000e2ddfe98215c",
+    },
+    "config-gen-prior": {
+        "plot-prior-histogram.dat":
+            "71747168738a829dd97f427f1d8d6d37dde818e20857e0bb13cd91a72fdd05c2",
+        "plot-prior-surface.dat":
+            "45f2e6e966c1aa51f2daee066ed3c85bf5ca8e51cfcef6da038ba21681d8fa1b",
+        "prior.csv":
+            "896bacb09f3b4e9a35ae321fc214ca0ab052f16ca0370b62662de9ae420f1cf1",
+        "report.json":
+            "cb7c05e5bbf3e8584568b01f4164d8a6afd5061cd1e9e2add83c4df0d4f8574a",
+        "slice-indices.csv":
+            "119bffa102f35b4135a3a06b431f5925f488ec62beff12e31c31561946b8f8b3",
+    },
 }
 
 _TIMESTAMP_LINE = re.compile(rb'^  "timestamp": "[^"]*",?\n', re.MULTILINE)
@@ -135,6 +191,7 @@ def outputs(tmp_path_factory):
     results = {}
     with pytest.MonkeyPatch.context() as patch:
         patch.chdir(root)
+        (root / "all-keys.json").write_text(json.dumps(CONFIG_FILE))
         for name, argv in RUNS.items():
             assert main([*argv, "--out", name]) == 0, name
             results[name] = _digests(root / name)
