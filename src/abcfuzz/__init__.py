@@ -21,7 +21,6 @@ from .core import (
     PriorConfig,
     RandomSource,
     SmcConfig,
-    WeightedParticleSet,
     load_config_file,
 )
 from .diagnostics import (
@@ -31,7 +30,7 @@ from .diagnostics import (
     weight_sum_delta_series,
     weight_updates_converging,
 )
-from .likelihood import log_likelihood, log_likelihood_batch, log_likelihood_values
+from .likelihood import log_likelihood_values
 from .mcmc import McmcResult, accept_probability, run_mcmc
 from .oracle import (
     CountingOracle,
@@ -41,7 +40,6 @@ from .oracle import (
     OracleVerdict,
     RangeOracle,
     RangeOracleConfig,
-    external_oracle_evaluate,
     pass_rate,
     range_oracle_evaluate,
 )
@@ -83,15 +81,11 @@ __all__ = [
     "SmcConfig",
     "SmcResult",
     "TraceSummary",
-    "WeightedParticleSet",
     "accept_probability",
     "effective_sample_size",
     "emit_plot_data",
-    "external_oracle_evaluate",
     "generate_prior",
     "load_config_file",
-    "log_likelihood",
-    "log_likelihood_batch",
     "log_likelihood_values",
     "normalize_log_weights",
     "pass_rate",

@@ -1,13 +1,15 @@
 """Command-line entry point: abc-fuzz <gen-prior|run|compare>.
 
-Flag values override config-file values, which override built-in defaults;
-the fully resolved configuration is echoed into every report.json so each
+Each config record is merged in layers, dataclass defaults <- config-file
+section <- flags that were given, and built by its own ``from_dict``; the
+fully resolved configuration is echoed into every report.json so each
 printed number can be reproduced. Exit codes are a stable contract:
 0 success, 2 usage/config error, 3 IO or environment failure, 4 numerical
-degeneracy.
+degeneracy, 130 interrupted (Ctrl-C).
 """
 
 import argparse
+import dataclasses
 import math
 import os
 import shlex
@@ -26,7 +28,10 @@ from .core import (
     ParticleSet,
     PriorConfig,
     SmcConfig,
+    _field_names,
     _reject_unknown_keys,
+    _require,
+    _validate_seed,
     load_config_file,
 )
 from .diagnostics import (
@@ -63,88 +68,72 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_ENVIRONMENT = 3
 EXIT_DEGENERACY = 4
+EXIT_INTERRUPTED = 130  # 128 + SIGINT, as a shell reports it
 
 _SEED_MODULUS = 2**64
 
-_ORACLE_SECTION_KEYS = ("kind", "low", "high", "dimension", "command", "timeout")
-_SMC_SECTION_KEYS = ("n_steps", "step_std", "seed")
-_MCMC_SECTION_KEYS = ("n_steps", "burn_in", "step_std", "initial_index", "seed")
-_PRIOR_SECTION_KEYS = ("n_particles", "n_dims", "mean", "std_dev", "zero_fraction", "seed")
-_LIKELIHOOD_SECTION_KEYS = ("target", "alpha", "scale")
+# Config section -> {argparse dest: record field}. A dest that a subcommand
+# lacks reads as None, like a flag that was not given.
+_FLAG_FIELDS = {
+    "prior": {"n": "n_particles", "dims": "n_dims", "mean": "mean", "std": "std_dev",
+              "zero_fraction": "zero_fraction"},
+    "likelihood": {"target": "target", "alpha": "alpha", "scale": "scale"},
+    "smc": {"steps": "n_steps", "step_std": "step_std", "seed": "seed"},
+    "mcmc": {"steps": "n_steps", "burn_in": "burn_in", "step_std": "step_std",
+             "initial_index": "initial_index", "seed": "seed"},
+    "oracle": {"oracle_timeout": "timeout"},
+}
+_SAMPLERS = {"smc": SmcConfig, "mcmc": McmcConfig}
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError("must be a positive integer")
-    return value
+def _checked(convert, ok, requirement: str):
+    """argparse type: convert the text, then require ``ok(value)``."""
+    def parse(text: str):
+        value = convert(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(requirement)
+        return value
+    parse.__name__ = convert.__name__  # argparse names it in "invalid int value"
+    return parse
 
 
-def _nonnegative_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError("must be a nonnegative integer")
-    return value
-
-
-def _nonnegative_float(text: str) -> float:
-    value = float(text)
-    if not math.isfinite(value) or value < 0:
-        raise argparse.ArgumentTypeError("must be a finite nonnegative number")
-    return value
-
-
-def _positive_float(text: str) -> float:
-    value = float(text)
-    if not math.isfinite(value) or value <= 0:
-        raise argparse.ArgumentTypeError("must be a finite positive number")
-    return value
-
-
-def _finite_float(text: str) -> float:
-    value = float(text)
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError("must be a finite number")
-    return value
-
-
-def _fraction(text: str) -> float:
-    value = float(text)
-    if not 0.0 <= value <= 1.0:
-        raise argparse.ArgumentTypeError("must lie in [0, 1]")
-    return value
-
-
-def _seed(text: str) -> int:
-    value = int(text)
-    if not 0 <= value < _SEED_MODULUS:
-        raise argparse.ArgumentTypeError("must fit in 64 unsigned bits")
-    return value
-
-
-def _merged(flag_value, section: dict, key: str, default):
-    if flag_value is not None:
-        return flag_value
-    if key in section:
-        return section[key]
-    return default
+_positive_int = _checked(int, lambda v: v >= 1, "must be a positive integer")
+_nonnegative_int = _checked(int, lambda v: v >= 0, "must be a nonnegative integer")
+_nonnegative_float = _checked(float, lambda v: math.isfinite(v) and v >= 0,
+                              "must be a finite nonnegative number")
+_positive_float = _checked(float, lambda v: math.isfinite(v) and v > 0,
+                           "must be a finite positive number")
+_finite_float = _checked(float, math.isfinite, "must be a finite number")
+_fraction = _checked(float, lambda v: 0.0 <= v <= 1.0, "must lie in [0, 1]")
+_seed = _checked(int, lambda v: 0 <= v < _SEED_MODULUS, "must fit in 64 unsigned bits")
 
 
 def _load_file_config(path) -> dict:
-    if path is None:
-        return {}
-    data = load_config_file(path)
-    checks = {
-        "prior": _PRIOR_SECTION_KEYS,
-        "likelihood": _LIKELIHOOD_SECTION_KEYS,
-        "smc": _SMC_SECTION_KEYS,
-        "mcmc": _MCMC_SECTION_KEYS,
-        "oracle": _ORACLE_SECTION_KEYS,
-    }
-    for section, allowed in checks.items():
-        if section in data:
-            _reject_unknown_keys(section, data[section], allowed)
-    return data
+    return {} if path is None else load_config_file(path)
+
+
+def _section(file_cfg: dict, name: str, args, derived=None, **flags) -> dict:
+    """One section's values: derived defaults <- file section <- flags given.
+
+    ``flags`` adds flag-level values to the section's ``_FLAG_FIELDS``
+    entries; a None flag was not given. The record's own dataclass defaults
+    fill every key that no layer sets.
+    """
+    flags = {**{field: getattr(args, dest, None)
+                for dest, field in _FLAG_FIELDS[name].items()}, **flags}
+    merged = {**(derived or {}), **file_cfg.get(name, {})}
+    merged.update((field, value) for field, value in flags.items() if value is not None)
+    return merged
+
+
+def _sampler_section(file_cfg: dict, name: str, args, **flags):
+    """A sampler section's merged values plus its seed, validated up front
+    because the prior seed derives from it."""
+    data = _section(file_cfg, name, args, **flags)
+    # the likelihood is a section of its own, never a sampler key
+    if "likelihood" in data:
+        raise ConfigError(f"unknown {name} config keys: ['likelihood']")
+    return data, _validate_seed(data.get("seed", _SAMPLERS[name].seed))
 
 
 def _output_dir(out_flag, run_id: str) -> Path:
@@ -165,19 +154,23 @@ def _add_config_flags(parser):
 
 
 def _add_prior_flags(parser):
-    parser.add_argument("--n", type=_positive_int, help="prior particle count (default 10)")
+    parser.add_argument("--n", type=_positive_int,
+                        help=f"prior particle count (default {PriorConfig.n_particles})")
     parser.add_argument("--dims", type=_positive_int,
-                        help="particle dimensionality (default 100)")
-    parser.add_argument("--mean", type=_finite_float, help="prior mean (default 0)")
+                        help=f"particle dimensionality (default {PriorConfig.n_dims})")
+    parser.add_argument("--mean", type=_finite_float,
+                        help=f"prior mean (default {PriorConfig.mean})")
     parser.add_argument("--std", type=_nonnegative_float,
-                        help="prior standard deviation (default 10)")
+                        help=f"prior standard deviation (default {PriorConfig.std_dev})")
     parser.add_argument("--zero-fraction", type=_fraction,
-                        help="fraction of particles with dimension 0 forced to 0 (default 0.3)")
+                        help="fraction of particles with dimension 0 forced to 0 "
+                             f"(default {PriorConfig.zero_fraction})")
 
 
 def _add_likelihood_flags(parser):
     parser.add_argument("--alpha", type=_nonnegative_float,
-                        help="first-dimension penalty weight (default 1.0)")
+                        help="first-dimension penalty weight "
+                             f"(default {LikelihoodConfig.alpha})")
     parser.add_argument("--scale", type=_positive_float,
                         help="distance normalizer (default sqrt(dims) * prior std)")
     parser.add_argument("--target", metavar="origin|FILE",
@@ -190,7 +183,8 @@ def _add_oracle_flags(parser):
                         help="pass/fail oracle: in-process range check, or an external "
                              "command judged by exit status (default range)")
     parser.add_argument("--oracle-timeout", type=_positive_float, metavar="SEC",
-                        help="kill external oracle commands after SEC seconds (default 5)")
+                        help="kill external oracle commands after SEC seconds "
+                             f"(default {ExternalOracle.timeout})")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -203,7 +197,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     gen = sub.add_parser("gen-prior", help="generate the Gaussian prior population")
     _add_prior_flags(gen)
-    gen.add_argument("--seed", type=_seed, help="prior generation seed (default 0)")
+    gen.add_argument("--seed", type=_seed,
+                     help=f"prior generation seed (default {PriorConfig.seed})")
     _add_config_flags(gen)
     gen.set_defaults(func=cmd_gen_prior)
 
@@ -214,18 +209,20 @@ def build_parser() -> argparse.ArgumentParser:
     _add_prior_flags(run)
     run.add_argument("--prior-seed", type=_seed,
                      help="seed for the generated prior (default: sampler seed + 1)")
-    run.add_argument("--steps", type=_positive_int, help="sampler steps (default 1000)")
+    run.add_argument("--steps", type=_positive_int,
+                     help=f"sampler steps (default {SmcConfig.n_steps})")
     run.add_argument("--burn-in", type=_nonnegative_int,
-                     help="mcmc only: steps discarded before the chain (default 100)")
+                     help="mcmc only: steps discarded before the chain "
+                          f"(default {McmcConfig.burn_in})")
     run.add_argument("--step-std", type=_nonnegative_float,
-                     help="random-walk proposal std per dimension (default 0.5)")
+                     help=f"random-walk proposal std per dimension (default {SmcConfig.step_std})")
     run.add_argument("--initial-index", type=_nonnegative_int,
                      help="mcmc only: prior index of the starting state "
                           "(default: random prior particle)")
     run.add_argument("--trace-all", action="store_true", default=None,
                      help="mcmc only: also record every state in full dimension")
     _add_likelihood_flags(run)
-    run.add_argument("--seed", type=_seed, help="sampler seed (default 0)")
+    run.add_argument("--seed", type=_seed, help=f"sampler seed (default {SmcConfig.seed})")
     _add_oracle_flags(run)
     _add_config_flags(run)
     run.set_defaults(func=cmd_run)
@@ -237,11 +234,12 @@ def build_parser() -> argparse.ArgumentParser:
                       help="oracle calls granted to each method")
     _add_prior_flags(comp)
     comp.add_argument("--step-std", type=_nonnegative_float,
-                      help="random-walk proposal std per dimension (default 0.5)")
+                      help="random-walk proposal std per dimension "
+                           f"(default {SmcConfig.step_std})")
     _add_likelihood_flags(comp)
     comp.add_argument("--seed", type=_seed,
                       help="base seed; the SMC run uses it, the prior and the random "
-                           "baseline use seed+1 and seed+2 (default 0)")
+                           f"baseline use seed+1 and seed+2 (default {SmcConfig.seed})")
     _add_oracle_flags(comp)
     _add_config_flags(comp)
     comp.set_defaults(func=cmd_compare)
@@ -249,23 +247,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_prior_config(args, file_cfg: dict, seed: int) -> PriorConfig:
-    section = file_cfg.get("prior", {})
-    return PriorConfig(
-        n_particles=_merged(args.n, section, "n_particles", 10),
-        n_dims=_merged(args.dims, section, "n_dims", 100),
-        mean=_merged(args.mean, section, "mean", 0.0),
-        std_dev=_merged(args.std, section, "std_dev", 10.0),
-        zero_fraction=_merged(args.zero_fraction, section, "zero_fraction", 0.3),
-        seed=seed,
-    )
-
-
-def _resolve_target(spec, n_dims: int) -> Particle:
+def _resolve_target(spec, n_dims: int):
+    """Resolve 'origin' (or null) and a one-particle CSV path; any other value
+    is left for LikelihoodConfig.from_dict to check as an inline list."""
     if spec is None or spec == "origin":
         return Particle(np.zeros(n_dims))
-    if isinstance(spec, (list, tuple)):
-        return Particle(spec)
+    if not isinstance(spec, str):
+        return spec
     target_set = read_particles_csv(spec)
     if target_set.n != 1:
         raise ConfigError(
@@ -274,51 +262,48 @@ def _resolve_target(spec, n_dims: int) -> Particle:
 
 
 def _resolve_likelihood(args, file_cfg: dict, n_dims: int, prior_std: float) -> LikelihoodConfig:
-    section = file_cfg.get("likelihood", {})
-    target = _resolve_target(_merged(args.target, section, "target", None), n_dims)
-    if target.dim != n_dims:
+    data = _section(file_cfg, "likelihood", args)
+    data["target"] = _resolve_target(data.get("target"), n_dims)
+    if data.get("scale") is None:  # null, like an absent key, means "derive"
+        data["scale"] = LikelihoodConfig.for_prior(n_dims, prior_std).scale
+    cfg = LikelihoodConfig.from_dict(data)
+    if cfg.target.dim != n_dims:
         raise ConfigError(
-            f"--target has {target.dim} dims but the prior has {n_dims}")
-    return LikelihoodConfig.for_prior(
-        n_dims, prior_std,
-        alpha=_merged(args.alpha, section, "alpha", 1.0),
-        scale=_merged(args.scale, section, "scale", None),
-        target=target,
-    )
+            f"--target has {cfg.target.dim} dims but the prior has {n_dims}")
+    return cfg
 
 
 def _resolve_oracle(args, file_cfg: dict):
-    """Build the oracle callable plus its config echo for the report."""
-    section = file_cfg.get("oracle", {})
+    """Build the oracle callable plus its config echo for the report.
+
+    The section holds RangeOracleConfig's fields plus ``kind``, and the
+    exec kind's ``command`` and ``timeout``; only the keys of the kind in
+    use are read. ``--oracle`` overrides both kind and command.
+    """
+    data = _section(file_cfg, "oracle", args)
+    kind, command = data.pop("kind", "range"), data.pop("command", None)
+    timeout = data.pop("timeout", ExternalOracle.timeout)
+    _reject_unknown_keys("oracle", data, _field_names(RangeOracleConfig))
     spec = args.oracle
-    if spec is None:
-        kind = section.get("kind", "range")
-        command = section.get("command")
-    elif spec == "range":
-        kind, command = "range", None
-    elif spec.startswith("exec:"):
+    if spec == "range":
+        kind = "range"
+    elif spec is not None:
+        _require(spec.startswith("exec:"),
+                 f"--oracle must be 'range' or 'exec:<command>', got {spec!r}")
         kind, command = "exec", spec[len("exec:"):]
-    else:
-        raise ConfigError(f"--oracle must be 'range' or 'exec:<command>', got {spec!r}")
 
     if kind == "range":
-        cfg = RangeOracleConfig(
-            low=section.get("low", -0.5),
-            high=section.get("high", 0.5),
-            dimension=section.get("dimension", 0),
-        )
+        cfg = RangeOracleConfig(**data)
         return RangeOracle(cfg), {"kind": "range", **cfg.to_dict()}
-    if kind != "exec":
-        raise ConfigError(f"oracle kind must be 'range' or 'exec', got {kind!r}")
-    if not command:
-        raise ConfigError("exec oracle needs a command")
-    timeout = _merged(args.oracle_timeout, section, "timeout", 5.0)
+    _require(kind == "exec", f"oracle kind must be 'range' or 'exec', got {kind!r}")
+    _require(isinstance(command, str) and command != "",
+             f"exec oracle command must be a nonempty string, got {command!r}")
     try:
         argv = tuple(shlex.split(command))
     except ValueError as exc:
         raise ConfigError(f"exec oracle command {command!r} does not parse: {exc}") from exc
-    return (ExternalOracle(argv, timeout=timeout),
-            {"kind": "exec", "command": command, "timeout": timeout})
+    oracle = ExternalOracle(argv, timeout=timeout)
+    return oracle, {"kind": "exec", "command": command, "timeout": oracle.timeout}
 
 
 def _estimated_std(particles: ParticleSet) -> float:
@@ -328,8 +313,7 @@ def _estimated_std(particles: ParticleSet) -> float:
 
 def cmd_gen_prior(args) -> int:
     file_cfg = _load_file_config(args.config)
-    seed = _merged(args.seed, file_cfg.get("prior", {}), "seed", 0)
-    cfg = _resolve_prior_config(args, file_cfg, seed)
+    cfg = PriorConfig.from_dict(_section(file_cfg, "prior", args, seed=args.seed))
     particles = generate_prior(cfg)
     indices = slice_indices(cfg)
 
@@ -369,9 +353,9 @@ def _resolve_run_prior(args, file_cfg: dict, sampler_seed: int):
         echo = {"file": str(args.prior), "n_particles": particles.n,
                 "n_dims": particles.dim}
         return particles, echo, _estimated_std(particles)
-    default_seed = (sampler_seed + 1) % _SEED_MODULUS
-    seed = _merged(args.prior_seed, file_cfg.get("prior", {}), "seed", default_seed)
-    cfg = _resolve_prior_config(args, file_cfg, seed)
+    derived = {"seed": (sampler_seed + 1) % _SEED_MODULUS}
+    cfg = PriorConfig.from_dict(
+        _section(file_cfg, "prior", args, derived, seed=args.prior_seed))
     return generate_prior(cfg), cfg.to_dict(), cfg.std_dev
 
 
@@ -385,18 +369,15 @@ def cmd_run(args) -> int:
             if flag is not None:
                 raise ConfigError(f"{name} only applies to mcmc")
 
-    section = file_cfg.get(sampler, {})
-    seed = _merged(args.seed, section, "seed", 0)
+    data, seed = _sampler_section(file_cfg, sampler, args)
     particles, prior_echo, prior_std = _resolve_run_prior(args, file_cfg, seed)
     likelihood = _resolve_likelihood(args, file_cfg, particles.dim, prior_std)
     oracle, oracle_echo = _resolve_oracle(args, file_cfg)
-
-    n_steps = _merged(args.steps, section, "n_steps", 1000)
-    step_std = _merged(args.step_std, section, "step_std", 0.5)
+    cfg = _SAMPLERS[sampler].from_dict({**data, "likelihood": likelihood})
+    n_steps = cfg.n_steps
     outdir = _output_dir(args.out, f"{sampler}-seed{seed}")
 
     if sampler == "smc":
-        cfg = SmcConfig(likelihood=likelihood, n_steps=n_steps, step_std=step_std, seed=seed)
         result = run_smc(particles, cfg, oracle)
         posterior = result.posterior
         posterior_rate = result.posterior_pass_rate
@@ -418,14 +399,6 @@ def cmd_run(args) -> int:
             diagnostics["convergence_note"] = CONVERGENCE_NOTE
         config_echo = {"prior": prior_echo, "smc": cfg.to_dict(), "oracle": oracle_echo}
     else:
-        cfg = McmcConfig(
-            likelihood=likelihood,
-            n_steps=n_steps,
-            burn_in=_merged(args.burn_in, section, "burn_in", 100),
-            step_std=step_std,
-            initial_index=_merged(args.initial_index, section, "initial_index", None),
-            seed=seed,
-        )
         result = run_mcmc(particles, cfg, oracle,
                           trace_all_dims=bool(args.trace_all))
         posterior = result.chain
@@ -471,35 +444,24 @@ def _count_passing(particles: ParticleSet, oracle) -> int:
 def cmd_compare(args) -> int:
     file_cfg = _load_file_config(args.config)
     budget = args.budget
-    seed = _merged(args.seed, file_cfg.get("smc", {}), "seed", 0)
+    data, seed = _sampler_section(file_cfg, "smc", args, n_steps=budget)
     oracle, oracle_echo = _resolve_oracle(args, file_cfg)
 
-    prior_cfg = _resolve_prior_config(args, file_cfg, (seed + 1) % _SEED_MODULUS)
+    prior_cfg = PriorConfig.from_dict(
+        _section(file_cfg, "prior", args, seed=(seed + 1) % _SEED_MODULUS))
     likelihood = _resolve_likelihood(args, file_cfg, prior_cfg.n_dims, prior_cfg.std_dev)
+    smc_cfg = SmcConfig.from_dict({**data, "likelihood": likelihood})
 
     # Arm 1: random sampling. Budget fresh draws from the prior construction,
     # every one of them oracle-evaluated.
-    random_cfg = PriorConfig(
-        n_particles=budget,
-        n_dims=prior_cfg.n_dims,
-        mean=prior_cfg.mean,
-        std_dev=prior_cfg.std_dev,
-        zero_fraction=prior_cfg.zero_fraction,
-        seed=(seed + 2) % _SEED_MODULUS,
-    )
+    random_cfg = dataclasses.replace(prior_cfg, n_particles=budget,
+                                     seed=(seed + 2) % _SEED_MODULUS)
     random_counting = CountingOracle(oracle)
     random_found = _count_passing(generate_prior(random_cfg), random_counting)
 
     # Arm 2: SMC. One posterior particle per step, so budget steps produce
     # exactly budget oracle-evaluated candidates; the small live population
     # itself is never oracle-evaluated.
-    section = file_cfg.get("smc", {})
-    smc_cfg = SmcConfig(
-        likelihood=likelihood,
-        n_steps=budget,
-        step_std=_merged(args.step_std, section, "step_std", 0.5),
-        seed=seed,
-    )
     smc_result = run_smc(generate_prior(prior_cfg), smc_cfg, oracle=None)
     smc_counting = CountingOracle(oracle)
     smc_found = _count_passing(smc_result.posterior, smc_counting)
@@ -549,6 +511,9 @@ def main(argv=None) -> int:
         step = f" (step {exc.step})" if exc.step is not None else ""
         print(f"abc-fuzz: degeneracy{step}: {exc}", file=sys.stderr)
         return EXIT_DEGENERACY
+    except KeyboardInterrupt:
+        print("abc-fuzz: interrupted", file=sys.stderr)
+        return EXIT_INTERRUPTED
 
 
 if __name__ == "__main__":

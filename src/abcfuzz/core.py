@@ -7,6 +7,7 @@ exactly one and never shares it.
 
 import json
 import math
+import sys
 from dataclasses import dataclass, fields
 from typing import Iterable, Optional, Sequence, Union
 
@@ -50,11 +51,27 @@ def _require(condition: bool, message: str) -> None:
         raise ConfigError(message)
 
 
+def _check_int(name: str, value, low: int = 0, high: float = math.inf) -> None:
+    """Config guard: ``value`` must be an int (numpy ints too, never a bool) in [low, high]."""
+    _require(isinstance(value, (int, np.integer)) and not isinstance(value, bool),
+             f"{name} must be an integer, got {value!r}")
+    _require(low <= value <= high, f"{name} must lie in [{low}, {high}], got {value!r}")
+
+
+def _check_real(name: str, value, low: float = -math.inf, high: float = math.inf) -> None:
+    """Config guard: ``value`` must be a finite int or float (never a bool) in [low, high].
+
+    An int is accepted as it is, not converted, so a config echo repeats
+    the number exactly as the user gave it.
+    """
+    _require(isinstance(value, (int, float, np.integer, np.floating))
+             and not isinstance(value, bool) and abs(value) <= sys.float_info.max,
+             f"{name} must be a finite number, got {value!r}")
+    _require(low <= value <= high, f"{name} must lie in [{low}, {high}], got {value!r}")
+
+
 def _validate_seed(seed: int) -> int:
-    _require(isinstance(seed, (int, np.integer)) and not isinstance(seed, bool),
-             f"seed must be an integer, got {seed!r}")
-    _require(0 <= seed <= MAX_SEED,
-             f"seed must fit in 64 unsigned bits, got {seed}")
+    _check_int("seed", seed, 0, MAX_SEED)
     return int(seed)
 
 
@@ -233,39 +250,6 @@ class ParticleSet:
 WEIGHT_SUM_TOLERANCE = 1e-9
 
 
-class WeightedParticleSet:
-    """Particles paired with normalized, nonnegative importance weights."""
-
-    __slots__ = ("_particles", "_weights")
-
-    def __init__(self, particles: ParticleSet, weights: Union[Sequence[float], np.ndarray]):
-        w = np.array(weights, dtype=np.float64)
-        _require(w.ndim == 1, "weights must be a flat sequence")
-        _require(w.size == particles.n,
-                 f"got {w.size} weights for {particles.n} particles")
-        _require(bool(np.isfinite(w).all()), "weights must be finite")
-        _require(bool((w >= 0).all()), "weights must be nonnegative")
-        _require(abs(float(w.sum()) - 1.0) <= WEIGHT_SUM_TOLERANCE,
-                 f"weights must sum to 1 within {WEIGHT_SUM_TOLERANCE}, got {w.sum()!r}")
-        w.setflags(write=False)
-        self._particles = particles
-        self._weights = w
-
-    @property
-    def particles(self) -> ParticleSet:
-        return self._particles
-
-    @property
-    def weights(self) -> np.ndarray:
-        return self._weights
-
-    def __len__(self) -> int:
-        return self._particles.n
-
-    def __repr__(self) -> str:
-        return f"WeightedParticleSet(n={len(self)}, dim={self._particles.dim})"
-
-
 def _reject_unknown_keys(kind: str, data: dict, allowed: Iterable[str]) -> None:
     extra = set(data) - set(allowed)
     if extra:
@@ -288,15 +272,11 @@ class PriorConfig:
     seed: int = 0
 
     def __post_init__(self):
-        _require(isinstance(self.n_particles, (int, np.integer)) and self.n_particles >= 1,
-                 f"n_particles must be a positive integer, got {self.n_particles!r}")
-        _require(isinstance(self.n_dims, (int, np.integer)) and self.n_dims >= 1,
-                 f"n_dims must be a positive integer, got {self.n_dims!r}")
-        _require(math.isfinite(self.mean), "mean must be finite")
-        _require(math.isfinite(self.std_dev) and self.std_dev >= 0,
-                 f"std_dev must be nonnegative, got {self.std_dev!r}")
-        _require(0.0 <= self.zero_fraction <= 1.0,
-                 f"zero_fraction must lie in [0, 1], got {self.zero_fraction!r}")
+        _check_int("n_particles", self.n_particles, 1)
+        _check_int("n_dims", self.n_dims, 1)
+        _check_real("mean", self.mean)
+        _check_real("std_dev", self.std_dev, 0)
+        _check_real("zero_fraction", self.zero_fraction, 0, 1)
         _validate_seed(self.seed)
 
     def to_dict(self) -> dict:
@@ -330,10 +310,9 @@ class LikelihoodConfig:
 
     def __post_init__(self):
         _require(isinstance(self.target, Particle), "target must be a Particle")
-        _require(math.isfinite(self.alpha) and self.alpha >= 0,
-                 f"alpha must be nonnegative, got {self.alpha!r}")
-        _require(math.isfinite(self.scale) and self.scale > 0,
-                 f"scale must be positive, got {self.scale!r}")
+        _check_real("alpha", self.alpha, 0)
+        _check_real("scale", self.scale, 0)
+        _require(self.scale > 0, f"scale must be positive, got {self.scale!r}")
 
     @classmethod
     def for_prior(cls, n_dims: int, prior_std: float, *, alpha: float = 1.0,
@@ -364,8 +343,13 @@ class LikelihoodConfig:
     def from_dict(cls, data: dict) -> "LikelihoodConfig":
         _reject_unknown_keys("likelihood", data, _field_names(cls))
         data = dict(data)
-        if "target" in data and not isinstance(data["target"], Particle):
-            data["target"] = Particle(data["target"])
+        target = data.get("target")
+        if "target" in data and not isinstance(target, Particle):
+            _require(isinstance(target, (list, tuple)),
+                     f"target must be a list of numbers, got {target!r}")
+            for value in target:
+                _check_real("target coordinate", value)
+            data["target"] = Particle(target)
         return cls(**data)
 
 
@@ -381,10 +365,8 @@ class SmcConfig:
     def __post_init__(self):
         _require(isinstance(self.likelihood, LikelihoodConfig),
                  "likelihood must be a LikelihoodConfig")
-        _require(isinstance(self.n_steps, (int, np.integer)) and self.n_steps >= 1,
-                 f"n_steps must be a positive integer, got {self.n_steps!r}")
-        _require(math.isfinite(self.step_std) and self.step_std >= 0,
-                 f"step_std must be nonnegative, got {self.step_std!r}")
+        _check_int("n_steps", self.n_steps, 1)
+        _check_real("step_std", self.step_std, 0)
         _validate_seed(self.seed)
 
     def to_dict(self) -> dict:
@@ -423,17 +405,13 @@ class McmcConfig:
     def __post_init__(self):
         _require(isinstance(self.likelihood, LikelihoodConfig),
                  "likelihood must be a LikelihoodConfig")
-        _require(isinstance(self.n_steps, (int, np.integer)) and self.n_steps >= 1,
-                 f"n_steps must be a positive integer, got {self.n_steps!r}")
-        _require(isinstance(self.burn_in, (int, np.integer)) and self.burn_in >= 0,
-                 f"burn_in must be a nonnegative integer, got {self.burn_in!r}")
+        _check_int("n_steps", self.n_steps, 1)
+        _check_int("burn_in", self.burn_in)
         _require(self.burn_in < self.n_steps,
                  f"burn_in ({self.burn_in}) must be smaller than n_steps ({self.n_steps})")
-        _require(math.isfinite(self.step_std) and self.step_std >= 0,
-                 f"step_std must be nonnegative, got {self.step_std!r}")
+        _check_real("step_std", self.step_std, 0)
         if self.initial_index is not None:
-            _require(isinstance(self.initial_index, (int, np.integer)) and self.initial_index >= 0,
-                     f"initial_index must be a nonnegative integer, got {self.initial_index!r}")
+            _check_int("initial_index", self.initial_index)
         _validate_seed(self.seed)
 
     def to_dict(self) -> dict:
@@ -470,7 +448,7 @@ def load_config_file(path) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # JSONDecodeError, or an int past the digit limit
             raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
     _require(isinstance(data, dict), f"config file {path} must hold a JSON object")
     _reject_unknown_keys("file", data, CONFIG_FILE_SECTIONS)

@@ -11,15 +11,11 @@ differences, so the linear-scale likelihood is never materialized.
 
 import numpy as np
 
-from .core import ConfigError, LikelihoodConfig, Particle, ParticleSet
+from .core import ConfigError, LikelihoodConfig
 
 
 def log_likelihood_values(values: np.ndarray, config: LikelihoodConfig) -> np.ndarray:
-    """Score each row of an (N, D) matrix; returns N log-likelihoods.
-
-    Array-level entry point used inside sampler loops; the typed ops below
-    wrap it.
-    """
+    """Score each row of an (N, D) matrix; returns N log-likelihoods, in row order."""
     if values.shape[1] != config.target.dim:
         raise ConfigError(
             f"particles have {values.shape[1]} dims but target has {config.target.dim}")
@@ -30,12 +26,3 @@ def log_likelihood_values(values: np.ndarray, config: LikelihoodConfig) -> np.nd
         distances = np.linalg.norm(diffs, axis=1)
     return -(distances / config.scale) - config.alpha * np.abs(values[:, 0])
 
-
-def log_likelihood(particle: Particle, config: LikelihoodConfig) -> float:
-    """Score a single particle. Finite for all finite inputs."""
-    return float(log_likelihood_values(particle.values[np.newaxis, :], config)[0])
-
-
-def log_likelihood_batch(particles: ParticleSet, config: LikelihoodConfig) -> np.ndarray:
-    """Elementwise scores for a whole set, order-preserving."""
-    return log_likelihood_values(particles.values, config)

@@ -5,15 +5,20 @@ white-box target), and an external command run once per particle (a
 black-box hook; its protocol is this engine's own extension).
 """
 
-import math
 import subprocess
 import threading
 from dataclasses import dataclass
-from typing import Callable, Sequence, Tuple
+from typing import Callable, Tuple
 
-import numpy as np
-
-from .core import AbcFuzzError, ConfigError, Particle, ParticleSet, _require
+from .core import (
+    AbcFuzzError,
+    ConfigError,
+    Particle,
+    ParticleSet,
+    _check_int,
+    _check_real,
+    _require,
+)
 
 
 class OracleSpawnError(AbcFuzzError, RuntimeError):
@@ -41,12 +46,11 @@ class RangeOracleConfig:
     dimension: int = 0
 
     def __post_init__(self):
-        _require(math.isfinite(self.low) and math.isfinite(self.high),
-                 "range bounds must be finite")
+        _check_real("low", self.low)
+        _check_real("high", self.high)
         _require(self.low <= self.high,
                  f"low ({self.low!r}) must not exceed high ({self.high!r})")
-        _require(isinstance(self.dimension, (int, np.integer)) and self.dimension >= 0,
-                 f"dimension must be a nonnegative integer, got {self.dimension!r}")
+        _check_int("dimension", self.dimension)
 
     def to_dict(self) -> dict:
         return {"low": self.low, "high": self.high, "dimension": self.dimension}
@@ -86,7 +90,11 @@ class ExternalOracle:
     timeout: float = 5.0
 
     def __post_init__(self):
-        _require(len(self.argv) >= 1, "external oracle needs a command")
+        _require(isinstance(self.argv, (tuple, list)) and len(self.argv) >= 1,
+                 f"external oracle needs a nonempty argv, got {self.argv!r}")
+        _require(all(isinstance(arg, str) for arg in self.argv),
+                 f"argv items must be strings, got {self.argv!r}")
+        _check_real("timeout", self.timeout)
         _require(self.timeout > 0, f"timeout must be positive, got {self.timeout!r}")
 
     def __call__(self, particle: Particle) -> OracleVerdict:
@@ -124,12 +132,6 @@ class ExternalOracle:
             raise OracleTimeoutError(
                 f"oracle command {self.argv[0]!r} exceeded {self.timeout} s")
         return OracleVerdict(proc.returncode == 0)
-
-
-def external_oracle_evaluate(particle: Particle, command_spec: Sequence[str],
-                             timeout: float = 5.0) -> OracleVerdict:
-    """One-shot form of ExternalOracle: run command_spec once for this particle."""
-    return ExternalOracle(tuple(command_spec), timeout=timeout)(particle)
 
 
 class CountingOracle:

@@ -6,6 +6,7 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from abcfuzz import PriorConfig, SmcConfig, read_particles_csv
 from abcfuzz.cli import main
@@ -262,6 +263,109 @@ class TestConfigFileMerging:
     def test_missing_config_file_exits_3(self, tmp_path):
         assert main(["gen-prior", "--config", str(tmp_path / "absent.json"),
                      "--out", str(tmp_path)]) == 3
+
+
+# Keeps the regression cases small; each case's own values override it.
+_SMALL_RUN = {"prior": {"n_particles": 2, "n_dims": 2}, "smc": {"n_steps": 2},
+              "mcmc": {"n_steps": 2, "burn_in": 0}}
+
+# (config file, sampler, text the error must show: the key and the value given)
+_BAD_VALUES = [
+    ({"prior": {"mean": "a"}}, "smc", ["mean", "'a'"]),
+    ({"smc": {"step_std": None}}, "smc", ["step_std", "None"]),
+    ({"oracle": {"low": "x"}}, "smc", ["low", "'x'"]),
+    ({"prior": {"n_particles": True}}, "smc", ["n_particles", "True"]),
+    ({"prior": {"zero_fraction": "0.3"}}, "smc", ["zero_fraction", "'0.3'"]),
+    ({"likelihood": {"alpha": [1]}}, "smc", ["alpha", "[1]"]),
+    ({"oracle": {"dimension": True}}, "smc", ["dimension", "True"]),
+    ({"oracle": {"kind": "exec", "command": 5}}, "smc", ["command", "5"]),
+    ({"oracle": {"kind": "exec", "command": "true", "timeout": "5"}}, "smc",
+     ["timeout", "'5'"]),
+    ({"oracle": {"kind": "exec", "command": "true", "timeout": True}}, "smc",
+     ["timeout", "True"]),
+    ({"mcmc": {"initial_index": True}}, "mcmc", ["initial_index", "True"]),
+    # the sampler seed as given, not the prior seed 2.5 derived from it
+    ({"smc": {"seed": 1.5}}, "smc", ["seed must be an integer, got 1.5"]),
+]
+
+
+def _config_file(directory, data):
+    merged = {section: {**_SMALL_RUN.get(section, {}), **keys}
+              for section, keys in {**_SMALL_RUN, **data}.items()}
+    path = directory / "config.json"
+    path.write_text(json.dumps(merged))
+    return path
+
+
+class TestConfigValueTypes:
+    @pytest.mark.parametrize("config, sampler, shown", _BAD_VALUES,
+                             ids=[json.dumps(case[0]) for case in _BAD_VALUES])
+    def test_wrongly_typed_value_exits_2_naming_key_and_value(self, tmp_path, capsys,
+                                                              config, sampler, shown):
+        path = _config_file(tmp_path, config)
+        code = main(["run", sampler, "--config", str(path), "--out", str(tmp_path / "run")])
+        err = capsys.readouterr().err
+        assert code == 2, err
+        for text in shown:
+            assert text in err
+
+    def test_bad_value_exits_2_without_traceback_in_a_subprocess(self, tmp_path):
+        path = _config_file(tmp_path, {"prior": {"mean": "a"}})
+        proc = subprocess.run(
+            [sys.executable, "-m", "abcfuzz.cli", "run", "smc", "--config", str(path),
+             "--out", str(tmp_path / "run")],
+            capture_output=True, text=True)
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert "mean must be a finite number, got 'a'" in proc.stderr
+
+    def test_nested_likelihood_in_a_sampler_section_is_unknown(self, tmp_path, capsys):
+        path = _config_file(tmp_path, {"smc": {"likelihood": {"alpha": 1}}})
+        assert main(["run", "smc", "--config", str(path), "--out", str(tmp_path)]) == 2
+        assert "unknown smc config keys: ['likelihood']" in capsys.readouterr().err
+
+
+_SECTION_KEYS = {
+    "prior": ("n_particles", "n_dims", "mean", "std_dev", "zero_fraction", "seed"),
+    "likelihood": ("target", "alpha", "scale"),
+    "smc": ("n_steps", "step_std", "seed"),
+    "mcmc": ("n_steps", "burn_in", "step_std", "initial_index", "seed"),
+    "oracle": ("kind", "low", "high", "dimension", "command", "timeout"),
+}
+_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(),
+                     st.text(max_size=4))
+_JSON_VALUES = st.one_of(_SCALARS, st.lists(_SCALARS, max_size=3))
+_NOT_A_STRING = _JSON_VALUES.filter(lambda value: not isinstance(value, str))
+# A command string would be run and a target string read as a file path,
+# so those two keys get one fixed, harmless string each.
+_VALUES_FOR = {
+    "command": st.one_of(_NOT_A_STRING, st.just("true")),
+    "target": st.one_of(_NOT_A_STRING, st.just("origin")),
+    "kind": st.one_of(_JSON_VALUES, st.sampled_from(["range", "exec"])),
+}
+_SMALL_COMMANDS = (["run", "smc", "--steps", "2"], ["run", "mcmc", "--steps", "2"],
+                   ["compare", "--budget", "2"])
+
+
+class TestConfigValueProperty:
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), command=st.sampled_from(_SMALL_COMMANDS))
+    def test_any_json_value_in_any_key_never_escapes_the_exit_codes(
+            self, tmp_path_factory, data, command):
+        config = {"mcmc": {"burn_in": 0}}  # so that a two-step chain can run
+        keys = st.sampled_from([(section, key) for section, names in _SECTION_KEYS.items()
+                                for key in names])
+        for section, key in data.draw(st.lists(keys, min_size=1, max_size=4, unique=True)):
+            value = data.draw(_VALUES_FOR.get(key, _JSON_VALUES), label=f"{section}.{key}")
+            config.setdefault(section, {})[key] = value
+        directory = tmp_path_factory.mktemp("property")
+        path = directory / "config.json"
+        path.write_text(json.dumps(config))
+        code = main([*command, "--config", str(path), "--n", "2", "--dims", "2",
+                     "--out", str(directory / "run")])
+        # 4 is the contract's answer to valid but extreme values, such as a
+        # std_dev of 1e154, whose distances overflow and collapse every weight
+        assert code in (0, 2, 4)
 
 
 class TestExitCodes:

@@ -17,7 +17,6 @@ from abcfuzz import (
     RandomSource,
     RangeOracle,
     SmcConfig,
-    WeightedParticleSet,
     load_config_file,
     pass_rate,
 )
@@ -147,28 +146,6 @@ class TestParticleSet:
         assert ps.values[0, 0] == 1.0
 
 
-class TestWeightedParticleSet:
-    def test_accepts_normalized_weights(self):
-        ps = ParticleSet([[1.0], [2.0]])
-        wps = WeightedParticleSet(ps, [0.25, 0.75])
-        assert wps.particles is ps
-        np.testing.assert_array_equal(wps.weights, [0.25, 0.75])
-        assert len(wps) == 2
-
-    def test_normalization_tolerance_is_1e9(self):
-        ps = ParticleSet([[1.0], [2.0]])
-        WeightedParticleSet(ps, [0.5, 0.5 + 5e-10])  # inside tolerance
-        with pytest.raises(ConfigError):
-            WeightedParticleSet(ps, [0.5, 0.5 + 5e-9])
-
-    def test_rejects_negative_and_mismatched(self):
-        ps = ParticleSet([[1.0], [2.0]])
-        with pytest.raises(ConfigError):
-            WeightedParticleSet(ps, [1.5, -0.5])
-        with pytest.raises(ConfigError):
-            WeightedParticleSet(ps, [1.0])
-
-
 class TestConfigValidation:
     def test_prior_config(self):
         with pytest.raises(ConfigError):
@@ -209,6 +186,41 @@ class TestConfigValidation:
             McmcConfig(likelihood=lik, n_steps=10, burn_in=10)
         with pytest.raises(ConfigError):
             McmcConfig(likelihood=lik, n_steps=10, burn_in=-1)
+
+    @pytest.mark.parametrize("field", ["n_particles", "n_dims", "seed"])
+    @pytest.mark.parametrize("value", [True, 2.0, "3", None, [3]])
+    def test_integer_fields_take_only_integers(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            PriorConfig(**{field: value})
+
+    @pytest.mark.parametrize("field", ["mean", "std_dev", "zero_fraction"])
+    @pytest.mark.parametrize("value", [True, "0.3", None, [0.3], float("nan"), 10**400])
+    def test_real_fields_take_only_finite_numbers(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            PriorConfig(**{field: value})
+
+    def test_int_valued_reals_stay_ints(self):
+        cfg = PriorConfig(mean=0, std_dev=2, zero_fraction=1)
+        assert cfg.to_dict()["mean"] == 0 and isinstance(cfg.to_dict()["mean"], int)
+        lik = LikelihoodConfig(target=Particle([0.0]), alpha=1, scale=3)
+        assert isinstance(lik.alpha, int) and isinstance(lik.scale, int)
+
+    def test_sampler_fields_reject_bools_and_strings(self):
+        lik = LikelihoodConfig(target=Particle([0.0]))
+        for kwargs in ({"n_steps": True}, {"step_std": "0.5"}, {"seed": 1.5}):
+            with pytest.raises(ConfigError, match=next(iter(kwargs))):
+                SmcConfig(likelihood=lik, **kwargs)
+        for kwargs in ({"initial_index": True}, {"burn_in": False}, {"step_std": None}):
+            with pytest.raises(ConfigError, match=next(iter(kwargs))):
+                McmcConfig(likelihood=lik, **kwargs)
+        for kwargs in ({"alpha": [1]}, {"scale": True}):
+            with pytest.raises(ConfigError, match=next(iter(kwargs))):
+                LikelihoodConfig(target=Particle([0.0]), **kwargs)
+
+    def test_inline_target_takes_only_numbers(self):
+        for target in (5, "origin", ["a", 1.0], [True], [float("inf")]):
+            with pytest.raises(ConfigError, match="target"):
+                LikelihoodConfig.from_dict({"target": target})
 
 
 class TestConfigSerialization:
@@ -260,6 +272,14 @@ class TestConfigFile:
     def test_malformed_json_is_an_error(self, tmp_path):
         path = tmp_path / "config.json"
         path.write_text("{not json")
+        with pytest.raises(ConfigError, match="JSON"):
+            load_config_file(path)
+
+    @pytest.mark.parametrize("content", [b"\xff{}", b'{"prior": {"seed": 1' + b"0" * 5000 + b"}}"],
+                             ids=["not-utf-8", "int-past-the-digit-limit"])
+    def test_undecodable_json_is_an_error(self, tmp_path, content):
+        path = tmp_path / "config.json"
+        path.write_bytes(content)
         with pytest.raises(ConfigError, match="JSON"):
             load_config_file(path)
 

@@ -12,8 +12,7 @@ from abcfuzz import (
     Particle,
     ParticleSet,
     RandomSource,
-    log_likelihood,
-    log_likelihood_batch,
+    log_likelihood_values,
 )
 
 
@@ -23,19 +22,24 @@ def reference_score(values, target, alpha, scale):
     return -(distance / scale) - alpha * abs(values[0])
 
 
+def _score(particle, config):
+    """One particle's score, through the matrix entry point as a one-row matrix."""
+    return float(log_likelihood_values(particle.values[np.newaxis, :], config)[0])
+
+
 class TestScalar:
     def test_global_maximum_is_zero(self):
         cfg = LikelihoodConfig(target=Particle([0.0, 0.0]), alpha=1.0, scale=1.0)
-        assert log_likelihood(Particle([0.0, 0.0]), cfg) == 0.0
+        assert _score(Particle([0.0, 0.0]), cfg) == 0.0
 
     def test_pure_distance_when_alpha_is_zero(self):
         cfg = LikelihoodConfig(target=Particle([0.0, 0.0]), alpha=0.0, scale=1.0)
-        assert log_likelihood(Particle([0.0, 3.0]), cfg) == -3.0
+        assert _score(Particle([0.0, 3.0]), cfg) == -3.0
 
     def test_hand_computed_case(self):
         # D=2, t=(0,0), s=2, alpha=1, p=(1,0): -(1/2) - 1*1 = -1.5
         cfg = LikelihoodConfig(target=Particle([0.0, 0.0]), alpha=1.0, scale=2.0)
-        assert log_likelihood(Particle([1.0, 0.0]), cfg) == -1.5
+        assert _score(Particle([1.0, 0.0]), cfg) == -1.5
 
     def test_against_independent_implementation(self):
         rng = RandomSource(13)
@@ -47,33 +51,33 @@ class TestScalar:
             scale = 0.5 + float(rng.uniform()) * 3
             cfg = LikelihoodConfig(target=Particle(target), alpha=alpha, scale=scale)
             expected = reference_score(values, target, alpha, scale)
-            assert log_likelihood(Particle(values), cfg) == pytest.approx(expected, abs=1e-12)
+            assert _score(Particle(values), cfg) == pytest.approx(expected, abs=1e-12)
 
     def test_always_finite_for_finite_inputs(self):
         cfg = LikelihoodConfig(target=Particle([0.0]), alpha=5.0, scale=0.001)
-        assert math.isfinite(log_likelihood(Particle([1e6]), cfg))
+        assert math.isfinite(_score(Particle([1e6]), cfg))
 
     def test_dimension_mismatch(self):
         cfg = LikelihoodConfig(target=Particle([0.0, 0.0]))
         with pytest.raises(ConfigError):
-            log_likelihood(Particle([0.0]), cfg)
+            _score(Particle([0.0]), cfg)
 
 
 class TestBatch:
     def test_singleton_matches_scalar(self):
         cfg = LikelihoodConfig(target=Particle([1.0, 2.0]), alpha=0.5, scale=1.5)
         ps = ParticleSet([[0.5, -0.5]])
-        batch = log_likelihood_batch(ps, cfg)
+        batch = log_likelihood_values(ps.values, cfg)
         assert batch.shape == (1,)
-        assert batch[0] == log_likelihood(ps[0], cfg)
+        assert batch[0] == _score(ps[0], cfg)
 
     def test_batch_equals_scalar_calls_exactly(self):
         rng = RandomSource(21)
         values = rng.standard_normal(100 * 5).reshape(100, 5)
         ps = ParticleSet(values)
         cfg = LikelihoodConfig(target=Particle(rng.standard_normal(5)), alpha=1.0, scale=2.0)
-        batch = log_likelihood_batch(ps, cfg)
-        scalars = np.array([log_likelihood(p, cfg) for p in ps])
+        batch = log_likelihood_values(ps.values, cfg)
+        scalars = np.array([_score(p, cfg) for p in ps])
         np.testing.assert_array_equal(batch, scalars)
 
     def test_permuted_input_gives_permuted_output(self):
@@ -81,8 +85,8 @@ class TestBatch:
         values = rng.standard_normal(8 * 3).reshape(8, 3)
         cfg = LikelihoodConfig(target=Particle([0.0, 0.0, 0.0]), alpha=1.0, scale=1.0)
         perm = np.array([3, 1, 7, 0, 2, 6, 4, 5])
-        direct = log_likelihood_batch(ParticleSet(values), cfg)
-        permuted = log_likelihood_batch(ParticleSet(values[perm]), cfg)
+        direct = log_likelihood_values(ParticleSet(values).values, cfg)
+        permuted = log_likelihood_values(ParticleSet(values[perm]).values, cfg)
         np.testing.assert_array_equal(permuted, direct[perm])
 
 
@@ -91,13 +95,13 @@ class TestProperties:
            st.floats(min_value=1.01, max_value=4.0))
     def test_growing_first_dimension_penalty_strictly_lowers_score(self, x0, factor):
         cfg = LikelihoodConfig(target=Particle([0.0]), alpha=1.0, scale=1e12)
-        near = log_likelihood(Particle([x0]), cfg)
-        far = log_likelihood(Particle([x0 * factor]), cfg)
+        near = _score(Particle([x0]), cfg)
+        far = _score(Particle([x0 * factor]), cfg)
         assert far < near
 
     def test_growing_distance_strictly_lowers_score(self):
         cfg = LikelihoodConfig(target=Particle([0.0, 0.0]), alpha=1.0, scale=2.0)
-        scores = [log_likelihood(Particle([0.5, y]), cfg) for y in (0.0, 1.0, 2.0, 4.0)]
+        scores = [_score(Particle([0.5, y]), cfg) for y in (0.0, 1.0, 2.0, 4.0)]
         assert all(a > b for a, b in zip(scores, scores[1:]))
 
     def test_doubling_scale_halves_the_distance_term(self):
@@ -105,7 +109,7 @@ class TestProperties:
         p = Particle([1.0, -2.0, 0.5])
         small = LikelihoodConfig(target=target, alpha=0.0, scale=1.3)
         large = LikelihoodConfig(target=target, alpha=0.0, scale=2.6)
-        assert log_likelihood(p, large) == log_likelihood(p, small) / 2
+        assert _score(p, large) == _score(p, small) / 2
 
     def test_alpha_zero_reduces_to_distance_only_scoring(self):
         rng = RandomSource(30)
@@ -114,4 +118,4 @@ class TestProperties:
         for _ in range(50):
             values = rng.standard_normal(4) * 2
             distance_only = -float(np.linalg.norm(values - target))
-            assert log_likelihood(Particle(values), cfg) == pytest.approx(distance_only, rel=1e-15)
+            assert _score(Particle(values), cfg) == pytest.approx(distance_only, rel=1e-15)

@@ -21,7 +21,6 @@ from abcfuzz import (
     RandomSource,
     RangeOracle,
     RangeOracleConfig,
-    external_oracle_evaluate,
     generate_prior,
     pass_rate,
     range_oracle_evaluate,
@@ -160,11 +159,24 @@ class TestExternalOracle:
         with pytest.raises(OracleSpawnError):
             ExternalOracle(("/no/such/binary-zzz",))(Particle([1.0]))
 
-    def test_one_shot_helper(self):
-        assert external_oracle_evaluate(Particle([1.0]), ["true"]).passed
+    def test_list_argv_runs_the_command(self):
+        assert ExternalOracle(["true"])(Particle([1.0])).passed
+        assert not ExternalOracle(["false"])(Particle([1.0])).passed
 
     def test_config_validation(self):
         with pytest.raises(ConfigError):
             ExternalOracle(())
         with pytest.raises(ConfigError):
             ExternalOracle(("true",), timeout=0.0)
+        for argv in ("true", ("true", 5), 7):
+            with pytest.raises(ConfigError, match="argv"):
+                ExternalOracle(argv)
+        for timeout in (True, "5", None, float("inf")):
+            with pytest.raises(ConfigError, match="timeout"):
+                ExternalOracle(("true",), timeout=timeout)
+        assert ExternalOracle(("true",), timeout=5).timeout == 5
+
+    def test_range_config_types(self):
+        for kwargs in ({"low": "x"}, {"high": None}, {"dimension": True}, {"dimension": 0.0}):
+            with pytest.raises(ConfigError, match=next(iter(kwargs))):
+                RangeOracleConfig(**kwargs)

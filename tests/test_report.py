@@ -234,6 +234,23 @@ def _serial_bytes(path, matrix, monkeypatch):
     return path.read_bytes()
 
 
+def _interrupting_formatter(tmp_path):
+    """Wrap ``_format_rows`` so that the first worker call sends the parent one SIGINT."""
+    parent, format_rows = os.getpid(), report._format_rows
+    sent = tmp_path / "sigint-sent"
+
+    def interrupt_parent(rows):
+        if os.getpid() != parent:
+            try:  # the first worker call to get here sends the one Ctrl-C
+                os.close(os.open(sent, os.O_CREAT | os.O_EXCL))
+                os.kill(parent, signal.SIGINT)
+            except FileExistsError:
+                pass
+        return format_rows(rows)
+
+    return interrupt_parent
+
+
 class TestPoolWriter:
     @pytest.mark.parametrize("matrix", [
         np.arange(21.0).reshape(7, 3) / 7,          # 2 rows a chunk, partial last chunk
@@ -292,19 +309,16 @@ class TestPoolWriter:
 
     def test_one_interrupt_in_the_parent_leaves_no_child(self, tmp_path, monkeypatch,
                                                          pool_writer):
-        parent, format_rows = os.getpid(), report._format_rows
-        sent = tmp_path / "sigint-sent"
-
-        def interrupt_parent(rows):
-            if os.getpid() != parent:
-                try:  # the first worker call to get here sends the one Ctrl-C
-                    os.close(os.open(sent, os.O_CREAT | os.O_EXCL))
-                    os.kill(parent, signal.SIGINT)
-                except FileExistsError:
-                    pass
-            return format_rows(rows)
-
-        monkeypatch.setattr(report, "_format_rows", interrupt_parent)
+        monkeypatch.setattr(report, "_format_rows", _interrupting_formatter(tmp_path))
         with pytest.raises(KeyboardInterrupt):
             write_csv(tmp_path / "big.csv", ["h"], np.ones((200, 3)))
+        assert multiprocessing.active_children() == []
+
+    def test_interrupt_through_main_exits_130_without_traceback(self, tmp_path, monkeypatch,
+                                                                 capfd, pool_writer):
+        monkeypatch.setattr(report, "_format_rows", _interrupting_formatter(tmp_path))
+        out = tmp_path / "run"
+        assert main(["gen-prior", "--n", "40", "--dims", "10", "--out", str(out)]) == 130
+        err = capfd.readouterr().err
+        assert err == "abc-fuzz: interrupted\n"
         assert multiprocessing.active_children() == []
