@@ -25,7 +25,6 @@ from .core import (
 )
 from .diagnostics import (
     TraceSummary,
-    effective_sample_size,
     trace_summary,
     weight_sum_delta_series,
     weight_updates_converging,
@@ -33,7 +32,6 @@ from .diagnostics import (
 from .likelihood import log_likelihood_values
 from .mcmc import McmcResult, accept_probability, run_mcmc
 from .oracle import (
-    CountingOracle,
     ExternalOracle,
     OracleSpawnError,
     OracleTimeoutError,
@@ -41,7 +39,6 @@ from .oracle import (
     RangeOracle,
     RangeOracleConfig,
     pass_rate,
-    range_oracle_evaluate,
 )
 from .prior import generate_prior, slice_count, slice_indices
 from .report import (
@@ -52,14 +49,13 @@ from .report import (
     write_particles_csv,
     write_report,
 )
-from .smc import SmcResult, normalize_log_weights, run_smc, systematic_resample, transition
+from .smc import SmcResult, normalize_log_weights, run_smc, systematic_resample
 
 __version__ = ENGINE_VERSION
 
 __all__ = [
     "AbcFuzzError",
     "ConfigError",
-    "CountingOracle",
     "DegeneracyError",
     "DegenerateStateError",
     "DegenerateWeightsError",
@@ -82,14 +78,12 @@ __all__ = [
     "SmcResult",
     "TraceSummary",
     "accept_probability",
-    "effective_sample_size",
     "emit_plot_data",
     "generate_prior",
     "load_config_file",
     "log_likelihood_values",
     "normalize_log_weights",
     "pass_rate",
-    "range_oracle_evaluate",
     "read_particles_csv",
     "read_report",
     "run_mcmc",
@@ -98,7 +92,6 @@ __all__ = [
     "slice_indices",
     "systematic_resample",
     "trace_summary",
-    "transition",
     "weight_sum_delta_series",
     "weight_updates_converging",
     "write_particles_csv",

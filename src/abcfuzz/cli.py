@@ -42,12 +42,12 @@ from .diagnostics import (
 )
 from .mcmc import run_mcmc
 from .oracle import (
-    CountingOracle,
     ExternalOracle,
     OracleSpawnError,
     OracleTimeoutError,
     RangeOracle,
     RangeOracleConfig,
+    count_passing,
     pass_rate,
 )
 from .prior import generate_prior, slice_indices
@@ -84,6 +84,16 @@ _FLAG_FIELDS = {
     "oracle": {"oracle_timeout": "timeout"},
 }
 _SAMPLERS = {"smc": SmcConfig, "mcmc": McmcConfig}
+# Keys each config-file section may hold: its record's fields. The
+# likelihood is a section of its own, never a sampler key; the oracle
+# section adds the kind and the exec kind's command and timeout.
+_FILE_KEYS = {
+    "prior": _field_names(PriorConfig),
+    "likelihood": _field_names(LikelihoodConfig),
+    **{name: [f for f in _field_names(cls) if f != "likelihood"]
+       for name, cls in _SAMPLERS.items()},
+    "oracle": ["kind", "command", "timeout", *_field_names(RangeOracleConfig)],
+}
 
 
 def _checked(convert, ok, requirement: str):
@@ -109,7 +119,14 @@ _seed = _checked(int, lambda v: 0 <= v < _SEED_MODULUS, "must fit in 64 unsigned
 
 
 def _load_file_config(path) -> dict:
-    return {} if path is None else load_config_file(path)
+    """The config file's sections, every one checked for unknown keys,
+    whether or not the command reads it."""
+    if path is None:
+        return {}
+    file_cfg = load_config_file(path)
+    for name, data in file_cfg.items():
+        _reject_unknown_keys(name, data, _FILE_KEYS[name])
+    return file_cfg
 
 
 def _section(file_cfg: dict, name: str, args, derived=None, **flags) -> dict:
@@ -130,9 +147,6 @@ def _sampler_section(file_cfg: dict, name: str, args, **flags):
     """A sampler section's merged values plus its seed, validated up front
     because the prior seed derives from it."""
     data = _section(file_cfg, name, args, **flags)
-    # the likelihood is a section of its own, never a sampler key
-    if "likelihood" in data:
-        raise ConfigError(f"unknown {name} config keys: ['likelihood']")
     return data, _validate_seed(data.get("seed", _SAMPLERS[name].seed))
 
 
@@ -283,7 +297,6 @@ def _resolve_oracle(args, file_cfg: dict):
     data = _section(file_cfg, "oracle", args)
     kind, command = data.pop("kind", "range"), data.pop("command", None)
     timeout = data.pop("timeout", ExternalOracle.timeout)
-    _reject_unknown_keys("oracle", data, _field_names(RangeOracleConfig))
     spec = args.oracle
     if spec == "range":
         kind = "range"
@@ -318,8 +331,7 @@ def cmd_gen_prior(args) -> int:
     indices = slice_indices(cfg)
 
     oracle_cfg = RangeOracleConfig()
-    counting = CountingOracle(RangeOracle(oracle_cfg))
-    rate = pass_rate(particles, counting)
+    rate = pass_rate(particles, RangeOracle(oracle_cfg))
 
     outdir = _output_dir(args.out, f"gen-prior-seed{cfg.seed}")
     write_particles_csv(particles, outdir / "prior.csv")
@@ -337,7 +349,7 @@ def cmd_gen_prior(args) -> int:
         "seed": cfg.seed,
         "config_echo": {"prior": cfg.to_dict(), "oracle": {"kind": "range", **oracle_cfg.to_dict()}},
         "pass_rate": rate,
-        "oracle_calls": counting.calls,
+        "oracle_calls": particles.n,
         "slice_indices": sorted(indices),
     }, outdir / "report.json")
 
@@ -437,10 +449,6 @@ def cmd_run(args) -> int:
     return EXIT_OK
 
 
-def _count_passing(particles: ParticleSet, oracle) -> int:
-    return sum(1 for p in particles if oracle(p).passed)
-
-
 def cmd_compare(args) -> int:
     file_cfg = _load_file_config(args.config)
     budget = args.budget
@@ -456,19 +464,17 @@ def cmd_compare(args) -> int:
     # every one of them oracle-evaluated.
     random_cfg = dataclasses.replace(prior_cfg, n_particles=budget,
                                      seed=(seed + 2) % _SEED_MODULUS)
-    random_counting = CountingOracle(oracle)
-    random_found = _count_passing(generate_prior(random_cfg), random_counting)
+    random_found = count_passing(generate_prior(random_cfg), oracle)
 
     # Arm 2: SMC. One posterior particle per step, so budget steps produce
     # exactly budget oracle-evaluated candidates; the small live population
     # itself is never oracle-evaluated.
     smc_result = run_smc(generate_prior(prior_cfg), smc_cfg, oracle=None)
-    smc_counting = CountingOracle(oracle)
-    smc_found = _count_passing(smc_result.posterior, smc_counting)
+    smc_found = count_passing(smc_result.posterior, oracle)
 
     rows = [
-        ("random", random_counting.calls, random_found, random_found / budget),
-        ("smc", smc_counting.calls, smc_found, smc_found / budget),
+        ("random", budget, random_found, random_found / budget),
+        ("smc", budget, smc_found, smc_found / budget),
     ]
     outdir = _output_dir(args.out, f"compare-seed{seed}")
     write_csv(outdir / "compare-table.csv",
@@ -506,6 +512,9 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except (OracleSpawnError, OracleTimeoutError, OSError) as exc:
         print(f"abc-fuzz: environment error: {exc}", file=sys.stderr)
+        return EXIT_ENVIRONMENT
+    except MemoryError as exc:
+        print(f"abc-fuzz: environment error: out of memory: {exc}", file=sys.stderr)
         return EXIT_ENVIRONMENT
     except DegeneracyError as exc:
         step = f" (step {exc.step})" if exc.step is not None else ""

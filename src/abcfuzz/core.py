@@ -70,6 +70,21 @@ def _check_real(name: str, value, low: float = -math.inf, high: float = math.inf
     _require(low <= value <= high, f"{name} must lie in [{low}, {high}], got {value!r}")
 
 
+# Most float64 values one numpy array can hold: its byte size must fit an intp.
+MAX_ARRAY_DOUBLES = np.iinfo(np.intp).max // 8
+
+
+def _check_rows(name: str, rows: int, width: int) -> None:
+    """Size guard: a (rows, width) float64 matrix must be one numpy can address.
+
+    A size that passes can still be too large to allocate; that fails as a
+    MemoryError, an environment fault.
+    """
+    _require(int(rows) * int(width) <= MAX_ARRAY_DOUBLES,
+             f"{name} ({rows}) times {width} dims exceeds the "
+             f"{MAX_ARRAY_DOUBLES} values one array can hold")
+
+
 def _validate_seed(seed: int) -> int:
     _check_int("seed", seed, 0, MAX_SEED)
     return int(seed)
@@ -274,6 +289,7 @@ class PriorConfig:
     def __post_init__(self):
         _check_int("n_particles", self.n_particles, 1)
         _check_int("n_dims", self.n_dims, 1)
+        _check_rows("n_particles", self.n_particles, self.n_dims)
         _check_real("mean", self.mean)
         _check_real("std_dev", self.std_dev, 0)
         _check_real("zero_fraction", self.zero_fraction, 0, 1)
@@ -441,9 +457,8 @@ def load_config_file(path) -> dict:
 
     The file must be a JSON object whose top-level keys are a subset of
     ``prior``, ``likelihood``, ``smc``, ``mcmc``, ``oracle``, each holding
-    an object. Unknown keys, here and inside each section, are errors.
-    Section contents are validated when they are turned into config
-    records.
+    an object. Unknown top-level keys are errors. Section contents are
+    validated when they are turned into config records.
     """
     with open(path, "r", encoding="utf-8") as fh:
         try:

@@ -7,25 +7,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import WEIGHT_SUM_TOLERANCE, _require
+from .core import _require
 
 CONVERGENCE_NOTE = ("heuristic: tail 10% of weight-update magnitudes averages "
                     "below 10% of the head 10%'s average; advisory only")
-
-
-def effective_sample_size(weights) -> float:
-    """The equivalent count of equally weighted particles: 1 / sum(w_i^2).
-
-    Expects normalized weights; N for uniform weights, 1 for a one-hot
-    vector.
-    """
-    w = np.asarray(weights, dtype=np.float64)
-    _require(w.ndim == 1 and w.size >= 1, "weights must be a nonempty flat sequence")
-    _require(bool(np.isfinite(w).all()) and bool((w >= 0).all()),
-             "weights must be finite and nonnegative")
-    _require(abs(float(w.sum()) - 1.0) <= WEIGHT_SUM_TOLERANCE,
-             f"weights must be normalized, got sum {w.sum()!r}")
-    return float(1.0 / np.sum(w * w))
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,7 @@
 """Single-chain Metropolis sampler with burn-in and trace recording.
 
-Proposals come from the same Gaussian random-walk kernel as the SMC
-transition, which is symmetric, so the plain Metropolis rule applies with
+Proposals come from the same Gaussian random-walk kernel that moves the
+SMC population, which is symmetric, so the plain Metropolis rule applies with
 no Hastings correction. The trace records dimension 0 of every state
 (burn-in included); the chain keeps the post-burn-in states.
 """
@@ -19,10 +19,11 @@ from .core import (
     ParticleSet,
     RandomSource,
     _block_rows,
+    _check_rows,
     _uniforms_to_normals,
 )
 from .likelihood import log_likelihood_values
-from .oracle import CountingOracle, Oracle, pass_rate
+from .oracle import Oracle, pass_rate
 
 
 @dataclass(frozen=True, eq=False)
@@ -87,16 +88,19 @@ def run_mcmc(prior: ParticleSet, config: McmcConfig,
     bitwise-identical results. The per-step uniforms are drawn in blocks
     of several steps, which consumes the same doubles in the same order.
 
-    When an oracle is given, the prior's and the post-burn-in chain's pass
-    rates are evaluated and the verdict count reported in ``oracle_calls``.
+    When an oracle is given, the prior's pass rate is evaluated before the
+    first step and the post-burn-in chain's after the last;
+    ``oracle_calls`` is the number of particles evaluated.
     """
     if prior.dim != config.likelihood.target.dim:
         raise ConfigError(
             f"prior particles have {prior.dim} dims but likelihood target has "
             f"{config.likelihood.target.dim}")
-    rng = RandomSource(config.seed)
     n, d = prior.n, prior.dim
     steps, burn_in = config.n_steps, config.burn_in
+    _check_rows("n_steps", steps, d)
+    prior_rate = None if oracle is None else pass_rate(prior, oracle)
+    rng = RandomSource(config.seed)
 
     if config.initial_index is not None:
         if config.initial_index >= n:
@@ -141,14 +145,7 @@ def run_mcmc(prior: ParticleSet, config: McmcConfig,
     chain = ParticleSet(states[burn_in:])
     acceptance_rate = n_accepted / steps
 
-    calls = 0
-    prior_rate = None
-    chain_rate = None
-    if oracle is not None:
-        counting = CountingOracle(oracle)
-        prior_rate = pass_rate(prior, counting)
-        chain_rate = pass_rate(chain, counting)
-        calls = counting.calls
+    chain_rate = None if oracle is None else pass_rate(chain, oracle)
 
     trace.setflags(write=False)
     accepted.setflags(write=False)
@@ -161,7 +158,7 @@ def run_mcmc(prior: ParticleSet, config: McmcConfig,
         trace_dim0=trace,
         accepted=accepted,
         acceptance_rate=acceptance_rate,
-        oracle_calls=calls,
+        oracle_calls=0 if oracle is None else n + chain.n,
         prior_pass_rate=prior_rate,
         chain_pass_rate=chain_rate,
         trace_full=full,

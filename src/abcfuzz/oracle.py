@@ -56,23 +56,18 @@ class RangeOracleConfig:
         return {"low": self.low, "high": self.high, "dimension": self.dimension}
 
 
-def range_oracle_evaluate(particle: Particle, config: RangeOracleConfig) -> OracleVerdict:
-    """White-box check: does the configured coordinate fall in the band?"""
-    if config.dimension >= particle.dim:
-        raise ConfigError(
-            f"oracle dimension {config.dimension} out of range for {particle.dim}-dim particle")
-    value = particle[config.dimension]
-    return OracleVerdict(config.low <= value <= config.high)
-
-
 @dataclass(frozen=True)
 class RangeOracle:
-    """Callable wrapper around range_oracle_evaluate for a fixed config."""
+    """White-box check: does the configured coordinate fall in the band?"""
 
     config: RangeOracleConfig = RangeOracleConfig()
 
     def __call__(self, particle: Particle) -> OracleVerdict:
-        return range_oracle_evaluate(particle, self.config)
+        config = self.config
+        if config.dimension >= particle.dim:
+            raise ConfigError(
+                f"oracle dimension {config.dimension} out of range for {particle.dim}-dim particle")
+        return OracleVerdict(config.low <= particle[config.dimension] <= config.high)
 
 
 @dataclass(frozen=True)
@@ -134,16 +129,9 @@ class ExternalOracle:
         return OracleVerdict(proc.returncode == 0)
 
 
-class CountingOracle:
-    """Wraps an oracle and counts evaluations: the run's call-budget metric."""
-
-    def __init__(self, oracle: Oracle):
-        self._oracle = oracle
-        self.calls = 0
-
-    def __call__(self, particle: Particle) -> OracleVerdict:
-        self.calls += 1
-        return self._oracle(particle)
+def count_passing(particles: ParticleSet, oracle: Oracle) -> int:
+    """Number of particles the oracle passes: one verdict per particle."""
+    return sum(1 for p in particles if oracle(p).passed)
 
 
 def pass_rate(particles: ParticleSet, oracle: Oracle) -> float:
@@ -151,5 +139,4 @@ def pass_rate(particles: ParticleSet, oracle: Oracle) -> float:
 
     ParticleSet construction already guarantees a nonempty population.
     """
-    passed = sum(1 for p in particles if oracle(p).passed)
-    return passed / particles.n
+    return count_passing(particles, oracle) / particles.n

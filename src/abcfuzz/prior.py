@@ -9,6 +9,8 @@ the default range oracle.
 import math
 from typing import Set
 
+import numpy as np
+
 from .core import ParticleSet, PriorConfig, RandomSource
 
 
@@ -37,6 +39,8 @@ def generate_prior(config: PriorConfig) -> ParticleSet:
     rng = RandomSource(config.seed)
     n, d = config.n_particles, config.n_dims
     draws = rng.standard_normal(n * d).reshape(n, d)
-    values = config.mean + config.std_dev * draws
+    # an overflow to inf is reported by ParticleSet as a config error
+    with np.errstate(over="ignore"):
+        values = config.mean + config.std_dev * draws
     values[:slice_count(config), 0] = 0.0
     return ParticleSet(values)

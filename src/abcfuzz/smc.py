@@ -1,4 +1,4 @@
-"""Sequential Monte Carlo: transition, reweight, resample, record.
+"""Sequential Monte Carlo: move, reweight, resample, record.
 
 The live population starts at the prior. Every step perturbs all particles
 with a Gaussian random walk, reweights them by the directed likelihood,
@@ -16,17 +16,17 @@ import numpy as np
 from .core import (
     ConfigError,
     DegenerateWeightsError,
-    Particle,
     ParticleSet,
     RandomSource,
     SmcConfig,
     WEIGHT_SUM_TOLERANCE,
     _block_rows,
+    _check_rows,
     _require,
     _uniforms_to_normals,
 )
 from .likelihood import log_likelihood_values
-from .oracle import CountingOracle, Oracle, pass_rate
+from .oracle import Oracle, pass_rate
 
 
 @dataclass(frozen=True, eq=False)
@@ -56,18 +56,6 @@ class SmcResult:
             "weight_sum_series": [float(v) for v in self.weight_sum_series],
             "ess_series": [float(v) for v in self.ess_series],
         }
-
-
-def transition(particle: Particle, step_std: float, rng: RandomSource) -> Particle:
-    """Gaussian random-walk move: particle + Normal(0, step_std^2 I).
-
-    Noise is drawn dimension-by-dimension in index order from ``rng``; the
-    draw happens even when step_std is 0 so stream consumption does not
-    depend on the value.
-    """
-    _require(step_std >= 0, f"step_std must be nonnegative, got {step_std!r}")
-    noise = rng.standard_normal(particle.dim)
-    return Particle(particle.values + step_std * noise)
 
 
 def _weights(log_weights: np.ndarray, peak) -> tuple:
@@ -128,21 +116,23 @@ def run_smc(prior: ParticleSet, config: SmcConfig,
             oracle: Optional[Oracle] = None) -> SmcResult:
     """Run the full SMC loop and collect one posterior particle per step.
 
-    Per step: (1) transition every particle, (2) score them, (3) record the
-    log-sum of raw weights, (4) normalize, (5) record the ESS, (6) draw the
-    systematic resampling indices, (7) append one particle drawn by weight
-    (pre-resampling coordinates) to the posterior, then replace the
-    population with the resampled one.
+    Per step: (1) move every particle by the random walk, (2) score them,
+    (3) record the log-sum of raw weights, (4) normalize, (5) record the
+    ESS, (6) draw the systematic resampling indices, (7) append one
+    particle drawn by weight (pre-resampling coordinates) to the
+    posterior, then replace the population with the resampled one.
 
     Each step consumes N*D + 2 uniforms from the run's stream, in this
-    order: the N*D transition normals (row-major), the resampling offset,
+    order: the N*D random-walk normals (row-major), the resampling offset,
     then the posterior pick. Uniforms are drawn in blocks of several
     steps, which consumes the same doubles in the same order as drawing
     them one step at a time.
 
-    When an oracle is given, prior and posterior pass rates are evaluated
-    and the verdict count is reported in ``oracle_calls``. Identical
-    (prior, config) pairs produce bitwise-identical results.
+    When an oracle is given, the prior's pass rate is evaluated before the
+    first step, so an oracle that does not fit the particles fails before
+    the loop, and the posterior's after the last; ``oracle_calls`` counts
+    the N + T particles evaluated. Identical (prior, config) pairs produce
+    bitwise-identical results.
 
     Raises DegenerateWeightsError, naming the step, if every particle
     weight collapses.
@@ -151,10 +141,12 @@ def run_smc(prior: ParticleSet, config: SmcConfig,
         raise ConfigError(
             f"prior particles have {prior.dim} dims but likelihood target has "
             f"{config.likelihood.target.dim}")
-    rng = RandomSource(config.seed)
     n, d = prior.n, prior.dim
     nd = n * d
     steps = config.n_steps
+    _check_rows("n_steps", steps, d)
+    prior_rate = None if oracle is None else pass_rate(prior, oracle)
+    rng = RandomSource(config.seed)
 
     population = prior.to_array()
     posterior = np.empty((steps, d))
@@ -189,14 +181,7 @@ def run_smc(prior: ParticleSet, config: SmcConfig,
             population = population[selected[:n]]
 
     posterior_set = ParticleSet(posterior)
-    calls = 0
-    prior_rate = None
-    posterior_rate = None
-    if oracle is not None:
-        counting = CountingOracle(oracle)
-        prior_rate = pass_rate(prior, counting)
-        posterior_rate = pass_rate(posterior_set, counting)
-        calls = counting.calls
+    posterior_rate = None if oracle is None else pass_rate(posterior_set, oracle)
 
     weight_sums.setflags(write=False)
     ess.setflags(write=False)
@@ -204,7 +189,7 @@ def run_smc(prior: ParticleSet, config: SmcConfig,
         posterior=posterior_set,
         weight_sum_series=weight_sums,
         ess_series=ess,
-        oracle_calls=calls,
+        oracle_calls=0 if oracle is None else n + steps,
         prior_pass_rate=prior_rate,
         posterior_pass_rate=posterior_rate,
     )

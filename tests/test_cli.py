@@ -264,6 +264,18 @@ class TestConfigFileMerging:
         assert main(["gen-prior", "--config", str(tmp_path / "absent.json"),
                      "--out", str(tmp_path)]) == 3
 
+    @pytest.mark.parametrize("command, section", [
+        (["gen-prior"], "smc"),
+        (["run", "smc", "--steps", "2"], "mcmc"),
+        (["run", "mcmc", "--steps", "2", "--burn-in", "0"], "smc"),
+        (["compare", "--budget", "2"], "mcmc"),
+    ])
+    def test_unknown_key_in_a_section_the_command_does_not_read_exits_2(
+            self, tmp_path, capsys, command, section):
+        cfg = self._write_config(tmp_path, {section: {"bogus": 1}})
+        assert main([*command, "--config", str(cfg), "--out", str(tmp_path / "run")]) == 2
+        assert f"unknown {section} config keys: ['bogus']" in capsys.readouterr().err
+
 
 # Keeps the regression cases small; each case's own values override it.
 _SMALL_RUN = {"prior": {"n_particles": 2, "n_dims": 2}, "smc": {"n_steps": 2},
@@ -410,6 +422,43 @@ class TestExitCodes:
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr
         assert "exec oracle command" in proc.stderr
+
+
+_HUGE = str(10**20)
+
+
+class TestSizeLimits:
+    @pytest.mark.parametrize("command, key", [
+        (["gen-prior", "--n", _HUGE], "n_particles"),
+        (["run", "smc", "--n", _HUGE, "--steps", "2"], "n_particles"),
+        (["run", "smc", "--steps", _HUGE], "n_steps"),
+        (["run", "mcmc", "--steps", _HUGE], "n_steps"),
+    ])
+    def test_size_numpy_cannot_address_exits_2_naming_the_key(self, tmp_path, capsys,
+                                                               command, key):
+        assert main([*command, "--out", str(tmp_path / "run")]) == 2
+        assert f"{key} ({_HUGE}) times 100 dims exceeds" in capsys.readouterr().err
+
+    def test_size_that_cannot_be_allocated_exits_3(self, tmp_path, capsys):
+        # 10**14 doubles: 728 TiB, more than any address space maps, so the
+        # allocation fails at once without touching memory
+        code = main(["run", "smc", "--n", str(10**12), "--dims", "100", "--steps", "2",
+                     "--out", str(tmp_path / "run")])
+        assert code == 3
+        assert "out of memory" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("args, code, shown", [
+        (["--n", str(10**12), "--dims", "100"], 3, "out of memory: Unable to allocate"),
+        (["--std", "1e308"], 2, "particle values must be finite"),
+    ])
+    def test_stderr_is_one_line_in_a_subprocess(self, tmp_path, args, code, shown):
+        proc = subprocess.run(
+            [sys.executable, "-m", "abcfuzz.cli", "run", "smc", *args, "--steps", "2",
+             "--out", str(tmp_path / "run")],
+            capture_output=True, text=True)
+        assert proc.returncode == code
+        assert len(proc.stderr.splitlines()) == 1, proc.stderr
+        assert shown in proc.stderr
 
 
 class TestEnvironment:

@@ -1,46 +1,14 @@
-"""Diagnostics: ESS, trace summaries, weight-update deltas."""
+"""Diagnostics: trace summaries, weight-update deltas."""
 
 import numpy as np
 import pytest
 
 from abcfuzz import (
     ConfigError,
-    effective_sample_size,
     trace_summary,
     weight_sum_delta_series,
     weight_updates_converging,
 )
-
-
-class TestEffectiveSampleSize:
-    def test_uniform_weights_give_n(self):
-        assert effective_sample_size(np.full(10, 0.1)) == pytest.approx(10.0, abs=1e-9)
-        assert effective_sample_size(np.full(4, 0.25)) == 4.0  # exact for power-of-two N
-
-    def test_one_hot_gives_one(self):
-        assert effective_sample_size([1.0, 0.0, 0.0]) == 1.0
-
-    def test_hand_computed_case(self):
-        # 1 / (0.25 + 0.0625 + 0.0625) = 1 / 0.375 = 8/3
-        assert effective_sample_size([0.5, 0.25, 0.25]) == pytest.approx(8 / 3, rel=1e-12)
-
-    def test_bounds_over_random_weights(self):
-        rng = np.random.default_rng(0)
-        for _ in range(100):
-            n = int(rng.integers(1, 12))
-            w = rng.random(n)
-            w /= w.sum()
-            ess = effective_sample_size(w)
-            assert 1.0 - 1e-9 <= ess <= n + 1e-9
-
-    def test_nonuniform_weights_fall_below_n(self):
-        assert effective_sample_size([0.4, 0.3, 0.3]) < 3.0
-
-    def test_unnormalized_rejected(self):
-        with pytest.raises(ConfigError):
-            effective_sample_size([0.5, 0.6])
-        with pytest.raises(ConfigError):
-            effective_sample_size([2.0, -1.0])
 
 
 class TestTraceSummary:
@@ -96,7 +64,5 @@ class TestConvergingFlag:
 
 
 def test_diagnostics_are_pure():
-    w = np.array([0.5, 0.3, 0.2])
-    assert effective_sample_size(w) == effective_sample_size(w)
     trace = np.arange(10.0)
     assert trace_summary(trace, 2) == trace_summary(trace, 2)

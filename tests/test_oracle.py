@@ -11,8 +11,9 @@ import pytest
 
 from abcfuzz import (
     ConfigError,
-    CountingOracle,
     ExternalOracle,
+    LikelihoodConfig,
+    McmcConfig,
     OracleSpawnError,
     OracleTimeoutError,
     Particle,
@@ -21,9 +22,11 @@ from abcfuzz import (
     RandomSource,
     RangeOracle,
     RangeOracleConfig,
+    SmcConfig,
     generate_prior,
     pass_rate,
-    range_oracle_evaluate,
+    run_mcmc,
+    run_smc,
 )
 
 DEFAULT = RangeOracleConfig()
@@ -38,15 +41,16 @@ class TestRangeOracle:
         (-3.7, False),
     ])
     def test_verdicts(self, x0, expected):
-        assert range_oracle_evaluate(Particle([x0, 9.9]), DEFAULT).passed is expected
+        assert RangeOracle(DEFAULT)(Particle([x0, 9.9])).passed is expected
 
     def test_dimension_selects_the_checked_coordinate(self):
         cfg = RangeOracleConfig(dimension=1)
-        assert range_oracle_evaluate(Particle([9.0, 0.1]), cfg).passed
+        assert RangeOracle(cfg)(Particle([9.0, 0.1])).passed
 
     def test_dimension_out_of_range(self):
-        with pytest.raises(ConfigError):
-            range_oracle_evaluate(Particle([0.0]), RangeOracleConfig(dimension=1))
+        with pytest.raises(ConfigError,
+                           match="oracle dimension 1 out of range for 1-dim particle"):
+            RangeOracle(RangeOracleConfig(dimension=1))(Particle([0.0]))
 
     def test_bounds_must_be_ordered(self):
         with pytest.raises(ConfigError):
@@ -54,7 +58,7 @@ class TestRangeOracle:
 
     def test_same_particle_same_verdict(self):
         p = Particle([0.3, 1.0])
-        assert range_oracle_evaluate(p, DEFAULT) == range_oracle_evaluate(p, DEFAULT)
+        assert RangeOracle(DEFAULT)(p) == RangeOracle(DEFAULT)(p)
 
     def test_moving_toward_midpoint_preserves_passing(self):
         rng = RandomSource(8)
@@ -62,9 +66,9 @@ class TestRangeOracle:
         for _ in range(200):
             x0 = float(rng.uniform()) * 2 - 1
             p = Particle([x0, 0.0])
-            if range_oracle_evaluate(p, DEFAULT).passed:
+            if RangeOracle(DEFAULT)(p).passed:
                 closer = mid + (x0 - mid) * float(rng.uniform())
-                assert range_oracle_evaluate(Particle([closer, 0.0]), DEFAULT).passed
+                assert RangeOracle(DEFAULT)(Particle([closer, 0.0])).passed
 
 
 class TestPassRate:
@@ -90,13 +94,19 @@ class TestPassRate:
         assert pass_rate(ps, oracle) == sum(verdicts) / len(verdicts) == 0.5
 
 
-class TestCountingOracle:
-    def test_counts_every_call(self):
-        counting = CountingOracle(RangeOracle())
-        ps = ParticleSet([[0.0], [1.0], [2.0]])
-        pass_rate(ps, counting)
-        pass_rate(ps, counting)
-        assert counting.calls == 6
+@pytest.mark.parametrize("module, run, config_class", [
+    ("abcfuzz.smc", run_smc, SmcConfig),
+    ("abcfuzz.mcmc", run_mcmc, McmcConfig),
+])
+def test_misfit_oracle_fails_before_the_sampler_loop(monkeypatch, module, run, config_class):
+    def never_scored(*args, **kwargs):
+        raise AssertionError("the sampler scored a particle before checking its oracle")
+
+    monkeypatch.setattr(f"{module}.log_likelihood_values", never_scored)
+    prior = generate_prior(PriorConfig(n_dims=2, seed=1))
+    cfg = config_class(likelihood=LikelihoodConfig.for_prior(2, 10.0), n_steps=200_000)
+    with pytest.raises(ConfigError, match="oracle dimension 5 out of range"):
+        run(prior, cfg, RangeOracle(RangeOracleConfig(dimension=5)))
 
 
 class TestExternalOracle:

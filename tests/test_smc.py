@@ -1,4 +1,4 @@
-"""SMC: transition kernel, weight normalization, resampling, full loop."""
+"""SMC: weight normalization, resampling, full loop."""
 
 import math
 
@@ -10,7 +10,6 @@ from abcfuzz import (
     ConfigError,
     DegenerateWeightsError,
     LikelihoodConfig,
-    Particle,
     ParticleSet,
     PriorConfig,
     RandomSource,
@@ -20,7 +19,6 @@ from abcfuzz import (
     normalize_log_weights,
     run_smc,
     systematic_resample,
-    transition,
 )
 from support import replay_smc
 
@@ -33,30 +31,6 @@ class FixedUniformSource:
 
     def uniform(self, n=None):
         return self.value
-
-
-class TestTransition:
-    def test_zero_step_is_identity(self):
-        p = Particle([1.0, -2.0, 3.0])
-        moved = transition(p, 0.0, RandomSource(1))
-        np.testing.assert_array_equal(moved.values, p.values)
-
-    def test_same_seed_same_output(self):
-        p = Particle([1.0, 2.0])
-        a = transition(p, 0.7, RandomSource(5))
-        b = transition(p, 0.7, RandomSource(5))
-        assert a == b
-
-    def test_noise_std_matches_step_std(self):
-        rng = RandomSource(1)
-        zero = Particle([0.0, 0.0])
-        outputs = np.array([transition(zero, 0.5, rng).values for _ in range(100_000)])
-        stds = outputs.std(axis=0)
-        assert (np.abs(stds - 0.5) <= 0.01).all()  # within 2%
-
-    def test_negative_step_rejected(self):
-        with pytest.raises(ConfigError):
-            transition(Particle([0.0]), -0.1, RandomSource(0))
 
 
 class TestNormalizeLogWeights:
@@ -157,6 +131,13 @@ class TestRunSmc:
         result = run_smc(prior, cfg)
         assert (result.posterior.values == row).all()
         np.testing.assert_allclose(result.ess_series, 6.0, atol=1e-9)
+
+    def test_zero_step_std_keeps_every_posterior_row_a_prior_row(self):
+        prior = generate_prior(PriorConfig(seed=11))
+        cfg = SmcConfig(likelihood=LikelihoodConfig.for_prior(100, 10.0),
+                        n_steps=50, step_std=0.0, seed=12)
+        prior_rows = {row.tobytes() for row in prior.values}
+        assert all(row.tobytes() in prior_rows for row in run_smc(prior, cfg).posterior.values)
 
     def test_ess_stays_inside_bounds(self):
         prior = generate_prior(PriorConfig(seed=4))
@@ -265,3 +246,16 @@ class TestRunSmc:
         log_w = log_likelihood_values(moved, cfg.likelihood)
         assert result.weight_sum_series[0] == pytest.approx(
             float(scipy_logsumexp(log_w)), abs=1e-12)
+
+    def test_ess_series_is_inverse_sum_of_squared_weights_on_replay(self):
+        from abcfuzz import log_likelihood_values
+
+        prior = generate_prior(PriorConfig(seed=9))
+        cfg = _reference_smc_config(seed=10, n_steps=1)
+        rng = RandomSource(10)
+        moved = prior.values + cfg.step_std * rng.standard_normal(
+            prior.n * prior.dim).reshape(prior.n, prior.dim)
+        log_w = log_likelihood_values(moved, cfg.likelihood)
+        w = np.exp(log_w - scipy_logsumexp(log_w))
+        assert run_smc(prior, cfg).ess_series[0] == pytest.approx(
+            1.0 / float(np.sum(w * w)), rel=1e-12)
