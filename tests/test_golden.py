@@ -31,6 +31,10 @@ RUNS = {
     "mcmc-prior-file": ["run", "mcmc", "--prior", "gen-prior/prior.csv", "--steps", "300",
                         "--burn-in", "50"],
     "compare": ["compare", "--budget", "500"],
+    # 3000x100 = 300000 cells, past report.POOL_MIN_CELLS: these CSVs take the
+    # writer pool where the host has two usable CPUs, the serial path otherwise
+    "smc-pooled": ["run", "smc", "--steps", "3000"],
+    "mcmc-pooled": ["run", "mcmc", "--steps", "3100", "--burn-in", "100"],
     # CONFIG_FILE sets every key of every section; one flag overrides it per run
     "config-smc": ["run", "smc", "--config", "all-keys.json", "--steps", "30"],
     "config-mcmc-exec": ["run", "mcmc", "--config", "all-keys.json", "--oracle", "exec:true"],
@@ -130,6 +134,26 @@ GOLDEN = {
             "13c1fc07d5e924dad62ae7fc1900cf577b980707ef837131766e36b8b33fe0e4",
         "report.json":
             "b0f075e51c97ef641d9793ea317dbb63e70baa46a1bd2bf0b85e8ee50e1dabda",
+    },
+    "smc-pooled": {
+        "diagnostics.csv":
+            "5065df9c3c99d3bc20ac8655b5f7d535014e6c47871ed3269ff68defee0de181",
+        "plot-smc-weights.dat":
+            "fa24259a191c5a9c8bb8b9d88c75c25b6d34456f04b158f4c907296bed881170",
+        "posterior.csv":
+            "7502f148b6545425ad210036713e820750dfb28da416e9d39d2543d99d2bc202",
+        "report.json":
+            "7ff158628109509b876352603121271ee58b25f4407dc3bf270fe1d56494e83e",
+    },
+    "mcmc-pooled": {
+        "diagnostics.csv":
+            "3d1a0e2e0780098233777118392f0c61358ec1dc145b603a2ebb9821f51ac3c1",
+        "plot-mcmc-trace.dat":
+            "2bc4e3fdf702a45573b26bf969e0f8d760fcb9feed4432123d6a81110e5ab4ae",
+        "posterior.csv":
+            "e15dcb0b90e4979186c228b44cbc6e1d46d8443a4b9bb82d33ebdf0668d5ec31",
+        "report.json":
+            "1c6f05d91ae0d79a170fdba8028e2e3ba17dad4274a0ea96e1d79c6fd8604c28",
     },
     "config-smc": {
         "diagnostics.csv":
