@@ -28,6 +28,7 @@ from .core import (
     ParticleSet,
     PriorConfig,
     SmcConfig,
+    _check_rows,
     _field_names,
     _reject_unknown_keys,
     _require,
@@ -53,6 +54,7 @@ from .oracle import (
 from .prior import generate_prior, slice_indices
 from .report import (
     PLOT_KINDS,
+    CsvSink,
     RunReport,
     emit_plot_data,
     read_particles_csv,
@@ -151,12 +153,11 @@ def _sampler_section(file_cfg: dict, name: str, args, **flags):
 
 
 def _output_dir(out_flag, run_id: str) -> Path:
+    """The run's output directory; the writers create it with the first artifact,
+    so a run that fails before writing leaves none behind."""
     if out_flag is not None:
-        path = Path(out_flag)
-    else:
-        path = Path(os.environ.get("ABC_FUZZ_OUT", "out")) / run_id
-    path.mkdir(parents=True, exist_ok=True)
-    return path
+        return Path(out_flag)
+    return Path(os.environ.get("ABC_FUZZ_OUT", "out")) / run_id
 
 
 def _add_config_flags(parser):
@@ -335,7 +336,7 @@ def cmd_gen_prior(args) -> int:
 
     outdir = _output_dir(args.out, f"gen-prior-seed{cfg.seed}")
     write_particles_csv(particles, outdir / "prior.csv")
-    write_csv(outdir / "slice-indices.csv", ["index"], ((i,) for i in sorted(indices)))
+    write_csv(outdir / "slice-indices.csv", ["index"], columns=[sorted(indices)])
     emit_plot_data(particles, "prior-histogram-data",
                    outdir / PLOT_KINDS["prior-histogram-data"], slice_indices=indices)
     if particles.dim >= 4:
@@ -390,12 +391,14 @@ def cmd_run(args) -> int:
     outdir = _output_dir(args.out, f"{sampler}-seed{seed}")
 
     if sampler == "smc":
-        result = run_smc(particles, cfg, oracle)
-        posterior = result.posterior
+        # posterior.csv is formatted while the loop runs
+        header = [f"x{i}" for i in range(particles.dim)]
+        with CsvSink(outdir / "posterior.csv", header) as sink:
+            result = run_smc(particles, cfg, oracle, sink=sink)
         posterior_rate = result.posterior_pass_rate
 
         write_csv(outdir / "diagnostics.csv", ["step", "log_weight_sum", "ess"],
-                  zip(range(n_steps), result.weight_sum_series, result.ess_series))
+                  columns=[range(n_steps), result.weight_sum_series, result.ess_series])
         emit_plot_data(result, "smc-weights-data", outdir / PLOT_KINDS["smc-weights-data"])
         diagnostics = {
             "n_steps": n_steps,
@@ -413,26 +416,25 @@ def cmd_run(args) -> int:
     else:
         result = run_mcmc(particles, cfg, oracle,
                           trace_all_dims=bool(args.trace_all))
-        posterior = result.chain
         posterior_rate = result.chain_pass_rate
 
         write_csv(outdir / "diagnostics.csv", ["step", "x0", "accepted_flag"],
-                  zip(range(n_steps), result.trace_dim0, result.accepted.astype(int)))
+                  columns=[range(n_steps), result.trace_dim0, result.accepted.astype(int)])
         emit_plot_data(result, "mcmc-trace-data", outdir / PLOT_KINDS["mcmc-trace-data"])
         if result.trace_full is not None:
             write_particles_csv(ParticleSet(result.trace_full), outdir / "trace-full.csv")
         diagnostics = {
             "n_steps": n_steps,
             "burn_in": cfg.burn_in,
-            "chain_length": posterior.n,
+            "chain_length": result.chain.n,
             "acceptance_rate": result.acceptance_rate,
         }
-        if posterior.n >= 2:
+        if result.chain.n >= 2:
             diagnostics["trace_dim0_summary"] = trace_summary(
                 result.trace_dim0, cfg.burn_in).to_dict()
         config_echo = {"prior": prior_echo, "mcmc": cfg.to_dict(), "oracle": oracle_echo}
+        write_particles_csv(result.chain, outdir / "posterior.csv")
 
-    write_particles_csv(posterior, outdir / "posterior.csv")
     report = RunReport(
         sampler=sampler,
         seed=seed,
@@ -459,6 +461,8 @@ def cmd_compare(args) -> int:
         _section(file_cfg, "prior", args, seed=(seed + 1) % _SEED_MODULUS))
     likelihood = _resolve_likelihood(args, file_cfg, prior_cfg.n_dims, prior_cfg.std_dev)
     smc_cfg = SmcConfig.from_dict({**data, "likelihood": likelihood})
+    # both arms hold budget x n_dims matrices; name the flag, not the fields it sets
+    _check_rows("--budget", budget, prior_cfg.n_dims)
 
     # Arm 1: random sampling. Budget fresh draws from the prior construction,
     # every one of them oracle-evaluated.

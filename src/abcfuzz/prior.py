@@ -11,7 +11,7 @@ from typing import Set
 
 import numpy as np
 
-from .core import ParticleSet, PriorConfig, RandomSource
+from .core import ParticleSet, PriorConfig, RandomSource, _require
 
 
 def slice_count(config: PriorConfig) -> int:
@@ -39,8 +39,10 @@ def generate_prior(config: PriorConfig) -> ParticleSet:
     rng = RandomSource(config.seed)
     n, d = config.n_particles, config.n_dims
     draws = rng.standard_normal(n * d).reshape(n, d)
-    # an overflow to inf is reported by ParticleSet as a config error
     with np.errstate(over="ignore"):
         values = config.mean + config.std_dev * draws
+    _require(bool(np.isfinite(values).all()),
+             f"particle values must be finite: prior mean ({config.mean!r}) plus std_dev "
+             f"({config.std_dev!r}) times a normal draw overflows")
     values[:slice_count(config), 0] = 0.0
     return ParticleSet(values)

@@ -12,6 +12,7 @@ import os
 import warnings
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from pathlib import Path
 from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
@@ -75,9 +76,18 @@ class RunReport:
         return cls(**data)
 
 
+def _create(path, binary: bool = False):
+    """Open ``path`` for writing, creating its directory first: an output
+    directory appears only once a run has an artifact to put in it."""
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
+    if binary:
+        return open(path, "wb")
+    return open(path, "w", encoding="utf-8", newline="")
+
+
 def write_json(payload: dict, path) -> None:
     """Write a JSON document with sorted keys and a trailing newline."""
-    with open(path, "w", encoding="utf-8") as fh:
+    with _create(path) as fh:
         json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
@@ -107,9 +117,14 @@ POOL_MIN_CELLS = 262144
 POOL_MAX_WORKERS = 4
 
 
+def _format_lines(rows) -> str:
+    """Rows of Python numbers as CSV lines: ints as written, floats by repr."""
+    return "".join([",".join(map(repr, row)) + "\n" for row in rows])
+
+
 def _format_rows(rows: np.ndarray) -> str:
-    """The one row formatter: a numeric matrix as CSV lines, floats by repr."""
-    return "".join([",".join(map(repr, row)) + "\n" for row in rows.tolist()])
+    """The one matrix formatter: a numeric matrix as CSV lines, floats by repr."""
+    return _format_lines(rows.tolist())
 
 
 def _pool_worker(conn, matrix: np.ndarray, parent_ends) -> None:
@@ -130,7 +145,7 @@ def _pool_worker(conn, matrix: np.ndarray, parent_ends) -> None:
             start, stop = conn.recv()
         except EOFError:
             return
-        conn.send(_format_rows(matrix[start:stop]))
+        conn.send_bytes(_format_rows(matrix[start:stop]).encode("ascii"))
 
 
 def _writer_workers() -> int:
@@ -148,73 +163,164 @@ def _writer_workers() -> int:
     return min(cpus or 1, POOL_MAX_WORKERS)
 
 
-def _write_matrix(fh, matrix: np.ndarray) -> None:
-    """Write a 2-D numeric array's rows in order, in chunks of CHUNK_CELLS.
+class CsvSink:
+    """A numeric matrix written to a CSV file while its rows become final, front to back.
 
-    A large matrix on a host with two or more usable CPUs is formatted by a
-    pool of forked workers. Chunk k goes to worker k mod W, at most two
-    chunks in flight per worker, and the parent writes the results in input
-    order, so the bytes equal the serial path's. A worker that dies raises
-    OSError; on any error or interrupt the workers are terminated and
-    reaped before the exception leaves.
+    Rows are formatted in chunks of CHUNK_CELLS cells. A matrix of at least
+    POOL_MIN_CELLS cells, in a process that may fork two or more writer
+    workers, is formatted by a pool of forked workers: chunk k goes to
+    worker k mod W, and the parent writes the texts in input order, so the
+    bytes equal the serial path's. ``buffer`` allocates a large matrix in
+    an anonymous shared mapping, so workers forked before its last rows
+    are filled still read them. Nothing is created and nothing forked
+    before the first ``advance``.
+
+    Use it as a context manager. The file appears under its own name only
+    when the block ends cleanly; until then it is written under the same
+    name plus ``.tmp``. On any error or interrupt the workers are
+    terminated and reaped and the temporary file is deleted before the
+    exception leaves. A worker that dies raises OSError.
     """
-    step = max(1, CHUNK_CELLS // max(1, matrix.shape[1]))
-    bounds = [(start, min(start + step, matrix.shape[0]))
-              for start in range(0, matrix.shape[0], step)]
-    if matrix.size < POOL_MIN_CELLS or (workers := _writer_workers()) < 2:
-        for start, stop in bounds:
-            fh.write(_format_rows(matrix[start:stop]))
-        return
 
-    import multiprocessing
+    def __init__(self, path, header: Sequence[str]):
+        self._path = Path(path)
+        self._temp = self._path.with_name(self._path.name + ".tmp")
+        self._header = header
+        self._matrix = None
+        self._bounds = []
+        self._final = 0    # leading chunks whose rows are all final
+        self._sent = 0     # leading chunks handed to a worker
+        self._written = 0  # leading chunks written to the file
+        self._fh = None
+        self._pool = []    # (process, connection) per worker
 
-    context = multiprocessing.get_context("fork")
-    fh.flush()  # a forked worker must not inherit unwritten buffered text
-    pool = []
-    try:
+    def buffer(self, rows: int, cols: int) -> np.ndarray:
+        """A writable (rows, cols) float matrix for the caller to fill front to back."""
+        if rows * cols < POOL_MIN_CELLS:
+            return self._attach(np.empty((rows, cols)))
+        import mmap
+
+        try:
+            shared = mmap.mmap(-1, rows * cols * 8)
+        except OSError as exc:  # reported like a failed numpy allocation
+            raise MemoryError(f"Unable to map {rows * cols * 8} bytes for a ({rows}, {cols}) "
+                              f"matrix: {exc.strerror}") from exc
+        return self._attach(np.frombuffer(shared).reshape(rows, cols))
+
+    def _attach(self, matrix: np.ndarray) -> np.ndarray:
+        step = max(1, CHUNK_CELLS // max(1, matrix.shape[1]))
+        self._matrix = matrix
+        self._bounds = [(start, min(start + step, matrix.shape[0]))
+                        for start in range(0, matrix.shape[0], step)]
+        return matrix
+
+    def advance(self, stop: int) -> None:
+        """Rows [0, stop) are final: format every chunk they complete.
+
+        Pooled, each completed chunk goes to a worker, at most one in flight
+        per worker, and the texts already done are written without waiting
+        for the others.
+        """
+        if self._fh is None:
+            self._start()
+        while self._final < len(self._bounds) and self._bounds[self._final][1] <= stop:
+            self._final += 1
+        self._pump(len(self._pool), wait=False)
+
+    def _start(self) -> None:
+        self._fh = _create(self._temp, binary=True)
+        self._fh.write((",".join(self._header) + "\n").encode("utf-8"))
+        if self._matrix.size < POOL_MIN_CELLS or (workers := _writer_workers()) < 2:
+            return
+
+        import multiprocessing
+
+        context = multiprocessing.get_context("fork")
+        self._fh.flush()  # a forked worker must not inherit unwritten buffered output
         for _ in range(workers):
             conn, child_conn = context.Pipe()
-            parent_ends = [end for _, end in pool] + [conn]
-            proc = context.Process(target=_pool_worker, args=(child_conn, matrix, parent_ends),
-                                   daemon=True)
+            parent_ends = [end for _, end in self._pool] + [conn]
+            proc = context.Process(target=_pool_worker,
+                                   args=(child_conn, self._matrix, parent_ends), daemon=True)
             proc.start()
             child_conn.close()
-            pool.append((proc, conn))
-        window = 2 * workers
+            self._pool.append((proc, conn))
+
+    def _pump(self, window: int, wait: bool) -> None:
+        """Hand final chunks to workers, ``window`` at most in flight, and
+        write finished texts in order; wait for them only when ``wait``."""
+        pool, bounds, fh = self._pool, self._bounds, self._fh
+        if not pool:
+            for start, stop in bounds[self._written:self._final]:
+                fh.write(_format_rows(self._matrix[start:stop]).encode("ascii"))
+            self._sent = self._written = self._final
+            return
         try:
-            for k, chunk in enumerate(bounds[:window]):
-                pool[k % workers][1].send(chunk)
-            for k in range(len(bounds)):
-                conn = pool[k % workers][1]
-                text = conn.recv()
-                if k + window < len(bounds):
-                    conn.send(bounds[k + window])
-                fh.write(text)
+            while True:
+                while self._sent < self._final and self._sent - self._written < window:
+                    pool[self._sent % len(pool)][1].send(bounds[self._sent])
+                    self._sent += 1
+                if self._written == self._sent:
+                    return
+                conn = pool[self._written % len(pool)][1]
+                if not wait and not conn.poll():
+                    return
+                fh.write(conn.recv_bytes())
+                self._written += 1
         except (EOFError, BrokenPipeError, ConnectionResetError) as exc:
             # a worker's pipe closed under it: the worker died
-            raise OSError(f"a CSV writer process died while writing {fh.name}") from exc
-    finally:
-        for proc, conn in pool:
-            proc.terminate()
-            conn.close()
-        for proc, _ in pool:
-            proc.join()
+            raise OSError(f"a CSV writer process died while writing {self._path}") from exc
+
+    def __enter__(self) -> "CsvSink":
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        try:
+            if exc_type is None:
+                # the last chunks go to all workers, two in flight per worker
+                self.advance(self._matrix.shape[0])
+                self._pump(2 * len(self._pool), wait=True)
+                self._fh.close()
+                os.replace(self._temp, self._path)
+                self._fh = None
+        finally:
+            for proc, conn in self._pool:
+                proc.terminate()
+                conn.close()
+            for proc, _ in self._pool:
+                proc.join()
+            self._pool = []
+            self._matrix = None  # unmaps a shared buffer once its caller drops it too
+            if self._fh is not None:
+                fh, self._fh = self._fh, None
+                try:
+                    fh.close()
+                finally:
+                    os.unlink(self._temp)
 
 
-def write_csv(path, header: Sequence[str], rows: Union[np.ndarray, Iterable[Sequence]]) -> None:
+def write_csv(path, header: Sequence[str], rows: Union[np.ndarray, Iterable[Sequence]] = (),
+              *, columns: Optional[Sequence] = None) -> None:
     """Plain comma-separated writer; floats keep full round-trip precision.
 
-    ``rows`` is a 2-D numeric array, converted to Python numbers one chunk
-    of rows at a time (never the whole matrix at once, which would multiply
-    peak memory), or an iterable of rows of numbers and strings.
+    ``rows`` is a 2-D numeric array, written through a CsvSink, which
+    converts it to Python numbers one chunk of rows at a time (never the
+    whole matrix at once, which would multiply peak memory), or an
+    iterable of rows of numbers and strings. ``columns``, given instead of
+    ``rows``, holds equal-length numeric columns: arrays, converted with
+    ``tolist`` once each, or sequences of Python ints.
     """
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    if isinstance(rows, np.ndarray):
+        with CsvSink(path, header) as sink:
+            sink._attach(rows)
+        return
+    with _create(path) as fh:
         fh.write(",".join(header) + "\n")
-        if isinstance(rows, np.ndarray):
-            _write_matrix(fh, rows)
-        else:
-            for row in rows:
-                fh.write(",".join(map(_format, row)) + "\n")
+        if columns is not None:
+            fh.write(_format_lines(zip(*[c.tolist() if isinstance(c, np.ndarray) else c
+                                         for c in columns])))
+        for row in rows:
+            fh.write(",".join(map(_format, row)) + "\n")
 
 
 def write_particles_csv(particles: ParticleSet, path) -> None:
@@ -267,9 +373,8 @@ def emit_plot_data(result: Union[SmcResult, McmcResult, ParticleSet], kind: str,
         if not isinstance(result, ParticleSet):
             raise ConfigError(f"plot kind {kind!r} needs a ParticleSet")
         marked = slice_indices or set()
-        rows = ((v, 1 if i in marked else 0)
-                for i, v in enumerate(result.values[:, 0]))
-        write_csv(path, ["x0", "in_slice"], rows)
+        flags = [1 if i in marked else 0 for i in range(result.n)]
+        write_csv(path, ["x0", "in_slice"], columns=[result.values[:, 0], flags])
     elif kind == "dims-1-3-surface-data":
         if not isinstance(result, ParticleSet):
             raise ConfigError(f"plot kind {kind!r} needs a ParticleSet")
@@ -280,12 +385,12 @@ def emit_plot_data(result: Union[SmcResult, McmcResult, ParticleSet], kind: str,
     elif kind == "mcmc-trace-data":
         if not isinstance(result, McmcResult):
             raise ConfigError(f"plot kind {kind!r} needs an McmcResult")
-        rows = ((step, x0) for step, x0 in enumerate(result.trace_dim0))
-        write_csv(path, ["step", "x0"], rows)
+        write_csv(path, ["step", "x0"],
+                  columns=[range(result.trace_dim0.size), result.trace_dim0])
     else:  # smc-weights-data
         if not isinstance(result, SmcResult):
             raise ConfigError(f"plot kind {kind!r} needs an SmcResult")
         sums = result.weight_sum_series
         deltas = np.concatenate([[np.nan], np.abs(np.diff(sums))])
-        rows = zip(range(sums.size), sums, result.ess_series, deltas)
-        write_csv(path, ["step", "log_weight_sum", "ess", "delta"], rows)
+        write_csv(path, ["step", "log_weight_sum", "ess", "delta"],
+                  columns=[range(sums.size), sums, result.ess_series, deltas])

@@ -113,7 +113,7 @@ def systematic_resample(weights, rng: RandomSource) -> np.ndarray:
 
 
 def run_smc(prior: ParticleSet, config: SmcConfig,
-            oracle: Optional[Oracle] = None) -> SmcResult:
+            oracle: Optional[Oracle] = None, sink=None) -> SmcResult:
     """Run the full SMC loop and collect one posterior particle per step.
 
     Per step: (1) move every particle by the random walk, (2) score them,
@@ -134,6 +134,11 @@ def run_smc(prior: ParticleSet, config: SmcConfig,
     the N + T particles evaluated. Identical (prior, config) pairs produce
     bitwise-identical results.
 
+    When a sink is given (an entered ``report.CsvSink``), the posterior is
+    held in the sink's buffer, and the sink is told after each draw block
+    which leading rows are final, so it can write them while the loop
+    runs. The caller's ``with`` block completes or discards the file.
+
     Raises DegenerateWeightsError, naming the step, if every particle
     weight collapses.
     """
@@ -149,7 +154,7 @@ def run_smc(prior: ParticleSet, config: SmcConfig,
     rng = RandomSource(config.seed)
 
     population = prior.to_array()
-    posterior = np.empty((steps, d))
+    posterior = np.empty((steps, d)) if sink is None else sink.buffer(steps, d)
     weight_sums = np.empty(steps)
     ess = np.empty(steps)
     grid = np.arange(n) / n
@@ -179,6 +184,8 @@ def run_smc(prior: ParticleSet, config: SmcConfig,
             selected = _select(np.cumsum(w), points[j])
             posterior[step] = population[selected[n]]
             population = population[selected[:n]]
+        if sink is not None:
+            sink.advance(first + block.shape[0])
 
     posterior_set = ParticleSet(posterior)
     posterior_rate = None if oracle is None else pass_rate(posterior_set, oracle)

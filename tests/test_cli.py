@@ -447,6 +447,13 @@ class TestSizeLimits:
         assert code == 3
         assert "out of memory" in capsys.readouterr().err
 
+    def test_posterior_that_cannot_be_mapped_exits_3(self, tmp_path, capsys):
+        # 10**12 steps x 100 dims: a 728 TiB posterior buffer
+        out = tmp_path / "run"
+        assert main(["run", "smc", "--steps", str(10**12), "--out", str(out)]) == 3
+        assert "out of memory: Unable to map" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("args, code, shown", [
         (["--n", str(10**12), "--dims", "100"], 3, "out of memory: Unable to allocate"),
         (["--std", "1e308"], 2, "particle values must be finite"),
@@ -459,6 +466,40 @@ class TestSizeLimits:
         assert proc.returncode == code
         assert len(proc.stderr.splitlines()) == 1, proc.stderr
         assert shown in proc.stderr
+
+
+class TestUsageErrorsBeforeOutput:
+    """A run that exits 2 leaves no output directory, and names what the user gave."""
+
+    @pytest.mark.parametrize("sampler", ["smc", "mcmc"])
+    def test_steps_too_large_leave_no_directory(self, tmp_path, sampler):
+        out = tmp_path / "X"
+        assert main(["run", sampler, "--steps", _HUGE, "--out", str(out)]) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("sampler", ["smc", "mcmc"])
+    def test_misfit_oracle_leaves_no_directory(self, tmp_path, sampler):
+        config = tmp_path / "F.json"
+        config.write_text(json.dumps({"oracle": {"dimension": 5}}))
+        out = tmp_path / "X"
+        assert main(["run", sampler, "--dims", "2", "--config", str(config),
+                     "--out", str(out)]) == 2
+        assert not out.exists()
+
+    def test_budget_too_large_names_the_flag(self, tmp_path, capsys):
+        out = tmp_path / "X"
+        assert main(["compare", "--budget", _HUGE, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"--budget ({_HUGE}) times 100 dims exceeds" in err
+        assert "n_particles" not in err
+        assert not out.exists()
+
+    def test_prior_overflow_names_std_dev_and_mean(self, tmp_path, capsys):
+        out = tmp_path / "X"
+        assert main(["run", "smc", "--std", "1e308", "--steps", "2", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "std_dev (1e+308)" in err and "mean (0.0)" in err
+        assert not out.exists()
 
 
 class TestEnvironment:

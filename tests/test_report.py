@@ -5,6 +5,7 @@ import multiprocessing
 import os
 import signal
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from abcfuzz import (
     write_particles_csv,
     write_report,
 )
-from abcfuzz import report
+from abcfuzz import core, report, smc
 from abcfuzz.cli import main
 from abcfuzz.report import write_csv, write_json
 
@@ -206,6 +207,8 @@ def test_write_json_rejects_nan(tmp_path):
         write_json({"x": float("nan")}, tmp_path / "bad.json")
 
 
+_real_writer_workers = report._writer_workers
+
 SPECIAL_VALUES = [-0.0, 5e-324, 1e16, 1e-05, 1.7976931348623157e308]
 
 
@@ -228,9 +231,9 @@ def pool_writer(tmp_path, monkeypatch):
     return lambda: {int(pid) for pid in log.read_text().split()}
 
 
-def _serial_bytes(path, matrix, monkeypatch):
+def _serial_bytes(path, matrix, monkeypatch, header=("h",)):
     monkeypatch.setattr(report, "POOL_MIN_CELLS", matrix.size + 1)
-    write_csv(path, ["h"], matrix)
+    write_csv(path, header, matrix)
     return path.read_bytes()
 
 
@@ -322,3 +325,145 @@ class TestPoolWriter:
         err = capfd.readouterr().err
         assert err == "abc-fuzz: interrupted\n"
         assert multiprocessing.active_children() == []
+
+
+# A 3x2 population: 6-cell chunks hold 3 posterior rows. With 40 doubles a
+# draw block, a block holds 5 steps, so chunks end out of step with blocks.
+STREAM_ARGS = ["run", "smc", "--n", "3", "--dims", "2", "--steps", "300"]
+
+
+@pytest.fixture
+def streaming(monkeypatch, pool_writer):
+    monkeypatch.setattr(core, "BLOCK_DOUBLES", 40)
+    return pool_writer
+
+
+def _stream_inputs(steps):
+    prior = generate_prior(PriorConfig(n_particles=3, n_dims=2, seed=4))
+    cfg = SmcConfig(likelihood=LikelihoodConfig.for_prior(2, 10.0), n_steps=steps, seed=9)
+    return prior, cfg
+
+
+def _watch_loop(monkeypatch, at, wait_for, fail=False):
+    """Wrap the SMC likelihood. At call ``at`` it waits up to 10 s for
+    ``wait_for()``; with ``fail`` it scores every particle -inf from that
+    call on. Returns the list that records one entry per call."""
+    calls, score = [], smc.log_likelihood_values
+
+    def watched(values, config):
+        calls.append(len(calls))
+        if len(calls) == at:
+            deadline = time.monotonic() + 10
+            while not wait_for() and time.monotonic() < deadline:
+                time.sleep(0.01)
+        if fail and len(calls) >= at:
+            return np.full(values.shape[0], -np.inf)
+        return score(values, config)
+
+    monkeypatch.setattr(smc, "log_likelihood_values", watched)
+    return calls
+
+
+def _assert_cleaned_up(out):
+    assert multiprocessing.active_children() == []
+    assert list(out.iterdir()) == []  # no posterior.csv, no posterior.csv.tmp
+
+
+class TestStreamingSink:
+    @pytest.mark.parametrize("steps, block_doubles", [
+        (20, 40),  # 5-step blocks over 3-row chunks; partial last chunk
+        (2, 40),   # fewer steps than one chunk
+        (21, 24),  # 3-step blocks, each ending a chunk
+    ], ids=["blocks-across-chunks", "under-one-chunk", "blocks-on-chunks"])
+    def test_streamed_bytes_equal_the_serial_writer(self, tmp_path, monkeypatch, pool_writer,
+                                                    steps, block_doubles):
+        monkeypatch.setattr(core, "BLOCK_DOUBLES", block_doubles)
+        prior, cfg = _stream_inputs(steps)
+        path = tmp_path / "posterior.csv"
+        with report.CsvSink(path, ["x0", "x1"]) as sink:
+            result = run_smc(prior, cfg, sink=sink)
+        assert pool_writer() - {os.getpid()}, "no chunk was formatted by a worker"
+        assert multiprocessing.active_children() == []
+        assert not (tmp_path / "posterior.csv.tmp").exists()
+        assert result.posterior == run_smc(prior, cfg).posterior
+        assert path.read_bytes() == _serial_bytes(tmp_path / "serial.csv",
+                                                  result.posterior.values, monkeypatch,
+                                                  ["x0", "x1"])
+
+    def test_chunks_are_formatted_while_the_loop_runs(self, tmp_path, monkeypatch, streaming):
+        log = tmp_path / "formatter-pids.txt"
+        seen = []
+
+        def worker_has_formatted():
+            seen.append(log.exists())
+            return seen[-1]
+
+        prior, cfg = _stream_inputs(300)
+        calls = _watch_loop(monkeypatch, 300, worker_has_formatted)  # the last step
+        with report.CsvSink(tmp_path / "posterior.csv", ["x0", "x1"]) as sink:
+            run_smc(prior, cfg, sink=sink)
+        assert len(calls) == 300 and seen[-1]
+        assert streaming() - {os.getpid()}
+
+    def test_worker_killed_mid_loop_exits_3(self, tmp_path, monkeypatch, capfd, streaming):
+        parent, format_rows = os.getpid(), report._format_rows
+
+        def die_in_worker(rows):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return format_rows(rows)
+
+        monkeypatch.setattr(report, "_format_rows", die_in_worker)
+        # both workers have a chunk by step 10; step 100 waits for them to die
+        calls = _watch_loop(monkeypatch, 100, lambda: multiprocessing.active_children() == [])
+        out = tmp_path / "run"
+        assert main([*STREAM_ARGS, "--out", str(out)]) == 3
+        err = capfd.readouterr().err
+        assert "environment error" in err and "posterior.csv" in err
+        assert "Traceback" not in err
+        assert len(calls) < 300
+        _assert_cleaned_up(out)
+
+    def test_one_interrupt_mid_loop_exits_130(self, tmp_path, monkeypatch, capfd, streaming):
+        monkeypatch.setattr(report, "_format_rows", _interrupting_formatter(tmp_path))
+        calls = _watch_loop(monkeypatch, 100, lambda: False)  # step 100 waits for the SIGINT
+        out = tmp_path / "run"
+        assert main([*STREAM_ARGS, "--out", str(out)]) == 130
+        assert capfd.readouterr().err == "abc-fuzz: interrupted\n"
+        assert len(calls) < 300
+        _assert_cleaned_up(out)
+
+    def test_weights_collapsing_mid_loop_exit_4(self, tmp_path, monkeypatch, capfd, streaming):
+        out = tmp_path / "run"
+        temp_seen = []
+
+        def worker_has_formatted():
+            temp_seen.append((out / "posterior.csv.tmp").exists())
+            return (tmp_path / "formatter-pids.txt").exists()
+
+        _watch_loop(monkeypatch, 100, worker_has_formatted, fail=True)
+        assert main([*STREAM_ARGS, "--out", str(out)]) == 4
+        err = capfd.readouterr().err
+        assert "degeneracy (step 99)" in err and "Traceback" not in err
+        assert temp_seen and all(temp_seen)
+        assert streaming() - {os.getpid()}
+        _assert_cleaned_up(out)
+
+    def test_another_thread_keeps_the_writer_serial(self, tmp_path, monkeypatch, streaming):
+        monkeypatch.setattr(report, "_writer_workers", _real_writer_workers)
+        prior, cfg = _stream_inputs(20)
+        path = tmp_path / "posterior.csv"
+        done = threading.Event()
+        thread = threading.Thread(target=done.wait)
+        thread.start()
+        try:
+            with report.CsvSink(path, ["x0", "x1"]) as sink:
+                result = run_smc(prior, cfg, sink=sink)
+        finally:
+            done.set()
+            thread.join(timeout=10)
+        assert streaming() == {os.getpid()}
+        assert multiprocessing.active_children() == []
+        assert path.read_bytes() == _serial_bytes(tmp_path / "serial.csv",
+                                                  result.posterior.values, monkeypatch,
+                                                  ["x0", "x1"])
