@@ -115,6 +115,9 @@ CHUNK_CELLS = 65536
 POOL_MIN_CELLS = 262144
 # Writer workers never exceed this, whatever the host's CPU count.
 POOL_MAX_WORKERS = 4
+# Bytes a float64 cell can take as CSV text: the longest repr
+# ("-1.7976931348623157e+308") and its separator.
+CELL_BYTES = 25
 
 
 def _format_lines(rows) -> str:
@@ -127,13 +130,28 @@ def _format_rows(rows: np.ndarray) -> str:
     return _format_lines(rows.tolist())
 
 
-def _pool_worker(conn, matrix: np.ndarray, parent_ends) -> None:
-    """Writer worker: format the (start, stop) row chunks the parent sends.
+def _shared(nbytes: int, what: str):
+    """An anonymous shared mapping of ``nbytes`` for ``what``, which forked
+    children share."""
+    import mmap
 
-    ``matrix`` is inherited through fork, so tasks carry only row bounds and
-    the array is never pickled. Ctrl-C is left to the parent. The worker
-    closes its inherited copies of the parent's pipe ends, so it ends when
-    the parent closes its end or dies.
+    try:
+        return mmap.mmap(-1, nbytes)
+    except OSError as exc:  # reported like a failed numpy allocation
+        raise MemoryError(f"Unable to map {nbytes} bytes for {what}: {exc.strerror}") from exc
+
+
+def _pool_worker(conn, matrix: np.ndarray, slots, parent_ends) -> None:
+    """Writer worker: format the row chunks the parent sends.
+
+    ``matrix`` and the shared ``slots`` mapping are inherited through fork,
+    so a task carries only its row bounds and a slot: (start, stop, offset,
+    size). The worker copies the chunk's text into its slot and answers
+    with the text's length, so the parent never waits on a long transfer;
+    a text that does not fit, which only values printed longer than a
+    float64 make, is sent whole instead. Ctrl-C is left to the parent.
+    The worker closes its inherited copies of the parent's pipe ends, so
+    it ends when the parent closes its end or dies.
     """
     import signal
 
@@ -142,10 +160,15 @@ def _pool_worker(conn, matrix: np.ndarray, parent_ends) -> None:
         end.close()
     while True:
         try:
-            start, stop = conn.recv()
+            start, stop, offset, size = conn.recv()
         except EOFError:
             return
-        conn.send_bytes(_format_rows(matrix[start:stop]).encode("ascii"))
+        text = _format_rows(matrix[start:stop]).encode("ascii")
+        if len(text) > size:
+            conn.send(text)
+            continue
+        slots[offset:offset + len(text)] = text
+        conn.send(len(text))
 
 
 def _writer_workers() -> int:
@@ -169,11 +192,11 @@ class CsvSink:
     Rows are formatted in chunks of CHUNK_CELLS cells. A matrix of at least
     POOL_MIN_CELLS cells, in a process that may fork two or more writer
     workers, is formatted by a pool of forked workers: chunk k goes to
-    worker k mod W, and the parent writes the texts in input order, so the
-    bytes equal the serial path's. ``buffer`` allocates a large matrix in
-    an anonymous shared mapping, so workers forked before its last rows
-    are filled still read them. Nothing is created and nothing forked
-    before the first ``advance``.
+    worker k mod W, which leaves its text in a shared slot, and the parent
+    writes the texts in input order, so the bytes equal the serial path's.
+    ``buffer`` allocates a large matrix in an anonymous shared mapping, so
+    workers forked before its last rows are filled still read them.
+    Nothing is created and nothing forked before the first ``advance``.
 
     Use it as a context manager. The file appears under its own name only
     when the block ends cleanly; until then it is written under the same
@@ -193,18 +216,15 @@ class CsvSink:
         self._written = 0  # leading chunks written to the file
         self._fh = None
         self._pool = []    # (process, connection) per worker
+        self._slots = None  # shared text slots, one per chunk in flight
+        self._slot_bytes = 0
+        self._release = None  # madvise option that unmaps a written slot
 
     def buffer(self, rows: int, cols: int) -> np.ndarray:
         """A writable (rows, cols) float matrix for the caller to fill front to back."""
         if rows * cols < POOL_MIN_CELLS:
             return self._attach(np.empty((rows, cols)))
-        import mmap
-
-        try:
-            shared = mmap.mmap(-1, rows * cols * 8)
-        except OSError as exc:  # reported like a failed numpy allocation
-            raise MemoryError(f"Unable to map {rows * cols * 8} bytes for a ({rows}, {cols}) "
-                              f"matrix: {exc.strerror}") from exc
+        shared = _shared(rows * cols * 8, f"a ({rows}, {cols}) matrix")
         return self._attach(np.frombuffer(shared).reshape(rows, cols))
 
     def _attach(self, matrix: np.ndarray) -> np.ndarray:
@@ -233,18 +253,32 @@ class CsvSink:
         if self._matrix.size < POOL_MIN_CELLS or (workers := _writer_workers()) < 2:
             return
 
+        import mmap
         import multiprocessing
 
+        # a slot per chunk in flight, at most two per worker, in whole pages;
+        # the first chunk is the largest
+        cells = (self._bounds[0][1] if self._bounds else 0) * self._matrix.shape[1]
+        self._slot_bytes = max(1, -(-cells * CELL_BYTES // mmap.PAGESIZE)) * mmap.PAGESIZE
+        self._release = mmap.MADV_DONTNEED
+        self._slots = _shared(2 * workers * self._slot_bytes, "CSV text")
         context = multiprocessing.get_context("fork")
         self._fh.flush()  # a forked worker must not inherit unwritten buffered output
         for _ in range(workers):
             conn, child_conn = context.Pipe()
             parent_ends = [end for _, end in self._pool] + [conn]
             proc = context.Process(target=_pool_worker,
-                                   args=(child_conn, self._matrix, parent_ends), daemon=True)
+                                   args=(child_conn, self._matrix, self._slots, parent_ends),
+                                   daemon=True)
             proc.start()
             child_conn.close()
             self._pool.append((proc, conn))
+
+    def _slot(self, chunk: int) -> int:
+        """Offset of the slot that chunk ``chunk`` uses; a slot is reused only
+        after its previous chunk is written, since at most as many chunks
+        are in flight as there are slots."""
+        return chunk % (2 * len(self._pool)) * self._slot_bytes
 
     def _pump(self, window: int, wait: bool) -> None:
         """Hand final chunks to workers, ``window`` at most in flight, and
@@ -258,14 +292,23 @@ class CsvSink:
         try:
             while True:
                 while self._sent < self._final and self._sent - self._written < window:
-                    pool[self._sent % len(pool)][1].send(bounds[self._sent])
+                    pool[self._sent % len(pool)][1].send(
+                        (*bounds[self._sent], self._slot(self._sent), self._slot_bytes))
                     self._sent += 1
                 if self._written == self._sent:
                     return
                 conn = pool[self._written % len(pool)][1]
                 if not wait and not conn.poll():
                     return
-                fh.write(conn.recv_bytes())
+                text = conn.recv()
+                if isinstance(text, int):
+                    offset = self._slot(self._written)
+                    fh.write(memoryview(self._slots)[offset:offset + text])
+                    # the text is in the file: unmap the slot's pages from this
+                    # process, so its memory does not grow by every slot
+                    self._slots.madvise(self._release, offset, text)
+                else:
+                    fh.write(text)
                 self._written += 1
         except (EOFError, BrokenPipeError, ConnectionResetError) as exc:
             # a worker's pipe closed under it: the worker died
@@ -290,6 +333,7 @@ class CsvSink:
             for proc, _ in self._pool:
                 proc.join()
             self._pool = []
+            self._slots = None
             self._matrix = None  # unmaps a shared buffer once its caller drops it too
             if self._fh is not None:
                 fh, self._fh = self._fh, None

@@ -1,6 +1,7 @@
 """Report persistence: JSON round-trips, CSV dumps, plot-data files."""
 
 import json
+import mmap
 import multiprocessing
 import os
 import signal
@@ -269,6 +270,20 @@ class TestPoolWriter:
         assert multiprocessing.active_children() == []
         assert pooled.read_bytes() == _serial_bytes(tmp_path / "serial.csv", matrix, monkeypatch)
 
+    def test_texts_longer_than_their_slot_are_sent_whole(self, tmp_path, monkeypatch,
+                                                          pool_writer):
+        # one-page slots: a chunk of one-digit floats ("1.0\n", 4 bytes a
+        # cell) fills its slot exactly, a chunk of sevenths overflows it
+        rows = mmap.PAGESIZE // 4
+        monkeypatch.setattr(report, "CHUNK_CELLS", rows)
+        monkeypatch.setattr(report, "CELL_BYTES", 4)
+        digits = np.arange(rows) % 9 + 1.0
+        matrix = np.concatenate([digits, digits / 7] * 3).reshape(-1, 1)
+        pooled = tmp_path / "pool.csv"
+        write_csv(pooled, ["h"], matrix)
+        assert pool_writer() - {os.getpid()}, "no chunk was formatted by a worker"
+        assert pooled.read_bytes() == _serial_bytes(tmp_path / "serial.csv", matrix, monkeypatch)
+
     def test_special_values_keep_their_repr(self, tmp_path, pool_writer):
         path = tmp_path / "special.csv"
         write_csv(path, ["h"], np.array([SPECIAL_VALUES] * 2))
@@ -435,11 +450,14 @@ class TestStreamingSink:
 
     def test_weights_collapsing_mid_loop_exit_4(self, tmp_path, monkeypatch, capfd, streaming):
         out = tmp_path / "run"
+        log = tmp_path / "formatter-pids.txt"
         temp_seen = []
 
         def worker_has_formatted():
             temp_seen.append((out / "posterior.csv.tmp").exists())
-            return (tmp_path / "formatter-pids.txt").exists()
+            # a logged worker pid, not only the log file a worker has opened:
+            # a worker stopped between the two leaves an empty log
+            return log.exists() and bool(streaming() - {os.getpid()})
 
         _watch_loop(monkeypatch, 100, worker_has_formatted, fail=True)
         assert main([*STREAM_ARGS, "--out", str(out)]) == 4
