@@ -45,7 +45,6 @@ from .report import (
     RunReport,
     emit_plot_data,
     read_particles_csv,
-    read_report,
     write_particles_csv,
     write_report,
 )
@@ -85,7 +84,6 @@ __all__ = [
     "normalize_log_weights",
     "pass_rate",
     "read_particles_csv",
-    "read_report",
     "run_mcmc",
     "run_smc",
     "slice_count",

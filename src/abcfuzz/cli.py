@@ -13,7 +13,9 @@ import dataclasses
 import math
 import os
 import shlex
+import signal
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -298,7 +300,7 @@ def _resolve_oracle(args, file_cfg: dict):
     data = _section(file_cfg, "oracle", args)
     kind, command = data.pop("kind", "range"), data.pop("command", None)
     timeout = data.pop("timeout", ExternalOracle.timeout)
-    spec = args.oracle
+    spec = getattr(args, "oracle", None)  # gen-prior has no --oracle flag
     if spec == "range":
         kind = "range"
     elif spec is not None:
@@ -307,7 +309,7 @@ def _resolve_oracle(args, file_cfg: dict):
         kind, command = "exec", spec[len("exec:"):]
 
     if kind == "range":
-        cfg = RangeOracleConfig(**data)
+        cfg = RangeOracleConfig.from_dict(data)
         return RangeOracle(cfg), {"kind": "range", **cfg.to_dict()}
     _require(kind == "exec", f"oracle kind must be 'range' or 'exec', got {kind!r}")
     _require(isinstance(command, str) and command != "",
@@ -328,11 +330,10 @@ def _estimated_std(particles: ParticleSet) -> float:
 def cmd_gen_prior(args) -> int:
     file_cfg = _load_file_config(args.config)
     cfg = PriorConfig.from_dict(_section(file_cfg, "prior", args, seed=args.seed))
+    oracle, oracle_echo = _resolve_oracle(args, file_cfg)
     particles = generate_prior(cfg)
     indices = slice_indices(cfg)
-
-    oracle_cfg = RangeOracleConfig()
-    rate = pass_rate(particles, RangeOracle(oracle_cfg))
+    rate = pass_rate(particles, oracle)
 
     outdir = _output_dir(args.out, f"gen-prior-seed{cfg.seed}")
     write_particles_csv(particles, outdir / "prior.csv")
@@ -348,13 +349,13 @@ def cmd_gen_prior(args) -> int:
         "engine_version": ENGINE_VERSION,
         "timestamp": utc_now_iso(),
         "seed": cfg.seed,
-        "config_echo": {"prior": cfg.to_dict(), "oracle": {"kind": "range", **oracle_cfg.to_dict()}},
+        "config_echo": {"prior": cfg.to_dict(), "oracle": oracle_echo},
         "pass_rate": rate,
         "oracle_calls": particles.n,
         "slice_indices": sorted(indices),
     }, outdir / "report.json")
 
-    print(f"prior pass rate: {rate!r} (n={cfg.n_particles}, oracle=range)")
+    print(f"prior pass rate: {rate!r} (n={cfg.n_particles}, oracle={oracle_echo['kind']})")
     print(f"wrote {outdir}")
     return EXIT_OK
 
@@ -503,12 +504,27 @@ def cmd_compare(args) -> int:
     return EXIT_OK
 
 
+def _interrupt_once(signum, frame):
+    """SIGINT handler while a command runs: the first Ctrl-C interrupts it and
+    every later one is ignored, so the writer workers are reaped, the exit
+    message printed and 130 returned whatever more Ctrl-Cs arrive."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    raise KeyboardInterrupt
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
+    # Take SIGINT over only where it raises KeyboardInterrupt as Python's
+    # default does (never where it is ignored), and give it back on return.
+    caller_handler = signal.getsignal(signal.SIGINT)
+    owned = (caller_handler is signal.default_int_handler
+             and threading.current_thread() is threading.main_thread())
+    if owned:
+        signal.signal(signal.SIGINT, _interrupt_once)
     try:
         return args.func(args)
     except ConfigError as exc:
@@ -527,6 +543,9 @@ def main(argv=None) -> int:
     except KeyboardInterrupt:
         print("abc-fuzz: interrupted", file=sys.stderr)
         return EXIT_INTERRUPTED
+    finally:
+        if owned:
+            signal.signal(signal.SIGINT, caller_handler)
 
 
 if __name__ == "__main__":

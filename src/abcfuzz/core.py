@@ -217,13 +217,6 @@ class ParticleSet:
         arr.setflags(write=False)
         self._values = arr
 
-    @classmethod
-    def from_particles(cls, particles: Iterable[Particle]) -> "ParticleSet":
-        rows = [p.values for p in particles]
-        _require(len(rows) >= 1, "particle set needs at least one particle")
-        _require(len({r.size for r in rows}) == 1, "particles must share one dimensionality")
-        return cls(np.stack(rows))
-
     @property
     def values(self) -> np.ndarray:
         """Read-only (N, D) view of the population."""
@@ -275,9 +268,53 @@ def _field_names(cls) -> list:
     return [f.name for f in fields(cls)]
 
 
+class _Record:
+    """A frozen dataclass record and its JSON object, mapped field by field.
+
+    ``to_dict`` turns a nested record into its own dict and a Particle into
+    its list of values; ``from_dict`` reverses both after rejecting keys
+    that name no field, naming the record's ``SECTION`` in the error.
+    """
+
+    def to_dict(self) -> dict:
+        return {f.name: _to_json(getattr(self, f.name)) for f in fields(self)}
+
+    @classmethod
+    def from_dict(cls, data: dict):
+        types = {f.name: f.type for f in fields(cls)}
+        _reject_unknown_keys(cls.SECTION, data, types)
+        return cls(**{key: _from_json(types[key], key, value) for key, value in data.items()})
+
+
+def _to_json(value):
+    if isinstance(value, _Record):
+        return value.to_dict()
+    if isinstance(value, Particle):
+        return value.values.tolist()
+    return value
+
+
+def _from_json(kind, name: str, value):
+    """``value`` given for a field of type ``kind``, as that type: a dict
+    becomes a nested record and a list of numbers a Particle."""
+    if not isinstance(kind, type) or isinstance(value, kind):
+        return value
+    if issubclass(kind, _Record):
+        return kind.from_dict(value)
+    if kind is Particle:
+        _require(isinstance(value, (list, tuple)),
+                 f"{name} must be a list of numbers, got {value!r}")
+        for coordinate in value:
+            _check_real(f"{name} coordinate", coordinate)
+        return Particle(value)
+    return value
+
+
 @dataclass(frozen=True)
-class PriorConfig:
+class PriorConfig(_Record):
     """Parameters of the Gaussian prior population and its forced-zero slice."""
+
+    SECTION = "prior"
 
     n_particles: int = 10
     n_dims: int = 100
@@ -295,30 +332,17 @@ class PriorConfig:
         _check_real("zero_fraction", self.zero_fraction, 0, 1)
         _validate_seed(self.seed)
 
-    def to_dict(self) -> dict:
-        return {
-            "n_particles": self.n_particles,
-            "n_dims": self.n_dims,
-            "mean": self.mean,
-            "std_dev": self.std_dev,
-            "zero_fraction": self.zero_fraction,
-            "seed": self.seed,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "PriorConfig":
-        _reject_unknown_keys("prior", data, _field_names(cls))
-        return cls(**data)
-
 
 @dataclass(frozen=True)
-class LikelihoodConfig:
+class LikelihoodConfig(_Record):
     """Directed scoring: distance to a target point plus a first-dimension penalty.
 
     ``alpha`` weights the penalty for deviating from zero in dimension 0;
     ``scale`` normalizes the Euclidean distance so raw scores stay in a
     numerically benign range.
     """
+
+    SECTION = "likelihood"
 
     target: Particle
     alpha: float = 1.0
@@ -348,30 +372,12 @@ class LikelihoodConfig:
             target = Particle(np.zeros(n_dims))
         return cls(target=target, alpha=alpha, scale=scale)
 
-    def to_dict(self) -> dict:
-        return {
-            "target": [float(v) for v in self.target],
-            "alpha": self.alpha,
-            "scale": self.scale,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "LikelihoodConfig":
-        _reject_unknown_keys("likelihood", data, _field_names(cls))
-        data = dict(data)
-        target = data.get("target")
-        if "target" in data and not isinstance(target, Particle):
-            _require(isinstance(target, (list, tuple)),
-                     f"target must be a list of numbers, got {target!r}")
-            for value in target:
-                _check_real("target coordinate", value)
-            data["target"] = Particle(target)
-        return cls(**data)
-
 
 @dataclass(frozen=True)
-class SmcConfig:
+class SmcConfig(_Record):
     """Sequential Monte Carlo run parameters."""
+
+    SECTION = "smc"
 
     likelihood: LikelihoodConfig
     n_steps: int = 1000
@@ -385,31 +391,17 @@ class SmcConfig:
         _check_real("step_std", self.step_std, 0)
         _validate_seed(self.seed)
 
-    def to_dict(self) -> dict:
-        return {
-            "n_steps": self.n_steps,
-            "step_std": self.step_std,
-            "seed": self.seed,
-            "likelihood": self.likelihood.to_dict(),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "SmcConfig":
-        _reject_unknown_keys("smc", data, _field_names(cls))
-        data = dict(data)
-        if "likelihood" in data and not isinstance(data["likelihood"], LikelihoodConfig):
-            data["likelihood"] = LikelihoodConfig.from_dict(data["likelihood"])
-        return cls(**data)
-
 
 @dataclass(frozen=True)
-class McmcConfig:
+class McmcConfig(_Record):
     """Single-chain Metropolis run parameters.
 
     ``initial_index`` picks the starting particle out of the prior set; when
     None the chain starts at a uniformly random prior particle drawn from
     the run's random source.
     """
+
+    SECTION = "mcmc"
 
     likelihood: LikelihoodConfig
     n_steps: int = 1000
@@ -429,24 +421,6 @@ class McmcConfig:
         if self.initial_index is not None:
             _check_int("initial_index", self.initial_index)
         _validate_seed(self.seed)
-
-    def to_dict(self) -> dict:
-        return {
-            "n_steps": self.n_steps,
-            "burn_in": self.burn_in,
-            "step_std": self.step_std,
-            "initial_index": self.initial_index,
-            "seed": self.seed,
-            "likelihood": self.likelihood.to_dict(),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "McmcConfig":
-        _reject_unknown_keys("mcmc", data, _field_names(cls))
-        data = dict(data)
-        if "likelihood" in data and not isinstance(data["likelihood"], LikelihoodConfig):
-            data["likelihood"] = LikelihoodConfig.from_dict(data["likelihood"])
-        return cls(**data)
 
 
 CONFIG_FILE_SECTIONS = ("prior", "likelihood", "smc", "mcmc", "oracle")

@@ -7,25 +7,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _require
+from .core import _Record, _require
 
 CONVERGENCE_NOTE = ("heuristic: tail 10% of weight-update magnitudes averages "
                     "below 10% of the head 10%'s average; advisory only")
 
 
 @dataclass(frozen=True)
-class TraceSummary:
+class TraceSummary(_Record):
     """Moments of a post-burn-in trace segment (std uses divisor n-1)."""
+
+    SECTION = "trace summary"
 
     mean: float
     std: float
     min: float
     max: float
     count: int
-
-    def to_dict(self) -> dict:
-        return {"mean": self.mean, "std": self.std, "min": self.min,
-                "max": self.max, "count": self.count}
 
 
 def trace_summary(trace, burn_in: int) -> TraceSummary:

@@ -44,19 +44,6 @@ class McmcResult:
     chain_pass_rate: Optional[float] = None
     trace_full: Optional[np.ndarray] = None
 
-    def to_dict(self) -> dict:
-        """JSON-ready scalars and series (chain particles go to CSV)."""
-        return {
-            "n_steps": int(self.trace_dim0.size),
-            "chain_length": self.chain.n,
-            "acceptance_rate": self.acceptance_rate,
-            "oracle_calls": self.oracle_calls,
-            "prior_pass_rate": self.prior_pass_rate,
-            "chain_pass_rate": self.chain_pass_rate,
-            "trace_dim0": [float(v) for v in self.trace_dim0],
-            "accepted": [bool(v) for v in self.accepted],
-        }
-
 
 def accept_probability(log_likelihood_current: float, log_likelihood_proposed: float) -> float:
     """Metropolis acceptance for a symmetric proposal: min(1, exp(delta)).

@@ -15,6 +15,7 @@ from .core import (
     ConfigError,
     Particle,
     ParticleSet,
+    _Record,
     _check_int,
     _check_real,
     _require,
@@ -38,8 +39,10 @@ Oracle = Callable[[Particle], OracleVerdict]
 
 
 @dataclass(frozen=True)
-class RangeOracleConfig:
+class RangeOracleConfig(_Record):
     """Pass iff one coordinate lies inside [low, high], boundaries inclusive."""
+
+    SECTION = "oracle"
 
     low: float = -0.5
     high: float = 0.5
@@ -51,9 +54,6 @@ class RangeOracleConfig:
         _require(self.low <= self.high,
                  f"low ({self.low!r}) must not exceed high ({self.high!r})")
         _check_int("dimension", self.dimension)
-
-    def to_dict(self) -> dict:
-        return {"low": self.low, "high": self.high, "dimension": self.dimension}
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
-from .core import ConfigError, ENGINE_VERSION, ParticleSet, _require
+from .core import ConfigError, ENGINE_VERSION, ParticleSet, _Record, _require
 from .mcmc import McmcResult
 from .smc import SmcResult
 
@@ -34,8 +34,10 @@ def utc_now_iso() -> str:
 
 
 @dataclass(frozen=True)
-class RunReport:
+class RunReport(_Record):
     """Serialized record of one sampler run: config, seed, rates, diagnostics."""
+
+    SECTION = "report"
 
     sampler: str
     seed: int
@@ -58,23 +60,6 @@ class RunReport:
         if not self.timestamp:
             object.__setattr__(self, "timestamp", utc_now_iso())
 
-    def to_dict(self) -> dict:
-        return {
-            "engine_version": self.engine_version,
-            "timestamp": self.timestamp,
-            "sampler": self.sampler,
-            "seed": self.seed,
-            "config_echo": self.config_echo,
-            "prior_pass_rate": self.prior_pass_rate,
-            "posterior_pass_rate": self.posterior_pass_rate,
-            "oracle_calls": self.oracle_calls,
-            "diagnostics": self.diagnostics,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "RunReport":
-        return cls(**data)
-
 
 def _create(path, binary: bool = False):
     """Open ``path`` for writing, creating its directory first: an output
@@ -94,11 +79,6 @@ def write_json(payload: dict, path) -> None:
 
 def write_report(report: RunReport, path) -> None:
     write_json(report.to_dict(), path)
-
-
-def read_report(path) -> RunReport:
-    with open(path, "r", encoding="utf-8") as fh:
-        return RunReport.from_dict(json.load(fh))
 
 
 def _format(value) -> str:
@@ -145,11 +125,10 @@ def _pool_worker(conn, matrix: np.ndarray, slots, parent_ends) -> None:
     """Writer worker: format the row chunks the parent sends.
 
     ``matrix`` and the shared ``slots`` mapping are inherited through fork,
-    so a task carries only its row bounds and a slot: (start, stop, offset,
-    size). The worker copies the chunk's text into its slot and answers
-    with the text's length, so the parent never waits on a long transfer;
-    a text that does not fit, which only values printed longer than a
-    float64 make, is sent whole instead. Ctrl-C is left to the parent.
+    so a task carries only its row bounds and its slot's offset. The worker
+    copies the chunk's text into its slot, which a float64 chunk's text
+    always fits, and answers with the text's length, so the parent never
+    waits on a long transfer. Ctrl-C is left to the parent.
     The worker closes its inherited copies of the parent's pipe ends, so
     it ends when the parent closes its end or dies.
     """
@@ -160,13 +139,10 @@ def _pool_worker(conn, matrix: np.ndarray, slots, parent_ends) -> None:
         end.close()
     while True:
         try:
-            start, stop, offset, size = conn.recv()
+            start, stop, offset = conn.recv()
         except EOFError:
             return
         text = _format_rows(matrix[start:stop]).encode("ascii")
-        if len(text) > size:
-            conn.send(text)
-            continue
         slots[offset:offset + len(text)] = text
         conn.send(len(text))
 
@@ -187,7 +163,7 @@ def _writer_workers() -> int:
 
 
 class CsvSink:
-    """A numeric matrix written to a CSV file while its rows become final, front to back.
+    """A float64 matrix written to a CSV file while its rows become final, front to back.
 
     Rows are formatted in chunks of CHUNK_CELLS cells. A matrix of at least
     POOL_MIN_CELLS cells, in a process that may fork two or more writer
@@ -228,6 +204,9 @@ class CsvSink:
         return self._attach(np.frombuffer(shared).reshape(rows, cols))
 
     def _attach(self, matrix: np.ndarray) -> np.ndarray:
+        # CELL_BYTES bounds a float64 cell's text, so each chunk's text fits its slot
+        _require(matrix.dtype == np.float64,
+                 f"CSV matrix must hold float64 values, got {matrix.dtype}")
         step = max(1, CHUNK_CELLS // max(1, matrix.shape[1]))
         self._matrix = matrix
         self._bounds = [(start, min(start + step, matrix.shape[0]))
@@ -293,22 +272,18 @@ class CsvSink:
             while True:
                 while self._sent < self._final and self._sent - self._written < window:
                     pool[self._sent % len(pool)][1].send(
-                        (*bounds[self._sent], self._slot(self._sent), self._slot_bytes))
+                        (*bounds[self._sent], self._slot(self._sent)))
                     self._sent += 1
                 if self._written == self._sent:
                     return
                 conn = pool[self._written % len(pool)][1]
                 if not wait and not conn.poll():
                     return
-                text = conn.recv()
-                if isinstance(text, int):
-                    offset = self._slot(self._written)
-                    fh.write(memoryview(self._slots)[offset:offset + text])
-                    # the text is in the file: unmap the slot's pages from this
-                    # process, so its memory does not grow by every slot
-                    self._slots.madvise(self._release, offset, text)
-                else:
-                    fh.write(text)
+                size, offset = conn.recv(), self._slot(self._written)
+                fh.write(memoryview(self._slots)[offset:offset + size])
+                # the text is in the file: unmap the slot's pages from this
+                # process, so its memory does not grow by every slot
+                self._slots.madvise(self._release, offset, size)
                 self._written += 1
         except (EOFError, BrokenPipeError, ConnectionResetError) as exc:
             # a worker's pipe closed under it: the worker died
@@ -347,7 +322,7 @@ def write_csv(path, header: Sequence[str], rows: Union[np.ndarray, Iterable[Sequ
               *, columns: Optional[Sequence] = None) -> None:
     """Plain comma-separated writer; floats keep full round-trip precision.
 
-    ``rows`` is a 2-D numeric array, written through a CsvSink, which
+    ``rows`` is a 2-D float64 array, written through a CsvSink, which
     converts it to Python numbers one chunk of rows at a time (never the
     whole matrix at once, which would multiply peak memory), or an
     iterable of rows of numbers and strings. ``columns``, given instead of

@@ -46,17 +46,6 @@ class SmcResult:
     prior_pass_rate: Optional[float] = None
     posterior_pass_rate: Optional[float] = None
 
-    def to_dict(self) -> dict:
-        """JSON-ready scalars and series (posterior particles go to CSV)."""
-        return {
-            "n_steps": int(self.weight_sum_series.size),
-            "oracle_calls": self.oracle_calls,
-            "prior_pass_rate": self.prior_pass_rate,
-            "posterior_pass_rate": self.posterior_pass_rate,
-            "weight_sum_series": [float(v) for v in self.weight_sum_series],
-            "ess_series": [float(v) for v in self.ess_series],
-        }
-
 
 def _weights(log_weights: np.ndarray, peak) -> tuple:
     """Normalized weights and the log of the raw weight sum, given the max.

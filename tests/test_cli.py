@@ -1,6 +1,8 @@
 """CLI contract: artifacts, exit codes, determinism, config merging."""
 
+import io
 import json
+import signal
 import subprocess
 import sys
 
@@ -8,7 +10,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from abcfuzz import PriorConfig, SmcConfig, read_particles_csv
+from abcfuzz import (
+    PriorConfig,
+    RangeOracle,
+    RangeOracleConfig,
+    SmcConfig,
+    pass_rate,
+    read_particles_csv,
+)
+from abcfuzz import cli
 from abcfuzz.cli import main
 
 
@@ -52,6 +62,20 @@ class TestGenPrior:
         echo = _read_report(out)["config_echo"]["prior"]
         cfg = PriorConfig.from_dict(echo)
         assert cfg.std_dev == 2.5 and cfg.seed == 3
+
+    def test_oracle_band_in_the_config_file_sets_the_pass_rate(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"oracle": {"low": -8, "high": 3}}))
+        out = tmp_path / "run"
+        assert main(["gen-prior", "--n", "200", "--config", str(config),
+                     "--out", str(out)]) == 0
+        report = _read_report(out)
+        prior = read_particles_csv(out / "prior.csv")
+        band = RangeOracleConfig(low=-8, high=3)
+        assert report["pass_rate"] == pass_rate(prior, RangeOracle(band))
+        assert report["pass_rate"] != pass_rate(prior, RangeOracle())
+        assert report["config_echo"]["oracle"] == {"kind": "range", **band.to_dict()}
+        assert "oracle=range" in capsys.readouterr().out
 
     def test_small_dims_skip_surface_plot(self, tmp_path):
         out = tmp_path / "run"
@@ -401,6 +425,29 @@ class TestExitCodes:
     def test_missing_subcommand_exits_2(self, capsys):
         assert main([]) == 2
 
+    def test_second_interrupt_while_the_first_is_reported_still_exits_130(
+            self, tmp_path, monkeypatch):
+        class InterruptedStderr(io.StringIO):
+            def write(self, text):
+                signal.raise_signal(signal.SIGINT)  # a second Ctrl-C, mid-message
+                return super().write(text)
+
+        def first_interrupt(cfg):
+            signal.raise_signal(signal.SIGINT)
+
+        caller_handler = signal.getsignal(signal.SIGINT)
+        assert caller_handler is signal.default_int_handler
+        stderr = InterruptedStderr()
+        monkeypatch.setattr(cli, "generate_prior", first_interrupt)
+        monkeypatch.setattr(sys, "stderr", stderr)
+        try:
+            code = main(["gen-prior", "--out", str(tmp_path / "run")])
+        except KeyboardInterrupt:
+            pytest.fail("the second Ctrl-C escaped main")
+        assert code == 130
+        assert stderr.getvalue() == "abc-fuzz: interrupted\n"
+        assert signal.getsignal(signal.SIGINT) is caller_handler
+
     @pytest.mark.parametrize("flag", ["--prior", "--target"])
     def test_ragged_particle_csv_exits_2_without_traceback(self, tmp_path, flag):
         ragged = tmp_path / "ragged.csv"
@@ -507,6 +554,14 @@ class TestEnvironment:
         monkeypatch.setenv("ABC_FUZZ_OUT", str(tmp_path / "root"))
         assert main(["gen-prior", "--seed", "5"]) == 0
         assert (tmp_path / "root" / "gen-prior-seed5" / "report.json").exists()
+
+    def test_cli_import_loads_no_writer_pool_module(self):
+        # mmap and multiprocessing load only when a CSV writer pool starts
+        code = ("import sys, abcfuzz.cli; "
+                "print([m for m in ('mmap', 'multiprocessing') if m in sys.modules])")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
 
     def test_module_invocation(self):
         proc = subprocess.run([sys.executable, "-m", "abcfuzz.cli", "--version"],

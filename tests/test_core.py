@@ -16,7 +16,9 @@ from abcfuzz import (
     PriorConfig,
     RandomSource,
     RangeOracle,
+    RangeOracleConfig,
     SmcConfig,
+    TraceSummary,
     load_config_file,
     pass_rate,
 )
@@ -111,12 +113,6 @@ class TestParticleSet:
             ParticleSet([[1.0, np.nan]])
         with pytest.raises(ConfigError):
             ParticleSet([1.0, 2.0])
-
-    def test_from_particles_requires_matching_dims(self):
-        with pytest.raises(ConfigError):
-            ParticleSet.from_particles([Particle([1.0]), Particle([1.0, 2.0])])
-        ps = ParticleSet.from_particles([Particle([1.0]), Particle([2.0])])
-        assert ps.n == 2 and ps.dim == 1
 
     def test_yielded_particles_are_read_only_views_of_the_rows(self):
         ps = ParticleSet(RandomSource(4).standard_normal(60).reshape(20, 3) * 0.6)
@@ -248,11 +244,20 @@ class TestConfigSerialization:
                         n_steps=3, step_std=0.1, seed=1)
         assert SmcConfig.from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg
 
+    @pytest.mark.parametrize("record", [
+        RangeOracleConfig(low=-1, high=2.5, dimension=3),
+        TraceSummary(mean=0.5, std=1.25, min=-1.0, max=2.0, count=4),
+    ], ids=["range-oracle", "trace-summary"])
+    def test_other_records_round_trip_through_json_text(self, record):
+        assert type(record).from_dict(json.loads(json.dumps(record.to_dict()))) == record
+
     def test_unknown_keys_rejected(self):
-        with pytest.raises(ConfigError, match="unknown"):
+        with pytest.raises(ConfigError, match=r"^unknown prior config keys: \['n_dim'\]$"):
             PriorConfig.from_dict({"n_particles": 5, "n_dim": 2})
-        with pytest.raises(ConfigError, match="unknown"):
+        with pytest.raises(ConfigError, match=r"^unknown smc config keys: \['steps'\]$"):
             SmcConfig.from_dict({"likelihood": {"target": [0.0]}, "steps": 5})
+        with pytest.raises(ConfigError, match=r"^unknown likelihood config keys: \['a'\]$"):
+            McmcConfig.from_dict({"likelihood": {"target": [0.0], "a": 1}})
 
 
 class TestConfigFile:

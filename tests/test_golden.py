@@ -189,7 +189,7 @@ GOLDEN = {
         "prior.csv":
             "896bacb09f3b4e9a35ae321fc214ca0ab052f16ca0370b62662de9ae420f1cf1",
         "report.json":
-            "cb7c05e5bbf3e8584568b01f4164d8a6afd5061cd1e9e2add83c4df0d4f8574a",
+            "66a55fe8722deb7033d112415fdcc80514c379d4c07856f3c869ad0d4d9240ed",
         "slice-indices.csv":
             "119bffa102f35b4135a3a06b431f5925f488ec62beff12e31c31561946b8f8b3",
     },

@@ -132,15 +132,6 @@ class TestRunMcmc:
         np.testing.assert_array_equal(result.trace_full[:, 0], result.trace_dim0)
         assert run_mcmc(prior, cfg).trace_full is None
 
-    def test_result_serializes_scalars_and_series(self):
-        prior = generate_prior(PriorConfig(seed=14))
-        result = run_mcmc(prior, _config(seed=14, n_steps=8, burn_in=2), RangeOracle())
-        data = result.to_dict()
-        assert data["n_steps"] == 8 and data["chain_length"] == 6
-        assert data["trace_dim0"] == list(result.trace_dim0)
-        assert data["accepted"] == list(result.accepted)
-        assert data["acceptance_rate"] == result.acceptance_rate
-
     def test_degenerate_start_raises_with_step(self):
         prior = ParticleSet(np.full((2, 3), 1e200))
         cfg = McmcConfig(likelihood=LikelihoodConfig.for_prior(3, 1.0),

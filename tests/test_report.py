@@ -22,7 +22,6 @@ from abcfuzz import (
     emit_plot_data,
     generate_prior,
     read_particles_csv,
-    read_report,
     run_mcmc,
     run_smc,
     write_particles_csv,
@@ -47,17 +46,21 @@ def _report(**overrides):
     return RunReport(**fields)
 
 
+def _read_back(path):
+    return RunReport.from_dict(json.loads(path.read_text(encoding="utf-8")))
+
+
 class TestRunReport:
     def test_write_read_round_trip(self, tmp_path):
         report = _report()
         path = tmp_path / "report.json"
         write_report(report, path)
-        assert read_report(path) == report
+        assert _read_back(path) == report
 
     def test_posterior_rate_survives_at_full_precision(self, tmp_path):
         path = tmp_path / "report.json"
         write_report(_report(posterior_pass_rate=0.897), path)
-        assert read_report(path).posterior_pass_rate == 0.897
+        assert _read_back(path).posterior_pass_rate == 0.897
 
     def test_same_content_differs_only_in_timestamp(self, tmp_path):
         a = _report().to_dict()
@@ -270,19 +273,25 @@ class TestPoolWriter:
         assert multiprocessing.active_children() == []
         assert pooled.read_bytes() == _serial_bytes(tmp_path / "serial.csv", matrix, monkeypatch)
 
-    def test_texts_longer_than_their_slot_are_sent_whole(self, tmp_path, monkeypatch,
-                                                          pool_writer):
+    def test_texts_that_fill_their_slot_exactly(self, tmp_path, monkeypatch, pool_writer):
         # one-page slots: a chunk of one-digit floats ("1.0\n", 4 bytes a
-        # cell) fills its slot exactly, a chunk of sevenths overflows it
+        # cell) fills its slot exactly
         rows = mmap.PAGESIZE // 4
         monkeypatch.setattr(report, "CHUNK_CELLS", rows)
         monkeypatch.setattr(report, "CELL_BYTES", 4)
-        digits = np.arange(rows) % 9 + 1.0
-        matrix = np.concatenate([digits, digits / 7] * 3).reshape(-1, 1)
+        matrix = np.tile(np.arange(rows) % 9 + 1.0, 6).reshape(-1, 1)
         pooled = tmp_path / "pool.csv"
         write_csv(pooled, ["h"], matrix)
         assert pool_writer() - {os.getpid()}, "no chunk was formatted by a worker"
         assert pooled.read_bytes() == _serial_bytes(tmp_path / "serial.csv", matrix, monkeypatch)
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.float32, object])
+    def test_matrices_other_than_float64_are_rejected(self, tmp_path, pool_writer, dtype):
+        # a cell of any other dtype can print longer than CELL_BYTES
+        path = tmp_path / "m.csv"
+        with pytest.raises(ConfigError, match="float64 values, got"):
+            write_csv(path, ["h"], np.ones((3, 2), dtype=dtype))
+        assert list(tmp_path.iterdir()) == []
 
     def test_special_values_keep_their_repr(self, tmp_path, pool_writer):
         path = tmp_path / "special.csv"

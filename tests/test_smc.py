@@ -217,15 +217,6 @@ class TestRunSmc:
         steered = np.abs(result.posterior.values[:, 0]).mean()
         assert steered < unforced
 
-    def test_result_serializes_scalars_and_series(self):
-        prior = generate_prior(PriorConfig(seed=2))
-        result = run_smc(prior, _reference_smc_config(seed=2, n_steps=6), RangeOracle())
-        data = result.to_dict()
-        assert data["n_steps"] == 6
-        assert data["oracle_calls"] == 16
-        assert data["weight_sum_series"] == list(result.weight_sum_series)
-        assert data["ess_series"] == list(result.ess_series)
-
     def test_normalized_weights_sum_to_one_within_1e9(self):
         prior = generate_prior(PriorConfig(seed=3))
         w = normalize_log_weights(RandomSource(4).standard_normal(prior.n) * 100)
