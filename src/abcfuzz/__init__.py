@@ -37,7 +37,6 @@ from .oracle import (
     OracleTimeoutError,
     OracleVerdict,
     RangeOracle,
-    RangeOracleConfig,
     pass_rate,
 )
 from .prior import generate_prior, slice_count, slice_indices
@@ -71,7 +70,6 @@ __all__ = [
     "PriorConfig",
     "RandomSource",
     "RangeOracle",
-    "RangeOracleConfig",
     "RunReport",
     "SmcConfig",
     "SmcResult",

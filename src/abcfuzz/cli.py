@@ -12,7 +12,6 @@ import argparse
 import dataclasses
 import math
 import os
-import shlex
 import signal
 import sys
 import threading
@@ -49,7 +48,6 @@ from .oracle import (
     OracleSpawnError,
     OracleTimeoutError,
     RangeOracle,
-    RangeOracleConfig,
     count_passing,
     pass_rate,
 )
@@ -88,15 +86,16 @@ _FLAG_FIELDS = {
     "oracle": {"oracle_timeout": "timeout"},
 }
 _SAMPLERS = {"smc": SmcConfig, "mcmc": McmcConfig}
+_ORACLES = {"range": RangeOracle, "exec": ExternalOracle}
 # Keys each config-file section may hold: its record's fields. The
 # likelihood is a section of its own, never a sampler key; the oracle
-# section adds the kind and the exec kind's command and timeout.
+# section holds the kind plus the fields of every kind's record.
 _FILE_KEYS = {
     "prior": _field_names(PriorConfig),
     "likelihood": _field_names(LikelihoodConfig),
     **{name: [f for f in _field_names(cls) if f != "likelihood"]
        for name, cls in _SAMPLERS.items()},
-    "oracle": ["kind", "command", "timeout", *_field_names(RangeOracleConfig)],
+    "oracle": ["kind", *(f for cls in _ORACLES.values() for f in _field_names(cls))],
 }
 
 
@@ -120,6 +119,15 @@ _positive_float = _checked(float, lambda v: math.isfinite(v) and v > 0,
 _finite_float = _checked(float, math.isfinite, "must be a finite number")
 _fraction = _checked(float, lambda v: 0.0 <= v <= 1.0, "must lie in [0, 1]")
 _seed = _checked(int, lambda v: 0 <= v < _SEED_MODULUS, "must fit in 64 unsigned bits")
+
+
+def _oracle_spec(text: str) -> dict:
+    """argparse type for --oracle: the oracle-section values it sets."""
+    if text == "range":
+        return {"kind": "range"}
+    if text.startswith("exec:"):
+        return {"kind": "exec", "command": text[len("exec:"):]}
+    raise argparse.ArgumentTypeError(f"must be 'range' or 'exec:<command>', got {text!r}")
 
 
 def _load_file_config(path) -> dict:
@@ -196,7 +204,7 @@ def _add_likelihood_flags(parser):
 
 
 def _add_oracle_flags(parser):
-    parser.add_argument("--oracle", metavar="range|exec:CMD",
+    parser.add_argument("--oracle", type=_oracle_spec, metavar="range|exec:CMD",
                         help="pass/fail oracle: in-process range check, or an external "
                              "command judged by exit status (default range)")
     parser.add_argument("--oracle-timeout", type=_positive_float, metavar="SEC",
@@ -291,35 +299,20 @@ def _resolve_likelihood(args, file_cfg: dict, n_dims: int, prior_std: float) -> 
 
 
 def _resolve_oracle(args, file_cfg: dict):
-    """Build the oracle callable plus its config echo for the report.
+    """Build the oracle plus its config echo for the report.
 
-    The section holds RangeOracleConfig's fields plus ``kind``, and the
-    exec kind's ``command`` and ``timeout``; only the keys of the kind in
-    use are read. ``--oracle`` overrides both kind and command.
+    The section holds ``kind`` plus the fields of each kind's record; only
+    the fields of the kind in use are read. ``--oracle`` overrides the kind,
+    and for exec also the command.
     """
-    data = _section(file_cfg, "oracle", args)
-    kind, command = data.pop("kind", "range"), data.pop("command", None)
-    timeout = data.pop("timeout", ExternalOracle.timeout)
-    spec = getattr(args, "oracle", None)  # gen-prior has no --oracle flag
-    if spec == "range":
-        kind = "range"
-    elif spec is not None:
-        _require(spec.startswith("exec:"),
-                 f"--oracle must be 'range' or 'exec:<command>', got {spec!r}")
-        kind, command = "exec", spec[len("exec:"):]
-
-    if kind == "range":
-        cfg = RangeOracleConfig.from_dict(data)
-        return RangeOracle(cfg), {"kind": "range", **cfg.to_dict()}
-    _require(kind == "exec", f"oracle kind must be 'range' or 'exec', got {kind!r}")
-    _require(isinstance(command, str) and command != "",
-             f"exec oracle command must be a nonempty string, got {command!r}")
-    try:
-        argv = tuple(shlex.split(command))
-    except ValueError as exc:
-        raise ConfigError(f"exec oracle command {command!r} does not parse: {exc}") from exc
-    oracle = ExternalOracle(argv, timeout=timeout)
-    return oracle, {"kind": "exec", "command": command, "timeout": oracle.timeout}
+    spec = getattr(args, "oracle", None) or {}  # gen-prior has no --oracle flag
+    data = _section(file_cfg, "oracle", args, **spec)
+    kind = data.pop("kind", "range")
+    _require(isinstance(kind, str) and kind in _ORACLES,
+             f"oracle kind must be 'range' or 'exec', got {kind!r}")
+    cls = _ORACLES[kind]
+    oracle = cls.from_dict({key: data[key] for key in _field_names(cls) if key in data})
+    return oracle, {"kind": kind, **oracle.to_dict()}
 
 
 def _estimated_std(particles: ParticleSet) -> float:
@@ -454,6 +447,9 @@ def cmd_run(args) -> int:
 
 def cmd_compare(args) -> int:
     file_cfg = _load_file_config(args.config)
+    _require("seed" not in file_cfg.get("prior", {}),
+             "compare does not read prior.seed: it derives the prior seed from --seed "
+             "(seed + 1); remove the key from the config file")
     budget = args.budget
     data, seed = _sampler_section(file_cfg, "smc", args, n_steps=budget)
     oracle, oracle_echo = _resolve_oracle(args, file_cfg)

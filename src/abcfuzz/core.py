@@ -8,7 +8,7 @@ exactly one and never shares it.
 import json
 import math
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
@@ -144,10 +144,8 @@ class RandomSource:
                  f"block shape must be nonnegative, got ({rows}, {width})")
         return self._gen.random((rows, width))
 
-    def standard_normal(self, n: Optional[int] = None) -> Union[float, np.ndarray]:
-        """Draw one standard normal (n=None) or an array of n of them."""
-        if n is None:
-            return float(_uniforms_to_normals(self._gen.random(1))[0])
+    def standard_normal(self, n: int) -> np.ndarray:
+        """Draw an array of n standard normals."""
         _require(n >= 0, f"draw count must be nonnegative, got {n}")
         return _uniforms_to_normals(self._gen.random(n))
 
@@ -273,7 +271,8 @@ class _Record:
 
     ``to_dict`` turns a nested record into its own dict and a Particle into
     its list of values; ``from_dict`` reverses both after rejecting keys
-    that name no field, naming the record's ``SECTION`` in the error.
+    that name no field and missing keys of fields without a default, naming
+    the record's ``SECTION`` in the error.
     """
 
     def to_dict(self) -> dict:
@@ -283,6 +282,8 @@ class _Record:
     def from_dict(cls, data: dict):
         types = {f.name: f.type for f in fields(cls)}
         _reject_unknown_keys(cls.SECTION, data, types)
+        missing = [f.name for f in fields(cls) if f.default is MISSING and f.name not in data]
+        _require(not missing, f"missing {cls.SECTION} config keys: {missing}")
         return cls(**{key: _from_json(types[key], key, value) for key, value in data.items()})
 
 
@@ -355,22 +356,17 @@ class LikelihoodConfig(_Record):
         _require(self.scale > 0, f"scale must be positive, got {self.scale!r}")
 
     @classmethod
-    def for_prior(cls, n_dims: int, prior_std: float, *, alpha: float = 1.0,
-                  scale: Optional[float] = None,
-                  target: Optional[Particle] = None) -> "LikelihoodConfig":
-        """Config with the default scale sqrt(D) * prior std.
+    def for_prior(cls, n_dims: int, prior_std: float, *,
+                  alpha: float = 1.0) -> "LikelihoodConfig":
+        """Config targeting the origin with the default scale sqrt(D) * prior std.
 
         That product is the typical prior distance from the origin, so
         default scores land near -1 instead of underflowing. A zero prior
         std falls back to scale 1.
         """
-        if scale is None:
-            scale = math.sqrt(n_dims) * prior_std
-            if scale <= 0:
-                scale = 1.0
-        if target is None:
-            target = Particle(np.zeros(n_dims))
-        return cls(target=target, alpha=alpha, scale=scale)
+        scale = math.sqrt(n_dims) * prior_std
+        return cls(target=Particle(np.zeros(n_dims)), alpha=alpha,
+                   scale=scale if scale > 0 else 1.0)
 
 
 @dataclass(frozen=True)

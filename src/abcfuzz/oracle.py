@@ -5,10 +5,11 @@ white-box target), and an external command run once per particle (a
 black-box hook; its protocol is this engine's own extension).
 """
 
+import shlex
 import subprocess
 import threading
 from dataclasses import dataclass
-from typing import Callable, Tuple
+from typing import Callable
 
 from .core import (
     AbcFuzzError,
@@ -39,8 +40,8 @@ Oracle = Callable[[Particle], OracleVerdict]
 
 
 @dataclass(frozen=True)
-class RangeOracleConfig(_Record):
-    """Pass iff one coordinate lies inside [low, high], boundaries inclusive."""
+class RangeOracle(_Record):
+    """White-box check: pass iff one coordinate lies inside [low, high], inclusive."""
 
     SECTION = "oracle"
 
@@ -55,51 +56,51 @@ class RangeOracleConfig(_Record):
                  f"low ({self.low!r}) must not exceed high ({self.high!r})")
         _check_int("dimension", self.dimension)
 
-
-@dataclass(frozen=True)
-class RangeOracle:
-    """White-box check: does the configured coordinate fall in the band?"""
-
-    config: RangeOracleConfig = RangeOracleConfig()
-
     def __call__(self, particle: Particle) -> OracleVerdict:
-        config = self.config
-        if config.dimension >= particle.dim:
+        if self.dimension >= particle.dim:
             raise ConfigError(
-                f"oracle dimension {config.dimension} out of range for {particle.dim}-dim particle")
-        return OracleVerdict(config.low <= particle[config.dimension] <= config.high)
+                f"oracle dimension {self.dimension} out of range for {particle.dim}-dim particle")
+        return OracleVerdict(self.low <= particle[self.dimension] <= self.high)
 
 
 @dataclass(frozen=True)
-class ExternalOracle:
+class ExternalOracle(_Record):
     """Judges particles by spawning one child process per evaluation.
 
-    Protocol: every coordinate is written to the child's stdin as one ASCII
-    float per line (full round-trip precision), newline-terminated, then
-    stdin is closed. Exit status 0 is a pass, any nonzero status a fail.
-    A child running past ``timeout`` seconds is killed and reported as a
-    timeout error, distinct from a fail.
+    ``command`` is one shell-style command line, split into its words once,
+    here, and run without a shell. Protocol: every coordinate is written to
+    the child's stdin as one ASCII float per line (full round-trip
+    precision), newline-terminated, then stdin is closed. Exit status 0 is
+    a pass, any nonzero status a fail. A child running past ``timeout``
+    seconds is killed and reported as a timeout error, distinct from a fail.
     """
 
-    argv: Tuple[str, ...]
+    SECTION = "oracle"
+
+    command: str
     timeout: float = 5.0
 
     def __post_init__(self):
-        _require(isinstance(self.argv, (tuple, list)) and len(self.argv) >= 1,
-                 f"external oracle needs a nonempty argv, got {self.argv!r}")
-        _require(all(isinstance(arg, str) for arg in self.argv),
-                 f"argv items must be strings, got {self.argv!r}")
+        command = self.command
+        _require(isinstance(command, str),
+                 f"exec oracle command must be a nonempty string, got {command!r}")
+        try:
+            argv = shlex.split(command)
+        except ValueError as exc:
+            raise ConfigError(f"exec oracle command {command!r} does not parse: {exc}") from exc
+        _require(argv and argv[0], f"exec oracle command must name a program, got {command!r}")
         _check_real("timeout", self.timeout)
         _require(self.timeout > 0, f"timeout must be positive, got {self.timeout!r}")
+        object.__setattr__(self, "_argv", argv)  # not a field: never echoed or compared
 
     def __call__(self, particle: Particle) -> OracleVerdict:
         payload = "".join(f"{float(v)!r}\n" for v in particle.values).encode("ascii")
         try:
-            proc = subprocess.Popen(list(self.argv), stdin=subprocess.PIPE,
+            proc = subprocess.Popen(self._argv, stdin=subprocess.PIPE,
                                     stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
         except OSError as exc:
             raise OracleSpawnError(
-                f"could not run oracle command {self.argv[0]!r}: {exc}") from exc
+                f"could not run oracle command {self._argv[0]!r}: {exc}") from exc
         # The wait blocks in the kernel until the child exits; a watchdog
         # thread kills a child that outlives the timeout, which also
         # unblocks a payload write the child never reads.
@@ -125,7 +126,7 @@ class ExternalOracle:
                 watchdog.join()
         if killed.is_set():
             raise OracleTimeoutError(
-                f"oracle command {self.argv[0]!r} exceeded {self.timeout} s")
+                f"oracle command {self._argv[0]!r} exceeded {self.timeout} s")
         return OracleVerdict(proc.returncode == 0)
 
 

@@ -13,7 +13,6 @@ from hypothesis import given, settings, strategies as st
 from abcfuzz import (
     PriorConfig,
     RangeOracle,
-    RangeOracleConfig,
     SmcConfig,
     pass_rate,
     read_particles_csv,
@@ -71,8 +70,8 @@ class TestGenPrior:
                      "--out", str(out)]) == 0
         report = _read_report(out)
         prior = read_particles_csv(out / "prior.csv")
-        band = RangeOracleConfig(low=-8, high=3)
-        assert report["pass_rate"] == pass_rate(prior, RangeOracle(band))
+        band = RangeOracle(low=-8, high=3)
+        assert report["pass_rate"] == pass_rate(prior, band)
         assert report["pass_rate"] != pass_rate(prior, RangeOracle())
         assert report["config_echo"]["oracle"] == {"kind": "range", **band.to_dict()}
         assert "oracle=range" in capsys.readouterr().out
@@ -275,6 +274,23 @@ class TestConfigFileMerging:
                      "--out", str(out)]) == 0
         assert _read_report(out)["config_echo"]["oracle"]["low"] == -1.0
 
+    @pytest.mark.parametrize("command", [["gen-prior"], ["run", "smc", "--steps", "2"],
+                                         ["run", "mcmc", "--steps", "2", "--burn-in", "0"]])
+    def test_prior_seed_is_honoured(self, tmp_path, command):
+        cfg = self._write_config(tmp_path, {"prior": {"seed": 41}})
+        out = tmp_path / "run"
+        assert main([*command, "--config", str(cfg), "--out", str(out)]) == 0
+        assert _read_report(out)["config_echo"]["prior"]["seed"] == 41
+
+    def test_compare_rejects_prior_seed(self, tmp_path, capsys):
+        cfg = self._write_config(tmp_path, {"prior": {"seed": 41}})
+        out = tmp_path / "run"
+        assert main(["compare", "--budget", "2", "--config", str(cfg),
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "prior.seed" in err and "derives the prior seed from --seed" in err
+        assert not out.exists()
+
     def test_unknown_section_key_exits_2(self, tmp_path, capsys):
         cfg = self._write_config(tmp_path, {"smc": {"steps": 9}})
         assert main(["run", "smc", "--config", str(cfg), "--out", str(tmp_path)]) == 2
@@ -381,6 +397,28 @@ _VALUES_FOR = {
 }
 _SMALL_COMMANDS = (["run", "smc", "--steps", "2"], ["run", "mcmc", "--steps", "2"],
                    ["compare", "--budget", "2"])
+# Keys the property test's flags override: --n, --dims, and --steps or --budget.
+_FLAG_SET = {("prior", "n_particles"), ("prior", "n_dims"), ("smc", "n_steps"),
+             ("mcmc", "n_steps")}
+_ORACLE_KEYS = {"range": ("kind", "low", "high", "dimension"),
+                "exec": ("kind", "command", "timeout")}
+
+
+def _assert_echoed(config, command, echo):
+    """Every config-file key the command reads is echoed as given, except
+    keys a flag overrides and values echoed in resolved form."""
+    sampler = "smc" if command[0] == "compare" else command[1]
+    read = {"prior": echo["prior"], "likelihood": echo[sampler]["likelihood"],
+            sampler: echo[sampler], "oracle": echo["oracle"]}
+    kind = config.get("oracle", {}).get("kind", "range")
+    for section, keys in config.items():
+        for key, value in keys.items():
+            resolved = ((key == "target" and value in (None, "origin"))
+                        or (key == "scale" and value is None))
+            if (section not in read or (section, key) in _FLAG_SET or resolved
+                    or (section == "oracle" and key not in _ORACLE_KEYS[kind])):
+                continue
+            assert key in read[section] and read[section][key] == value, (section, key)
 
 
 class TestConfigValueProperty:
@@ -402,6 +440,8 @@ class TestConfigValueProperty:
         # 4 is the contract's answer to valid but extreme values, such as a
         # std_dev of 1e154, whose distances overflow and collapse every weight
         assert code in (0, 2, 4)
+        if code == 0:
+            _assert_echoed(config, command, _read_report(directory / "run")["config_echo"])
 
 
 class TestExitCodes:

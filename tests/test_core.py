@@ -9,6 +9,7 @@ from scipy.special import ndtri
 
 from abcfuzz import (
     ConfigError,
+    ExternalOracle,
     LikelihoodConfig,
     McmcConfig,
     Particle,
@@ -16,7 +17,6 @@ from abcfuzz import (
     PriorConfig,
     RandomSource,
     RangeOracle,
-    RangeOracleConfig,
     SmcConfig,
     TraceSummary,
     load_config_file,
@@ -245,9 +245,10 @@ class TestConfigSerialization:
         assert SmcConfig.from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg
 
     @pytest.mark.parametrize("record", [
-        RangeOracleConfig(low=-1, high=2.5, dimension=3),
+        RangeOracle(low=-1, high=2.5, dimension=3),
+        ExternalOracle("awk  'NR==1'", timeout=5),
         TraceSummary(mean=0.5, std=1.25, min=-1.0, max=2.0, count=4),
-    ], ids=["range-oracle", "trace-summary"])
+    ], ids=["range-oracle", "exec-oracle", "trace-summary"])
     def test_other_records_round_trip_through_json_text(self, record):
         assert type(record).from_dict(json.loads(json.dumps(record.to_dict()))) == record
 
@@ -258,6 +259,12 @@ class TestConfigSerialization:
             SmcConfig.from_dict({"likelihood": {"target": [0.0]}, "steps": 5})
         with pytest.raises(ConfigError, match=r"^unknown likelihood config keys: \['a'\]$"):
             McmcConfig.from_dict({"likelihood": {"target": [0.0], "a": 1}})
+
+    def test_missing_keys_rejected(self):
+        with pytest.raises(ConfigError, match=r"^missing oracle config keys: \['command'\]$"):
+            ExternalOracle.from_dict({"timeout": 5})
+        with pytest.raises(ConfigError, match=r"^missing likelihood config keys: \['target'\]$"):
+            LikelihoodConfig.from_dict({"alpha": 1})
 
 
 class TestConfigFile:

@@ -38,7 +38,8 @@ RUNS = {
     # CONFIG_FILE sets every key of every section; one flag overrides it per run
     "config-smc": ["run", "smc", "--config", "all-keys.json", "--steps", "30"],
     "config-mcmc-exec": ["run", "mcmc", "--config", "all-keys.json", "--oracle", "exec:true"],
-    "config-compare": ["compare", "--budget", "60", "--config", "all-keys.json"],
+    # compare derives its prior seed from --seed and rejects prior.seed
+    "config-compare": ["compare", "--budget", "60", "--config", "compare-keys.json"],
     "config-gen-prior": ["gen-prior", "--config", "all-keys.json", "--seed", "21"],
 }
 
@@ -53,6 +54,9 @@ CONFIG_FILE = {
     "oracle": {"kind": "range", "low": -1, "high": 1, "dimension": 0,
                "command": "true", "timeout": 5},
 }
+# Every key compare reads: CONFIG_FILE without prior.seed.
+COMPARE_CONFIG_FILE = {**CONFIG_FILE, "prior": {
+    key: value for key, value in CONFIG_FILE["prior"].items() if key != "seed"}}
 
 GOLDEN = {
     "gen-prior": {
@@ -216,6 +220,7 @@ def outputs(tmp_path_factory):
     with pytest.MonkeyPatch.context() as patch:
         patch.chdir(root)
         (root / "all-keys.json").write_text(json.dumps(CONFIG_FILE))
+        (root / "compare-keys.json").write_text(json.dumps(COMPARE_CONFIG_FILE))
         for name, argv in RUNS.items():
             assert main([*argv, "--out", name]) == 0, name
             results[name] = _digests(root / name)
