@@ -35,6 +35,10 @@ RUNS = {
     # writer pool where the host has two usable CPUs, the serial path otherwise
     "smc-pooled": ["run", "smc", "--steps", "3000"],
     "mcmc-pooled": ["run", "mcmc", "--steps", "3100", "--burn-in", "100"],
+    # reads smc-pooled's 3000x100 posterior.csv: the pooled reader where the
+    # host has two usable CPUs, the serial one otherwise
+    "mcmc-pooled-prior": ["run", "mcmc", "--prior", "smc-pooled/posterior.csv",
+                          "--steps", "300", "--burn-in", "50"],
     # CONFIG_FILE sets every key of every section; one flag overrides it per run
     "config-smc": ["run", "smc", "--config", "all-keys.json", "--steps", "30"],
     "config-mcmc-exec": ["run", "mcmc", "--config", "all-keys.json", "--oracle", "exec:true"],
@@ -158,6 +162,16 @@ GOLDEN = {
             "e15dcb0b90e4979186c228b44cbc6e1d46d8443a4b9bb82d33ebdf0668d5ec31",
         "report.json":
             "1c6f05d91ae0d79a170fdba8028e2e3ba17dad4274a0ea96e1d79c6fd8604c28",
+    },
+    "mcmc-pooled-prior": {
+        "diagnostics.csv":
+            "6f3d9fe6451d0da49a6548d47c4a620709e729695cb11e7168ad400b6d321986",
+        "plot-mcmc-trace.dat":
+            "cb33f6ac53c20aa36ae938f8d82508fb7870a76004842a62580d4c9127403d72",
+        "posterior.csv":
+            "653f8daa941f5dd1b1fe9d83da705aea36e3ade802d21d00371468cb0c5c96bf",
+        "report.json":
+            "a36a5f7f1f9ecfcfefac85c7ee69d59d8e935f8a778139f09ab6e21e8cb47361",
     },
     "config-smc": {
         "diagnostics.csv":
