@@ -303,13 +303,17 @@ def _resolve_oracle(args, file_cfg: dict):
 
     The section holds ``kind`` plus the fields of each kind's record; only
     the fields of the kind in use are read. ``--oracle`` overrides the kind,
-    and for exec also the command.
+    and for exec also the command; ``--oracle-timeout`` is an error with
+    the range oracle.
     """
     spec = getattr(args, "oracle", None) or {}  # gen-prior has no --oracle flag
     data = _section(file_cfg, "oracle", args, **spec)
     kind = data.pop("kind", "range")
     _require(isinstance(kind, str) and kind in _ORACLES,
              f"oracle kind must be 'range' or 'exec', got {kind!r}")
+    # a file key of the other kind is ignored, a flag the user gave is not
+    _require(kind == "exec" or getattr(args, "oracle_timeout", None) is None,
+             "--oracle-timeout only applies to an exec oracle")
     cls = _ORACLES[kind]
     oracle = cls.from_dict({key: data[key] for key in _field_names(cls) if key in data})
     return oracle, {"kind": kind, **oracle.to_dict()}

@@ -22,7 +22,7 @@ from .core import (
     _check_rows,
     _uniforms_to_normals,
 )
-from .likelihood import log_likelihood_values
+from .likelihood import _log_likelihood_row, log_likelihood_values
 from .oracle import Oracle, pass_rate
 
 
@@ -100,36 +100,43 @@ def run_mcmc(prior: ParticleSet, config: McmcConfig,
     state = prior.values[start].copy()
     log_l = float(log_likelihood_values(state[np.newaxis, :], config.likelihood)[0])
 
-    states = np.empty((steps, d))
+    # only the post-burn-in states are kept, unless the run records every state
+    first_kept = 0 if trace_all_dims else burn_in
+    kept = np.empty((steps - first_kept, d))
+    trace = np.empty(steps)
     accepted = np.zeros(steps, dtype=bool)
     n_accepted = 0
     rows = _block_rows(d + 1, steps)
+    target = config.likelihood.target.values
+    scale, alpha = config.likelihood.scale, config.likelihood.alpha
 
-    for first in range(0, steps, rows):
-        block = rng.uniform_block(min(rows, steps - first), d + 1)
-        noise = _uniforms_to_normals(block[:, :d])
-        noise *= config.step_std
-        decisions = block[:, d].tolist()
-        for j, u in enumerate(decisions):
-            step = first + j
-            proposal = state + noise[j]
-            log_l_proposal = float(
-                log_likelihood_values(proposal[np.newaxis, :], config.likelihood)[0])
-            try:
-                prob = accept_probability(log_l, log_l_proposal)
-            except DegenerateStateError as exc:
-                raise DegenerateStateError(
-                    f"chain degenerated (state and proposal at -inf) at step {step}",
-                    step=step) from exc
-            if u < prob:
-                state = proposal
-                log_l = log_l_proposal
-                accepted[step] = True
-                n_accepted += 1
-            states[step] = state
+    # an overflowing proposal scores -inf and is rejected, as in the matrix scorer
+    with np.errstate(over="ignore"):
+        for first in range(0, steps, rows):
+            block = rng.uniform_block(min(rows, steps - first), d + 1)
+            noise = _uniforms_to_normals(block[:, :d])
+            noise *= config.step_std
+            decisions = block[:, d].tolist()
+            for j, u in enumerate(decisions):
+                step = first + j
+                proposal = state + noise[j]
+                log_l_proposal = _log_likelihood_row(proposal, target, scale, alpha)
+                try:
+                    prob = accept_probability(log_l, log_l_proposal)
+                except DegenerateStateError as exc:
+                    raise DegenerateStateError(
+                        f"chain degenerated (state and proposal at -inf) at step {step}",
+                        step=step) from exc
+                if u < prob:
+                    state = proposal
+                    log_l = log_l_proposal
+                    accepted[step] = True
+                    n_accepted += 1
+                trace[step] = state[0]
+                if step >= first_kept:
+                    kept[step - first_kept] = state
 
-    trace = states[:, 0].copy()
-    chain = ParticleSet(states[burn_in:])
+    chain = ParticleSet(kept[burn_in - first_kept:])
     acceptance_rate = n_accepted / steps
 
     chain_rate = None if oracle is None else pass_rate(chain, oracle)
@@ -138,7 +145,7 @@ def run_mcmc(prior: ParticleSet, config: McmcConfig,
     accepted.setflags(write=False)
     full = None
     if trace_all_dims:
-        full = states
+        full = kept
         full.setflags(write=False)
     return McmcResult(
         chain=chain,

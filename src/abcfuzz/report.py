@@ -7,11 +7,13 @@ full round-trip precision. One writer per path: concurrent runs must
 target distinct output directories (out/<run-id>/ by convention).
 """
 
+import io
 import json
 import os
 import warnings
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from functools import partial
 from pathlib import Path
 from typing import Iterable, Optional, Sequence, Union
 
@@ -121,16 +123,25 @@ def _shared(nbytes: int, what: str):
         raise MemoryError(f"Unable to map {nbytes} bytes for {what}: {exc.strerror}") from exc
 
 
-def _pool_worker(conn, matrix: np.ndarray, slots, parent_ends) -> None:
-    """Writer worker: format the row chunks the parent sends.
+def _format_chunk(matrix: np.ndarray, slots, task) -> int:
+    """Writer task: format rows [start, stop) of ``matrix`` into the shared
+    ``slots`` mapping at ``offset``, which a float64 chunk's text always
+    fits, and return the text's length, so the parent never waits on a long
+    transfer."""
+    start, stop, offset = task
+    text = _format_rows(matrix[start:stop]).encode("ascii")
+    slots[offset:offset + len(text)] = text
+    return len(text)
 
-    ``matrix`` and the shared ``slots`` mapping are inherited through fork,
-    so a task carries only its row bounds and its slot's offset. The worker
-    copies the chunk's text into its slot, which a float64 chunk's text
-    always fits, and answers with the text's length, so the parent never
-    waits on a long transfer. Ctrl-C is left to the parent.
-    The worker closes its inherited copies of the parent's pipe ends, so
-    it ends when the parent closes its end or dies.
+
+def _pool_worker(conn, parent_ends, handle) -> None:
+    """A forked pool worker: answer each task the parent sends with
+    ``handle(task)`` until the parent closes its end.
+
+    The worker inherits what ``handle`` reads (a matrix, a shared mapping)
+    through fork, so a task carries only bounds. Ctrl-C is left to the
+    parent. The worker closes its inherited copies of the parent's pipe
+    ends, so it ends when the parent closes its end or dies.
     """
     import signal
 
@@ -139,16 +150,14 @@ def _pool_worker(conn, matrix: np.ndarray, slots, parent_ends) -> None:
         end.close()
     while True:
         try:
-            start, stop, offset = conn.recv()
+            task = conn.recv()
         except EOFError:
             return
-        text = _format_rows(matrix[start:stop]).encode("ascii")
-        slots[offset:offset + len(text)] = text
-        conn.send(len(text))
+        conn.send(handle(task))
 
 
-def _writer_workers() -> int:
-    """Writer processes this process may fork: min(CPUs, cap), or 0 where it
+def _pool_workers() -> int:
+    """Pool processes this process may fork: min(CPUs, cap), or 0 where it
     cannot or should not (no ``fork``, a daemonic multiprocessing worker, or
     another thread running, which a forked child could find holding a lock)."""
     if not hasattr(os, "fork"):
@@ -160,6 +169,37 @@ def _writer_workers() -> int:
         return 0
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     return min(cpus or 1, POOL_MAX_WORKERS)
+
+
+def _fork_pool(pool: list, workers: int, handle) -> None:
+    """Fork ``workers`` pool workers serving ``handle``, appending each
+    (process, connection) to ``pool`` as it starts, so that ``_reap(pool)``
+    in the caller's ``finally`` also ends the ones started before a failure."""
+    import multiprocessing
+
+    context = multiprocessing.get_context("fork")
+    for _ in range(workers):
+        conn, child_conn = context.Pipe()
+        parent_ends = [end for _, end in pool] + [conn]
+        proc = context.Process(target=_pool_worker, args=(child_conn, parent_ends, handle),
+                               daemon=True)
+        proc.start()
+        child_conn.close()
+        pool.append((proc, conn))
+
+
+def _reap(pool: list) -> None:
+    """Terminate and join every worker of ``pool``, and empty it."""
+    for proc, conn in pool:
+        proc.terminate()
+        conn.close()
+    for proc, _ in pool:
+        proc.join()
+    pool.clear()
+
+
+# A pipe that closes under the parent: the worker at its other end died.
+_WORKER_DIED = (EOFError, BrokenPipeError, ConnectionResetError)
 
 
 class CsvSink:
@@ -229,11 +269,10 @@ class CsvSink:
     def _start(self) -> None:
         self._fh = _create(self._temp, binary=True)
         self._fh.write((",".join(self._header) + "\n").encode("utf-8"))
-        if self._matrix.size < POOL_MIN_CELLS or (workers := _writer_workers()) < 2:
+        if self._matrix.size < POOL_MIN_CELLS or (workers := _pool_workers()) < 2:
             return
 
         import mmap
-        import multiprocessing
 
         # a slot per chunk in flight, at most two per worker, in whole pages;
         # the first chunk is the largest
@@ -241,17 +280,8 @@ class CsvSink:
         self._slot_bytes = max(1, -(-cells * CELL_BYTES // mmap.PAGESIZE)) * mmap.PAGESIZE
         self._release = mmap.MADV_DONTNEED
         self._slots = _shared(2 * workers * self._slot_bytes, "CSV text")
-        context = multiprocessing.get_context("fork")
         self._fh.flush()  # a forked worker must not inherit unwritten buffered output
-        for _ in range(workers):
-            conn, child_conn = context.Pipe()
-            parent_ends = [end for _, end in self._pool] + [conn]
-            proc = context.Process(target=_pool_worker,
-                                   args=(child_conn, self._matrix, self._slots, parent_ends),
-                                   daemon=True)
-            proc.start()
-            child_conn.close()
-            self._pool.append((proc, conn))
+        _fork_pool(self._pool, workers, partial(_format_chunk, self._matrix, self._slots))
 
     def _slot(self, chunk: int) -> int:
         """Offset of the slot that chunk ``chunk`` uses; a slot is reused only
@@ -285,8 +315,7 @@ class CsvSink:
                 # process, so its memory does not grow by every slot
                 self._slots.madvise(self._release, offset, size)
                 self._written += 1
-        except (EOFError, BrokenPipeError, ConnectionResetError) as exc:
-            # a worker's pipe closed under it: the worker died
+        except _WORKER_DIED as exc:
             raise OSError(f"a CSV writer process died while writing {self._path}") from exc
 
     def __enter__(self) -> "CsvSink":
@@ -302,12 +331,7 @@ class CsvSink:
                 os.replace(self._temp, self._path)
                 self._fh = None
         finally:
-            for proc, conn in self._pool:
-                proc.terminate()
-                conn.close()
-            for proc, _ in self._pool:
-                proc.join()
-            self._pool = []
+            _reap(self._pool)
             self._slots = None
             self._matrix = None  # unmaps a shared buffer once its caller drops it too
             if self._fh is not None:
@@ -348,20 +372,153 @@ def write_particles_csv(particles: ParticleSet, path) -> None:
     write_csv(path, header, particles.values)
 
 
+# Bytes a reader takes from a CSV file at a time.
+_READ_BLOCK = 1 << 20
+
+
+def _loadtxt(source, skiprows: int = 0) -> np.ndarray:
+    """The one CSV parser: comma-separated float rows, blank lines skipped,
+    as a matrix, which a source without data rows warns about and leaves empty."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        return np.loadtxt(source, delimiter=",", skiprows=skiprows, ndmin=2, comments=None,
+                          encoding="utf-8")
+
+
+class _ByteRange(io.RawIOBase):
+    """Bytes [start, stop) of a file opened unbuffered in binary mode."""
+
+    def __init__(self, raw, start: int, stop: int):
+        raw.seek(start)
+        self._raw, self._left = raw, stop - start
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer) -> int:
+        size = self._raw.readinto(memoryview(buffer)[:min(len(buffer), self._left)])
+        self._left -= size
+        return size
+
+
+def _parse_range(path, matrix: np.ndarray, task) -> bool:
+    """Reader task: parse bytes [start, stop) of ``path``, a run of whole
+    lines, into ``rows`` rows of ``matrix`` from row ``first``.
+
+    The bytes are decoded like the serial reader's whole file (UTF-8,
+    universal newlines), which splitting after a "\n" byte leaves
+    unchanged, and parsed by the same ``_loadtxt``. Any other outcome than
+    exactly (rows, columns) values, an error included, returns False: the
+    caller then parses the file serially, which reports the error.
+    """
+    start, stop, first, rows = task
+    try:
+        with open(path, "rb", buffering=0) as raw, io.TextIOWrapper(
+                io.BufferedReader(_ByteRange(raw, start, stop), _READ_BLOCK),
+                encoding="utf-8") as text:
+            part = _loadtxt(text)
+    except Exception:  # any failure is a disagreement, settled by the serial reader
+        return False
+    if part.shape != (rows, matrix.shape[1]):
+        return False
+    matrix[first:first + rows] = part
+    return True
+
+
+def _split_lines(fh, start: int, end: int, parts: int):
+    """Cut bytes [start, end) of ``fh`` into at most ``parts`` runs of whole
+    lines of near-equal size, streaming them in _READ_BLOCK pieces:
+    [(start, stop, first row, rows)], where a row is a "\n"-ended line, plus
+    whether the last byte read is "\n"."""
+    targets = [start + (end - start) * k // parts for k in range(1, parts)]
+    runs, begin, first, rows, pos, last = [], start, 0, 0, start, b""
+    fh.seek(start)
+    while block := fh.read(_READ_BLOCK):
+        done = 0  # bytes of the block whose lines are counted
+        while targets and targets[0] < pos + len(block):
+            cut = block.find(b"\n", max(targets[0] - pos, done))
+            if cut < 0:  # the run ends in a later block
+                break
+            cut += 1
+            rows += block.count(b"\n", done, cut)
+            runs.append((begin, pos + cut, first, rows))
+            begin, first, rows, done = pos + cut, first + rows, 0, cut
+            targets = [t for t in targets if t >= begin]
+        rows += block.count(b"\n", done)
+        pos += len(block)
+        last = block[-1:]
+    if begin < pos:
+        runs.append((begin, pos, first, rows))
+    return runs, last == b"\n"
+
+
+def _read_pooled(path) -> Optional[np.ndarray]:
+    """The data rows of a large particle CSV, parsed by forked workers, or
+    None where the serial reader must run.
+
+    A file whose data has an estimated POOL_MIN_CELLS cells or more, in a
+    process that may fork two or more workers, is cut into one run of whole
+    lines per worker. The parent counts each run's "\n"-ended lines and
+    takes the column count from the first data row; each worker parses its
+    run into its rows of a shared matrix. Anything the serial reader would
+    read differently (blank lines, a ragged row, a header that is not one
+    UTF-8 line, a missing final newline) shows as a count or shape that
+    disagrees, and returns None. A worker that dies raises OSError.
+    """
+    try:
+        fh = open(path, "rb")
+    except OSError:  # the serial reader reports it
+        return None
+    with fh:
+        header, row = fh.readline(_READ_BLOCK), fh.readline(_READ_BLOCK)
+        if not (header.endswith(b"\n") and row.endswith(b"\n")):
+            return None
+        try:
+            header.decode("utf-8")
+        except UnicodeDecodeError:
+            return None
+        if b"\r" in header.removesuffix(b"\n").removesuffix(b"\r"):
+            return None  # universal newlines end the header before its "\n"
+        cols = row.count(b",") + 1
+        size = os.fstat(fh.fileno()).st_size
+        data = size - len(header)
+        if data // len(row) * cols < POOL_MIN_CELLS or (workers := _pool_workers()) < 2:
+            return None
+        runs, newline_ended = _split_lines(fh, len(header), size, workers)
+    rows = sum(run[3] for run in runs)
+    # a well-formed row takes two bytes a cell, so this also bounds the matrix
+    if not newline_ended or 2 * rows * cols > data:
+        return None
+    matrix = np.frombuffer(_shared(rows * cols * 8, f"a ({rows}, {cols}) matrix"))
+    matrix = matrix.reshape(rows, cols)
+    pool = []
+    try:
+        _fork_pool(pool, len(runs), partial(_parse_range, path, matrix))
+        for (_, conn), run in zip(pool, runs):
+            conn.send(run)
+        parsed = [conn.recv() for _, conn in pool]
+    except _WORKER_DIED as exc:
+        raise OSError(f"a CSV reader process died while reading {path}") from exc
+    finally:
+        _reap(pool)
+    return matrix if all(parsed) else None
+
+
 def read_particles_csv(path) -> ParticleSet:
     """Load a particle CSV: one header line, then one particle per row.
 
-    Ragged rows, non-numeric or non-finite cells and a file without rows
-    raise ConfigError naming the file.
+    A large file is parsed by forked workers where the process may fork
+    (see ``_read_pooled``), and otherwise, or on any disagreement, in
+    process; both give the same values and errors. Ragged rows, non-numeric
+    or non-finite cells and a file without rows raise ConfigError naming
+    the file.
     """
-    try:
-        with warnings.catch_warnings():
-            # a file without data rows warns and loads as an empty matrix
-            warnings.simplefilter("ignore", UserWarning)
-            values = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2, comments=None,
-                                encoding="utf-8")
-    except ValueError as exc:
-        raise ConfigError(f"particle CSV {path} is malformed: {exc}") from exc
+    values = _read_pooled(path)
+    if values is None:
+        try:
+            values = _loadtxt(path, skiprows=1)
+        except ValueError as exc:
+            raise ConfigError(f"particle CSV {path} is malformed: {exc}") from exc
     _require(values.shape[0] >= 1, f"particle CSV {path} needs a header and at least one row")
     try:
         return ParticleSet(values)

@@ -274,6 +274,32 @@ class TestConfigFileMerging:
                      "--out", str(out)]) == 0
         assert _read_report(out)["config_echo"]["oracle"]["low"] == -1.0
 
+    @pytest.mark.parametrize("command", [
+        ["run", "smc", "--steps", "2"],
+        ["run", "mcmc", "--steps", "2", "--burn-in", "0", "--oracle", "range"],
+        ["compare", "--budget", "2"],
+    ])
+    def test_oracle_timeout_flag_with_the_range_oracle_exits_2(self, tmp_path, capsys,
+                                                               command):
+        out = tmp_path / "run"
+        assert main([*command, "--oracle-timeout", "3", "--out", str(out)]) == 2
+        assert "--oracle-timeout only applies to an exec oracle" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_oracle_timeout_file_key_with_the_range_oracle_is_ignored(self, tmp_path):
+        cfg = self._write_config(tmp_path, {"oracle": {"kind": "range", "timeout": 3}})
+        out = tmp_path / "run"
+        assert main(["run", "smc", "--config", str(cfg), "--steps", "2",
+                     "--out", str(out)]) == 0
+        assert _read_report(out)["config_echo"]["oracle"] == {
+            "kind": "range", "low": -0.5, "high": 0.5, "dimension": 0}
+
+    def test_oracle_timeout_flag_sets_the_exec_timeout(self, tmp_path):
+        out = tmp_path / "run"
+        assert main(["run", "smc", "--steps", "2", "--oracle", "exec:true",
+                     "--oracle-timeout", "3", "--out", str(out)]) == 0
+        assert _read_report(out)["config_echo"]["oracle"]["timeout"] == 3.0
+
     @pytest.mark.parametrize("command", [["gen-prior"], ["run", "smc", "--steps", "2"],
                                          ["run", "mcmc", "--steps", "2", "--burn-in", "0"]])
     def test_prior_seed_is_honoured(self, tmp_path, command):

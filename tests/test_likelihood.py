@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from abcfuzz import (
     ConfigError,
@@ -12,8 +12,10 @@ from abcfuzz import (
     Particle,
     ParticleSet,
     RandomSource,
+    accept_probability,
     log_likelihood_values,
 )
+from abcfuzz.likelihood import _log_likelihood_row
 
 
 def reference_score(values, target, alpha, scale):
@@ -119,3 +121,51 @@ class TestProperties:
             values = rng.standard_normal(4) * 2
             distance_only = -float(np.linalg.norm(values - target))
             assert _score(Particle(values), cfg) == pytest.approx(distance_only, rel=1e-15)
+
+
+def _row_and_matrix_scores(x, cfg):
+    """The one-row score of ``x`` and its score through the matrix entry point."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        row = _log_likelihood_row(x, cfg.target.values, cfg.scale, cfg.alpha)
+        matrix = log_likelihood_values(x[np.newaxis, :], cfg)[0]
+    return row, float(matrix)
+
+
+def _same_float(a, b):
+    return (math.isnan(a) and math.isnan(b)) or np.float64(a).tobytes() == np.float64(b).tobytes()
+
+
+class TestRowScore:
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(),
+           dims=st.integers(1, 40) | st.sampled_from([100, 1000, 4097]),
+           magnitude=st.integers(-3, 160),
+           alpha=st.just(0.0) | st.floats(0.0, 10.0),
+           scale=st.floats(1e-3, 1e150))
+    def test_row_score_equals_the_matrix_score_bitwise(self, data, dims, magnitude, alpha,
+                                                       scale):
+        # coordinates near 1e155 and beyond overflow the squared distance to inf
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        x = np.random.default_rng(seed).standard_normal(dims) * 10.0 ** magnitude
+        if dims <= 8:
+            x = np.array(data.draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                                            min_size=dims, max_size=dims), label="x"))
+        target = np.random.default_rng(seed + 1).standard_normal(dims)
+        cfg = LikelihoodConfig(target=Particle(target), alpha=alpha, scale=scale)
+        row, matrix = _row_and_matrix_scores(x, cfg)
+        assert isinstance(row, float)
+        assert _same_float(row, matrix)
+
+    def test_overflow_scores_minus_inf_in_both(self):
+        cfg = LikelihoodConfig(target=Particle([0.0, 0.0]), alpha=1.0, scale=1.0)
+        for x in ([1e300, 1e300], [math.inf, 0.0], [0.0, -math.inf]):
+            row, matrix = _row_and_matrix_scores(np.array(x), cfg)
+            assert row == matrix == -math.inf
+            assert accept_probability(-1.0, row) == 0.0
+
+    def test_alpha_zero_with_an_infinite_first_coordinate_is_nan_and_rejected(self):
+        cfg = LikelihoodConfig(target=Particle([0.0, 0.0]), alpha=0.0, scale=1.0)
+        row, matrix = _row_and_matrix_scores(np.array([math.inf, 0.0]), cfg)
+        assert math.isnan(row) and math.isnan(matrix)
+        with pytest.raises(ConfigError, match="NaN"):
+            accept_probability(-1.0, row)

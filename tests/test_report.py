@@ -10,6 +10,7 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from abcfuzz import (
     ConfigError,
@@ -211,7 +212,7 @@ def test_write_json_rejects_nan(tmp_path):
         write_json({"x": float("nan")}, tmp_path / "bad.json")
 
 
-_real_writer_workers = report._writer_workers
+_real_pool_workers = report._pool_workers
 
 SPECIAL_VALUES = [-0.0, 5e-324, 1e16, 1e-05, 1.7976931348623157e308]
 
@@ -222,7 +223,7 @@ def pool_writer(tmp_path, monkeypatch):
     two workers whatever the host. Returns the pids that formatted chunks."""
     monkeypatch.setattr(report, "CHUNK_CELLS", 6)
     monkeypatch.setattr(report, "POOL_MIN_CELLS", 0)
-    monkeypatch.setattr(report, "_writer_workers", lambda: 2)
+    monkeypatch.setattr(report, "_pool_workers", lambda: 2)
     log = tmp_path / "formatter-pids.txt"
     format_rows = report._format_rows
 
@@ -241,21 +242,33 @@ def _serial_bytes(path, matrix, monkeypatch, header=("h",)):
     return path.read_bytes()
 
 
-def _interrupting_formatter(tmp_path):
-    """Wrap ``_format_rows`` so that the first worker call sends the parent one SIGINT."""
-    parent, format_rows = os.getpid(), report._format_rows
+def _interrupting(tmp_path, function):
+    """Wrap ``function`` so that the first worker call sends the parent one SIGINT."""
+    parent = os.getpid()
     sent = tmp_path / "sigint-sent"
 
-    def interrupt_parent(rows):
+    def interrupt_parent(*args):
         if os.getpid() != parent:
             try:  # the first worker call to get here sends the one Ctrl-C
                 os.close(os.open(sent, os.O_CREAT | os.O_EXCL))
                 os.kill(parent, signal.SIGINT)
             except FileExistsError:
                 pass
-        return format_rows(rows)
+        return function(*args)
 
     return interrupt_parent
+
+
+def _dying_in_worker(function):
+    """Wrap ``function`` so that a worker calling it is killed by SIGKILL."""
+    parent = os.getpid()
+
+    def die_in_worker(*args):
+        if os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return function(*args)
+
+    return die_in_worker
 
 
 class TestPoolWriter:
@@ -311,7 +324,7 @@ class TestPoolWriter:
         thread = threading.Thread(target=done.wait)
         thread.start()
         try:
-            assert report._writer_workers() == 0
+            assert report._pool_workers() == 0
         finally:
             done.set()
             thread.join(timeout=10)
@@ -319,14 +332,7 @@ class TestPoolWriter:
 
     def test_killed_worker_exits_3_without_traceback(self, tmp_path, monkeypatch, capfd,
                                                     pool_writer):
-        parent, format_rows = os.getpid(), report._format_rows
-
-        def die_in_worker(rows):
-            if os.getpid() != parent:
-                os.kill(os.getpid(), signal.SIGKILL)
-            return format_rows(rows)
-
-        monkeypatch.setattr(report, "_format_rows", die_in_worker)
+        monkeypatch.setattr(report, "_format_rows", _dying_in_worker(report._format_rows))
         out = tmp_path / "run"
         assert main(["gen-prior", "--n", "40", "--dims", "10", "--out", str(out)]) == 3
         err = capfd.readouterr().err
@@ -336,14 +342,14 @@ class TestPoolWriter:
 
     def test_one_interrupt_in_the_parent_leaves_no_child(self, tmp_path, monkeypatch,
                                                          pool_writer):
-        monkeypatch.setattr(report, "_format_rows", _interrupting_formatter(tmp_path))
+        monkeypatch.setattr(report, "_format_rows", _interrupting(tmp_path, report._format_rows))
         with pytest.raises(KeyboardInterrupt):
             write_csv(tmp_path / "big.csv", ["h"], np.ones((200, 3)))
         assert multiprocessing.active_children() == []
 
     def test_interrupt_through_main_exits_130_without_traceback(self, tmp_path, monkeypatch,
                                                                  capfd, pool_writer):
-        monkeypatch.setattr(report, "_format_rows", _interrupting_formatter(tmp_path))
+        monkeypatch.setattr(report, "_format_rows", _interrupting(tmp_path, report._format_rows))
         out = tmp_path / "run"
         assert main(["gen-prior", "--n", "40", "--dims", "10", "--out", str(out)]) == 130
         err = capfd.readouterr().err
@@ -430,14 +436,7 @@ class TestStreamingSink:
         assert streaming() - {os.getpid()}
 
     def test_worker_killed_mid_loop_exits_3(self, tmp_path, monkeypatch, capfd, streaming):
-        parent, format_rows = os.getpid(), report._format_rows
-
-        def die_in_worker(rows):
-            if os.getpid() != parent:
-                os.kill(os.getpid(), signal.SIGKILL)
-            return format_rows(rows)
-
-        monkeypatch.setattr(report, "_format_rows", die_in_worker)
+        monkeypatch.setattr(report, "_format_rows", _dying_in_worker(report._format_rows))
         # both workers have a chunk by step 10; step 100 waits for them to die
         calls = _watch_loop(monkeypatch, 100, lambda: multiprocessing.active_children() == [])
         out = tmp_path / "run"
@@ -449,7 +448,7 @@ class TestStreamingSink:
         _assert_cleaned_up(out)
 
     def test_one_interrupt_mid_loop_exits_130(self, tmp_path, monkeypatch, capfd, streaming):
-        monkeypatch.setattr(report, "_format_rows", _interrupting_formatter(tmp_path))
+        monkeypatch.setattr(report, "_format_rows", _interrupting(tmp_path, report._format_rows))
         calls = _watch_loop(monkeypatch, 100, lambda: False)  # step 100 waits for the SIGINT
         out = tmp_path / "run"
         assert main([*STREAM_ARGS, "--out", str(out)]) == 130
@@ -477,7 +476,7 @@ class TestStreamingSink:
         _assert_cleaned_up(out)
 
     def test_another_thread_keeps_the_writer_serial(self, tmp_path, monkeypatch, streaming):
-        monkeypatch.setattr(report, "_writer_workers", _real_writer_workers)
+        monkeypatch.setattr(report, "_pool_workers", _real_pool_workers)
         prior, cfg = _stream_inputs(20)
         path = tmp_path / "posterior.csv"
         done = threading.Event()
@@ -494,3 +493,144 @@ class TestStreamingSink:
         assert path.read_bytes() == _serial_bytes(tmp_path / "serial.csv",
                                                   result.posterior.values, monkeypatch,
                                                   ["x0", "x1"])
+
+
+def _read_outcome(path, workers):
+    """read_particles_csv's values, or its ConfigError message, with the pool
+    forced on any file size (``workers`` >= 2) or off (0)."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(report, "POOL_MIN_CELLS", 0)
+        patch.setattr(report, "_pool_workers", lambda: workers)
+        try:
+            values = read_particles_csv(path).values
+        except ConfigError as exc:
+            return "error", str(exc)
+    return values.shape, values.tobytes()
+
+
+def _pooled_values(path, workers):
+    """_read_pooled's matrix, None where it leaves the file to the serial reader."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(report, "POOL_MIN_CELLS", 0)
+        patch.setattr(report, "_pool_workers", lambda: workers)
+        return report._read_pooled(path)
+
+
+_CELLS = st.one_of(st.floats(allow_nan=False, allow_infinity=False, width=64),
+                   st.sampled_from(SPECIAL_VALUES))
+_TABLES = st.integers(1, 3).flatmap(lambda cols: st.lists(
+    st.lists(_CELLS, min_size=cols, max_size=cols), min_size=1, max_size=12))
+# A defect in the last row lies in the last run, whatever the worker count.
+_READ_DEFECTS = ["none", "blank-line", "ragged-row", "inf-cell", "text-cell",
+                 "non-utf8-byte", "no-final-newline"]
+
+
+def _csv_with(data, defect) -> bytes:
+    """A particle CSV drawn from ``data``: CRLF or LF lines, cells with or
+    without surrounding whitespace, and ``defect`` in one row."""
+    table = [[repr(value) for value in row] for row in data.draw(_TABLES, label="table")]
+    pad = data.draw(st.sampled_from(["", " ", "\t "]), label="pad")
+    eol = data.draw(st.sampled_from(["\n", "\r\n"]), label="eol")
+    at = data.draw(st.sampled_from([len(table) - 1, 0]) | st.integers(0, len(table) - 1),
+                   label="row")
+    if defect == "ragged-row":
+        table[at] = table[at][:-1] if len(table[at]) > 1 else table[at] + ["1.0"]
+    elif defect == "inf-cell":
+        table[at][0] = "inf"
+    elif defect == "text-cell":
+        table[at][-1] = "oops"
+    elif defect == "non-utf8-byte":
+        table[at][0] += "\udcff"  # the byte 0xff
+    lines = [pad + f"{pad},{pad}".join(row) + pad for row in table]
+    if defect == "blank-line":
+        lines.insert(at + 1, "")
+    header = ",".join(f"x{i}" for i in range(len(table[0])))
+    text = eol.join([header, *lines]) + ("" if defect == "no-final-newline" else eol)
+    return text.encode("utf-8", "surrogateescape")
+
+
+@pytest.fixture
+def pool_reader(tmp_path, monkeypatch):
+    """Force the reader pool on small files with two workers. Returns the
+    pids that parsed a run."""
+    monkeypatch.setattr(report, "POOL_MIN_CELLS", 0)
+    monkeypatch.setattr(report, "_pool_workers", lambda: 2)
+    log = tmp_path / "parser-pids.txt"
+    parse_range = report._parse_range
+
+    def logged(*args):
+        with open(log, "a", encoding="ascii") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return parse_range(*args)
+
+    monkeypatch.setattr(report, "_parse_range", logged)
+    return lambda: {int(pid) for pid in log.read_text().split()}
+
+
+def _prior_file(tmp_path, rows=40, cols=10):
+    path = tmp_path / "prior.csv"
+    write_particles_csv(generate_prior(PriorConfig(n_particles=rows, n_dims=cols, seed=8)),
+                        path)
+    return path
+
+
+class TestPoolReader:
+    @pytest.mark.parametrize("defect", _READ_DEFECTS)
+    @settings(max_examples=15, deadline=None)
+    @given(data=st.data(), workers=st.sampled_from([2, 3]))
+    def test_pooled_read_equals_the_serial_read(self, tmp_path_factory, defect, data, workers):
+        path = tmp_path_factory.mktemp("read") / "particles.csv"
+        path.write_bytes(_csv_with(data, defect))
+        assert _read_outcome(path, workers) == _read_outcome(path, 0)
+        assert multiprocessing.active_children() == []
+        if defect == "none":  # no disagreement: the workers' values are used
+            assert _pooled_values(path, workers) is not None
+
+    @pytest.mark.parametrize("text", [
+        b"x0\n1.5\n\n2.5\n",                      # blank line in the last run
+        b"x0,x1\n1.5,2.5\n3.5,4.5\n5.5\n",          # ragged last row
+        b"x0\n1.5\n2.5\n3.5",                      # no final newline
+        b"x0\n1.5\n2.5\n\xff3.5\n",                # non-UTF-8 byte in the last run
+        b"x0\r1.5\n2.5\n3.5\n",                    # header ended by a lone CR
+        b"x\xff0\n1.5\n2.5\n",                     # non-UTF-8 header
+    ], ids=["blank-line", "ragged-row", "no-final-newline", "non-utf8-byte", "cr-header",
+            "non-utf8-header"])
+    def test_disagreements_fall_back_to_the_serial_read(self, tmp_path, text):
+        path = tmp_path / "particles.csv"
+        path.write_bytes(text)
+        assert _pooled_values(path, 2) is None
+        assert _read_outcome(path, 2) == _read_outcome(path, 0)
+        assert multiprocessing.active_children() == []
+
+    def test_workers_parse_the_runs(self, tmp_path, pool_reader):
+        path = _prior_file(tmp_path)
+        pooled = read_particles_csv(path)
+        assert pool_reader() - {os.getpid()}, "no run was parsed by a worker"
+        assert os.getpid() not in pool_reader()
+        assert multiprocessing.active_children() == []
+        assert pooled.values.tobytes() == _read_outcome(path, 0)[1]
+
+    def test_killed_worker_exits_3_without_traceback(self, tmp_path, monkeypatch, capfd,
+                                                    pool_reader):
+        monkeypatch.setattr(report, "_parse_range", _dying_in_worker(report._parse_range))
+        out = tmp_path / "run"
+        args = ["run", "mcmc", "--prior", str(_prior_file(tmp_path)), "--steps", "2",
+                "--burn-in", "0", "--out", str(out)]
+        assert main(args) == 3
+        err = capfd.readouterr().err
+        assert "environment error" in err and "reader process died" in err
+        assert "prior.csv" in err and "Traceback" not in err
+        assert multiprocessing.active_children() == []
+        assert not out.exists()
+
+    def test_interrupt_through_main_exits_130_leaving_no_child(self, tmp_path, monkeypatch,
+                                                               capfd, pool_reader):
+        monkeypatch.setattr(report, "_parse_range",
+                            _interrupting(tmp_path, report._parse_range))
+        out = tmp_path / "run"
+        args = ["run", "mcmc", "--prior", str(_prior_file(tmp_path)), "--steps", "2",
+                "--burn-in", "0", "--out", str(out)]
+        assert main(args) == 130
+        assert capfd.readouterr().err == "abc-fuzz: interrupted\n"
+        assert multiprocessing.active_children() == []
+        assert not out.exists()
