@@ -132,6 +132,16 @@ class TestRunMcmc:
         np.testing.assert_array_equal(result.trace_full[:, 0], result.trace_dim0)
         assert run_mcmc(prior, cfg).trace_full is None
 
+    def test_overflowing_proposals_are_rejected_without_a_warning(self):
+        # pytest turns a RuntimeWarning into an error: every overflow in the
+        # loop (noise, proposal, distance) must stay silent and score -inf
+        prior = ParticleSet(np.zeros((2, 3)))
+        cfg = McmcConfig(likelihood=LikelihoodConfig.for_prior(3, 1.0),
+                         n_steps=20, burn_in=0, step_std=1e308, initial_index=0, seed=1)
+        result = run_mcmc(prior, cfg)
+        assert result.acceptance_rate == 0.0
+        assert not result.chain.values.any()
+
     def test_degenerate_start_raises_with_step(self):
         prior = ParticleSet(np.full((2, 3), 1e200))
         cfg = McmcConfig(likelihood=LikelihoodConfig.for_prior(3, 1.0),

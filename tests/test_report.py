@@ -1,5 +1,6 @@
 """Report persistence: JSON round-trips, CSV dumps, plot-data files."""
 
+import contextlib
 import json
 import mmap
 import multiprocessing
@@ -495,25 +496,23 @@ class TestStreamingSink:
                                                   ["x0", "x1"])
 
 
-def _read_outcome(path, workers):
-    """read_particles_csv's values, or its ConfigError message, with the pool
-    forced on any file size (``workers`` >= 2) or off (0)."""
+@contextlib.contextmanager
+def _pool_forced(workers):
+    """The reader pool on any file size with ``workers`` (>= 2), or off (0)."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(report, "POOL_MIN_CELLS", 0)
         patch.setattr(report, "_pool_workers", lambda: workers)
+        yield
+
+
+def _read_outcome(path, workers):
+    """read_particles_csv's values, or its ConfigError message."""
+    with _pool_forced(workers):
         try:
             values = read_particles_csv(path).values
         except ConfigError as exc:
             return "error", str(exc)
     return values.shape, values.tobytes()
-
-
-def _pooled_values(path, workers):
-    """_read_pooled's matrix, None where it leaves the file to the serial reader."""
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(report, "POOL_MIN_CELLS", 0)
-        patch.setattr(report, "_pool_workers", lambda: workers)
-        return report._read_pooled(path)
 
 
 _CELLS = st.one_of(st.floats(allow_nan=False, allow_infinity=False, width=64),
@@ -584,7 +583,8 @@ class TestPoolReader:
         assert _read_outcome(path, workers) == _read_outcome(path, 0)
         assert multiprocessing.active_children() == []
         if defect == "none":  # no disagreement: the workers' values are used
-            assert _pooled_values(path, workers) is not None
+            with _pool_forced(workers):
+                assert report._read_pooled(path) is not None
 
     @pytest.mark.parametrize("text", [
         b"x0\n1.5\n\n2.5\n",                      # blank line in the last run
@@ -598,7 +598,8 @@ class TestPoolReader:
     def test_disagreements_fall_back_to_the_serial_read(self, tmp_path, text):
         path = tmp_path / "particles.csv"
         path.write_bytes(text)
-        assert _pooled_values(path, 2) is None
+        with _pool_forced(2):
+            assert report._read_pooled(path) is None
         assert _read_outcome(path, 2) == _read_outcome(path, 0)
         assert multiprocessing.active_children() == []
 
