@@ -286,11 +286,12 @@ def _resolve_target(spec, n_dims: int):
     return target_set[0]
 
 
-def _resolve_likelihood(args, file_cfg: dict, n_dims: int, prior_std: float) -> LikelihoodConfig:
+def _resolve_likelihood(args, file_cfg: dict, n_dims: int, prior_std) -> LikelihoodConfig:
+    """The likelihood record; ``prior_std()`` is called only for a derived scale."""
     data = _section(file_cfg, "likelihood", args)
     data["target"] = _resolve_target(data.get("target"), n_dims)
     if data.get("scale") is None:  # null, like an absent key, means "derive"
-        data["scale"] = LikelihoodConfig.for_prior(n_dims, prior_std).scale
+        data["scale"] = LikelihoodConfig.for_prior(n_dims, prior_std()).scale
     cfg = LikelihoodConfig.from_dict(data)
     if cfg.target.dim != n_dims:
         raise ConfigError(
@@ -320,8 +321,19 @@ def _resolve_oracle(args, file_cfg: dict):
 
 
 def _estimated_std(particles: ParticleSet) -> float:
-    value = float(particles.values.std())
+    """The std of a --prior file's values, inf where it overflows."""
+    with np.errstate(over="ignore"):
+        value = float(particles.values.std())
     return value if value > 0 else 1.0
+
+
+def _generated_std(cfg: PriorConfig) -> float:
+    """A generated prior's std. One so large that the derived scale,
+    sqrt(n_dims) times it, overflows is drawn first, so that a draw which
+    overflows too is reported as such, naming std_dev and mean."""
+    if math.sqrt(cfg.n_dims) * cfg.std_dev > sys.float_info.max:
+        generate_prior(cfg)
+    return cfg.std_dev
 
 
 def cmd_gen_prior(args) -> int:
@@ -358,16 +370,17 @@ def cmd_gen_prior(args) -> int:
 
 
 def _resolve_run_prior(args, file_cfg: dict, sampler_seed: int):
-    """Prior particles plus their config echo, from a file or generated inline."""
+    """The prior before any draw: (particles, config, echo). A --prior file
+    is read, with no config; a generated prior is configured, not drawn."""
     if args.prior is not None:
         particles = read_particles_csv(args.prior)
         echo = {"file": str(args.prior), "n_particles": particles.n,
                 "n_dims": particles.dim}
-        return particles, echo, _estimated_std(particles)
+        return particles, None, echo
     derived = {"seed": (sampler_seed + 1) % _SEED_MODULUS}
     cfg = PriorConfig.from_dict(
         _section(file_cfg, "prior", args, derived, seed=args.prior_seed))
-    return generate_prior(cfg), cfg.to_dict(), cfg.std_dev
+    return None, cfg, cfg.to_dict()
 
 
 def cmd_run(args) -> int:
@@ -381,10 +394,18 @@ def cmd_run(args) -> int:
                 raise ConfigError(f"{name} only applies to mcmc")
 
     data, seed = _sampler_section(file_cfg, sampler, args)
-    particles, prior_echo, prior_std = _resolve_run_prior(args, file_cfg, seed)
-    likelihood = _resolve_likelihood(args, file_cfg, particles.dim, prior_std)
+    # every config record is built before a generated prior is drawn
+    particles, prior_cfg, prior_echo = _resolve_run_prior(args, file_cfg, seed)
+    if particles is not None:
+        likelihood = _resolve_likelihood(args, file_cfg, particles.dim,
+                                         lambda: _estimated_std(particles))
+    else:
+        likelihood = _resolve_likelihood(args, file_cfg, prior_cfg.n_dims,
+                                         lambda: _generated_std(prior_cfg))
     oracle, oracle_echo = _resolve_oracle(args, file_cfg)
     cfg = _SAMPLERS[sampler].from_dict({**data, "likelihood": likelihood})
+    if particles is None:
+        particles = generate_prior(prior_cfg)
     n_steps = cfg.n_steps
     outdir = _output_dir(args.out, f"{sampler}-seed{seed}")
 
@@ -420,7 +441,8 @@ def cmd_run(args) -> int:
                   columns=[range(n_steps), result.trace_dim0, result.accepted.astype(int)])
         emit_plot_data(result, "mcmc-trace-data", outdir / PLOT_KINDS["mcmc-trace-data"])
         if result.trace_full is not None:
-            write_particles_csv(ParticleSet(result.trace_full), outdir / "trace-full.csv")
+            write_particles_csv(ParticleSet._adopt(result.trace_full),
+                                outdir / "trace-full.csv")
         diagnostics = {
             "n_steps": n_steps,
             "burn_in": cfg.burn_in,
@@ -460,10 +482,11 @@ def cmd_compare(args) -> int:
 
     prior_cfg = PriorConfig.from_dict(
         _section(file_cfg, "prior", args, seed=(seed + 1) % _SEED_MODULUS))
-    likelihood = _resolve_likelihood(args, file_cfg, prior_cfg.n_dims, prior_cfg.std_dev)
-    smc_cfg = SmcConfig.from_dict({**data, "likelihood": likelihood})
     # both arms hold budget x n_dims matrices; name the flag, not the fields it sets
     _check_rows("--budget", budget, prior_cfg.n_dims)
+    likelihood = _resolve_likelihood(args, file_cfg, prior_cfg.n_dims,
+                                     lambda: prior_cfg.std_dev)
+    smc_cfg = SmcConfig.from_dict({**data, "likelihood": likelihood})
 
     # Arm 1: random sampling. Budget fresh draws from the prior construction,
     # every one of them oracle-evaluated.
@@ -530,7 +553,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"abc-fuzz: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (OracleSpawnError, OracleTimeoutError, OSError) as exc:
+    except (OracleSpawnError, OracleTimeoutError, OSError, ImportError) as exc:
         print(f"abc-fuzz: environment error: {exc}", file=sys.stderr)
         return EXIT_ENVIRONMENT
     except MemoryError as exc:

@@ -12,7 +12,6 @@ from dataclasses import MISSING, dataclass, fields
 from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
-from scipy.special import ndtri
 
 ENGINE_VERSION = "0.1.0"
 
@@ -103,8 +102,16 @@ def _block_rows(width: int, steps: int) -> int:
 def _uniforms_to_normals(u: np.ndarray) -> np.ndarray:
     """Turn uniforms into standard normals in place: ndtri(max(u, 2**-54)).
 
-    The one definition of the normal-draw contract; returns ``u``.
+    The one definition of the normal-draw contract; returns ``u``. scipy is
+    imported at the first call, so a run that fails before its first draw
+    (and ``--version``) never loads it. A scipy that cannot be imported
+    raises ImportError naming it.
     """
+    try:
+        from scipy.special import ndtri
+    except ImportError as exc:
+        raise ImportError(f"normal draws need scipy.special, which cannot be imported: "
+                          f"{exc}") from exc
     np.maximum(u, 2.0**-54, out=u)
     return ndtri(u, out=u)
 
@@ -202,18 +209,34 @@ class Particle:
 
 
 class ParticleSet:
-    """A population of particles sharing one dimensionality: an (N, D) matrix."""
+    """A population of particles sharing one dimensionality: an (N, D) matrix.
+
+    The matrix is read-only. The sets the engine returns hold the matrix
+    the sampler or reader built rather than a copy of it.
+    """
 
     __slots__ = ("_values",)
 
     def __init__(self, values: Union[np.ndarray, Sequence[Sequence[float]]]):
-        arr = np.array(values, dtype=np.float64)
+        """Copy ``values`` into the set, so later changes to them do not show."""
+        self._values = self._checked(np.array(values, dtype=np.float64))
+
+    @classmethod
+    def _adopt(cls, matrix: np.ndarray) -> "ParticleSet":
+        """A set that holds the engine-built float64 ``matrix`` itself, not a
+        copy, checked like the constructor's and marked read-only."""
+        particles = cls.__new__(cls)
+        particles._values = cls._checked(matrix)
+        return particles
+
+    @staticmethod
+    def _checked(arr: np.ndarray) -> np.ndarray:
         _require(arr.ndim == 2, f"particle set must be a 2-d matrix, got shape {arr.shape}")
         _require(arr.shape[0] >= 1, "particle set needs at least one particle")
         _require(arr.shape[1] >= 1, "particles need at least one dimension")
         _require(bool(np.isfinite(arr).all()), "particle values must be finite (no NaN/inf)")
         arr.setflags(write=False)
-        self._values = arr
+        return arr
 
     @property
     def values(self) -> np.ndarray:
@@ -384,6 +407,7 @@ class SmcConfig(_Record):
         _require(isinstance(self.likelihood, LikelihoodConfig),
                  "likelihood must be a LikelihoodConfig")
         _check_int("n_steps", self.n_steps, 1)
+        _check_rows("n_steps", self.n_steps, self.likelihood.target.dim)
         _check_real("step_std", self.step_std, 0)
         _validate_seed(self.seed)
 
@@ -410,6 +434,7 @@ class McmcConfig(_Record):
         _require(isinstance(self.likelihood, LikelihoodConfig),
                  "likelihood must be a LikelihoodConfig")
         _check_int("n_steps", self.n_steps, 1)
+        _check_rows("n_steps", self.n_steps, self.likelihood.target.dim)
         _check_int("burn_in", self.burn_in)
         _require(self.burn_in < self.n_steps,
                  f"burn_in ({self.burn_in}) must be smaller than n_steps ({self.n_steps})")

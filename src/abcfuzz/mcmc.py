@@ -19,7 +19,6 @@ from .core import (
     ParticleSet,
     RandomSource,
     _block_rows,
-    _check_rows,
     _uniforms_to_normals,
 )
 from .likelihood import _log_likelihood_row, log_likelihood_values
@@ -85,7 +84,6 @@ def run_mcmc(prior: ParticleSet, config: McmcConfig,
             f"{config.likelihood.target.dim}")
     n, d = prior.n, prior.dim
     steps, burn_in = config.n_steps, config.burn_in
-    _check_rows("n_steps", steps, d)
     prior_rate = None if oracle is None else pass_rate(prior, oracle)
     rng = RandomSource(config.seed)
 
@@ -136,17 +134,14 @@ def run_mcmc(prior: ParticleSet, config: McmcConfig,
                 if step >= first_kept:
                     kept[step - first_kept] = state
 
-    chain = ParticleSet(kept[burn_in - first_kept:])
+    chain = ParticleSet._adopt(kept[burn_in - first_kept:])
     acceptance_rate = n_accepted / steps
 
     chain_rate = None if oracle is None else pass_rate(chain, oracle)
 
     trace.setflags(write=False)
     accepted.setflags(write=False)
-    full = None
-    if trace_all_dims:
-        full = kept
-        full.setflags(write=False)
+    kept.setflags(write=False)
     return McmcResult(
         chain=chain,
         trace_dim0=trace,
@@ -155,5 +150,5 @@ def run_mcmc(prior: ParticleSet, config: McmcConfig,
         oracle_calls=0 if oracle is None else n + chain.n,
         prior_pass_rate=prior_rate,
         chain_pass_rate=chain_rate,
-        trace_full=full,
+        trace_full=kept if trace_all_dims else None,
     )

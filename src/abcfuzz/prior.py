@@ -45,4 +45,4 @@ def generate_prior(config: PriorConfig) -> ParticleSet:
              f"particle values must be finite: prior mean ({config.mean!r}) plus std_dev "
              f"({config.std_dev!r}) times a normal draw overflows")
     values[:slice_count(config), 0] = 0.0
-    return ParticleSet(values)
+    return ParticleSet._adopt(values)

@@ -521,7 +521,7 @@ def read_particles_csv(path) -> ParticleSet:
             raise ConfigError(f"particle CSV {path} is malformed: {exc}") from exc
     _require(values.shape[0] >= 1, f"particle CSV {path} needs a header and at least one row")
     try:
-        return ParticleSet(values)
+        return ParticleSet._adopt(values)
     except ConfigError as exc:
         raise ConfigError(f"particle CSV {path}: {exc}") from exc
 

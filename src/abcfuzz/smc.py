@@ -21,7 +21,6 @@ from .core import (
     SmcConfig,
     WEIGHT_SUM_TOLERANCE,
     _block_rows,
-    _check_rows,
     _require,
     _uniforms_to_normals,
 )
@@ -124,9 +123,10 @@ def run_smc(prior: ParticleSet, config: SmcConfig,
     bitwise-identical results.
 
     When a sink is given (an entered ``report.CsvSink``), the posterior is
-    held in the sink's buffer, and the sink is told after each draw block
-    which leading rows are final, so it can write them while the loop
-    runs. The caller's ``with`` block completes or discards the file.
+    held in the sink's buffer, which the result's posterior then holds, and
+    the sink is told after each draw block which leading rows are final,
+    so it can write them while the loop runs. The caller's ``with`` block
+    completes or discards the file.
 
     Raises DegenerateWeightsError, naming the step, if every particle
     weight collapses.
@@ -138,7 +138,6 @@ def run_smc(prior: ParticleSet, config: SmcConfig,
     n, d = prior.n, prior.dim
     nd = n * d
     steps = config.n_steps
-    _check_rows("n_steps", steps, d)
     prior_rate = None if oracle is None else pass_rate(prior, oracle)
     rng = RandomSource(config.seed)
 
@@ -176,7 +175,7 @@ def run_smc(prior: ParticleSet, config: SmcConfig,
         if sink is not None:
             sink.advance(first + block.shape[0])
 
-    posterior_set = ParticleSet(posterior)
+    posterior_set = ParticleSet._adopt(posterior)
     posterior_rate = None if oracle is None else pass_rate(posterior_set, oracle)
 
     weight_sums.setflags(write=False)

@@ -3,6 +3,7 @@
 import math
 
 import numpy as np
+import pytest
 
 from abcfuzz import (
     RandomSource,
@@ -75,3 +76,10 @@ def replay_smc(prior, config):
         posterior[step] = population[pick]
         population = population[indices]
     return posterior, weight_sums, ess
+
+
+def assert_read_only(particles):
+    """Writing to a ParticleSet's values raises."""
+    assert not particles.values.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        particles.values[0, 0] = 1.0

@@ -615,6 +615,106 @@ class TestUsageErrorsBeforeOutput:
         assert not out.exists()
 
 
+# Runs main in a child and prints which scipy modules it loaded.
+_MAIN_LISTING_SCIPY = (
+    "import sys; from abcfuzz.cli import main; code = main(sys.argv[1:]); "
+    "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')); sys.exit(code)")
+# Runs main in a child whose scipy.special cannot be imported.
+_MAIN_WITHOUT_SCIPY = ("import sys; sys.modules['scipy.special'] = None; "
+                       "from abcfuzz.cli import main; sys.exit(main(sys.argv[1:]))")
+
+
+def _child(code, args):
+    return subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True)
+
+
+def _small_prior_file(directory, text="x0,x1\n0.5,1.5\n2.5,3.5\n"):
+    path = directory / "prior.csv"
+    path.write_text(text)
+    return path
+
+
+class TestLazyScipy:
+    """scipy.special loads at the first normal draw, so config faults and
+    --version never load it, and a missing scipy is an environment fault."""
+
+    @pytest.mark.parametrize("args", [
+        ["run", "smc", "--steps", "0"],
+        ["run", "mcmc", "--steps", "3", "--burn-in", "5"],
+        ["run", "smc", "--oracle-timeout", "3"],
+        ["compare", "--budget", "5", "--oracle-timeout", "3"],
+        ["run", "smc", "--steps", _HUGE],
+        ["run", "mcmc", "--steps", _HUGE],
+    ], ids=["steps-0", "burn-in-past-steps", "run-range-timeout", "compare-range-timeout",
+            "smc-steps-too-large", "mcmc-steps-too-large"])
+    def test_config_fault_exits_2_before_loading_scipy(self, tmp_path, args):
+        out = tmp_path / "run"
+        proc = _child(_MAIN_LISTING_SCIPY, [*args, "--out", str(out)])
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stdout == "[]\n"
+        assert "Traceback" not in proc.stderr
+        assert not out.exists()
+
+    def test_version_runs_without_scipy(self):
+        proc = _child(_MAIN_WITHOUT_SCIPY, ["--version"])
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("abc-fuzz ")
+
+    @pytest.mark.parametrize("args", [
+        ["run", "smc", "--steps", "2"],
+        ["run", "mcmc", "--steps", "2", "--burn-in", "0"],
+        ["run", "smc", "--prior", "PRIOR", "--steps", "2"],
+        ["gen-prior"],
+        ["compare", "--budget", "2"],
+    ], ids=["smc", "mcmc", "smc-prior-file", "gen-prior", "compare"])
+    def test_first_draw_without_scipy_exits_3(self, tmp_path, args):
+        prior = _small_prior_file(tmp_path)
+        out = tmp_path / "run"
+        args = [str(prior) if arg == "PRIOR" else arg for arg in args]
+        proc = _child(_MAIN_WITHOUT_SCIPY, [*args, "--out", str(out)])
+        assert proc.returncode == 3, proc.stderr
+        assert proc.stderr.startswith("abc-fuzz: environment error: normal draws need scipy")
+        assert len(proc.stderr.splitlines()) == 1, proc.stderr
+        assert not out.exists()
+
+
+class TestPriorFileStd:
+    """The std of a --prior file is read only for a derived scale, and its
+    overflow prints nothing of its own."""
+
+    @pytest.mark.parametrize("args, code, shown", [
+        ([], 2, "abc-fuzz: error: scale must be a finite number, got inf"),
+        (["--scale", "1", "--initial-index", "0"], 4, "abc-fuzz: degeneracy"),
+    ], ids=["derived-scale", "given-scale"])
+    def test_huge_prior_file_prints_one_line(self, tmp_path, args, code, shown):
+        prior = _small_prior_file(tmp_path, "x0,x1\n1e308,1e308\n1e308,1e308\n")
+        proc = subprocess.run(
+            [sys.executable, "-m", "abcfuzz.cli", "run", "mcmc", "--prior", str(prior), *args,
+             "--out", str(tmp_path / "run")],
+            capture_output=True, text=True)
+        assert proc.returncode == code
+        assert len(proc.stderr.splitlines()) == 1, proc.stderr
+        assert proc.stderr.startswith(shown)
+
+    @pytest.mark.parametrize("scale_from", ["flag", "file"])
+    def test_std_is_not_read_for_a_given_scale(self, tmp_path, monkeypatch, scale_from):
+        def unexpected(particles):
+            raise AssertionError("the prior file's std was computed")
+
+        monkeypatch.setattr(cli, "_estimated_std", unexpected)
+        out = tmp_path / "run"
+        args = ["run", "mcmc", "--prior", str(_small_prior_file(tmp_path)), "--steps", "2",
+                "--burn-in", "0", "--out", str(out)]
+        if scale_from == "flag":
+            args += ["--scale", "2"]
+        else:
+            config = tmp_path / "config.json"
+            config.write_text(json.dumps({"likelihood": {"scale": 2}}))
+            args += ["--config", str(config)]
+        assert main(args) == 0
+        assert _read_report(out)["config_echo"]["mcmc"]["likelihood"]["scale"] == 2
+
+
 class TestEnvironment:
     def test_out_root_env_var(self, tmp_path, monkeypatch):
         monkeypatch.setenv("ABC_FUZZ_OUT", str(tmp_path / "root"))
@@ -622,12 +722,18 @@ class TestEnvironment:
         assert (tmp_path / "root" / "gen-prior-seed5" / "report.json").exists()
 
     def test_cli_import_loads_no_writer_pool_module(self):
-        # mmap and multiprocessing load only when a CSV writer pool starts
-        code = ("import sys, abcfuzz.cli; "
-                "print([m for m in ('mmap', 'multiprocessing') if m in sys.modules])")
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout == "[]\n"
+        # scipy loads at the first normal draw, mmap and multiprocessing only
+        # when a CSV pool starts
+        for argv in (["-c", "import abcfuzz.cli"], ["-m", "abcfuzz.cli", "--version"],
+                     ["-m", "abcfuzz.cli", "run", "--help"]):
+            proc = subprocess.run([sys.executable, "-X", "importtime", *argv],
+                                  capture_output=True, text=True)
+            assert proc.returncode == 0, proc.stderr
+            loaded = {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
+                      if line.startswith("import time:")}
+            assert "abcfuzz.core" in loaded
+            assert not {name.split(".")[0] for name in loaded} & {
+                "scipy", "mmap", "multiprocessing"}, argv
 
     def test_module_invocation(self):
         proc = subprocess.run([sys.executable, "-m", "abcfuzz.cli", "--version"],

@@ -22,6 +22,7 @@ from abcfuzz import (
     load_config_file,
     pass_rate,
 )
+from support import assert_read_only
 
 
 class TestRandomSource:
@@ -114,6 +115,29 @@ class TestParticleSet:
         with pytest.raises(ConfigError):
             ParticleSet([1.0, 2.0])
 
+    def test_constructor_copies_its_input(self):
+        source = np.array([[1.0, 2.0], [3.0, 4.0]])
+        ps = ParticleSet(source)
+        source[0, 0] = 99.0
+        assert ps.values[0, 0] == 1.0
+        assert_read_only(ps)
+
+    def test_adopt_holds_the_matrix_itself_read_only(self):
+        matrix = np.array([[1.0, 2.0], [3.0, 4.0]])
+        ps = ParticleSet._adopt(matrix)
+        assert ps.values is matrix and not matrix.flags.writeable
+        assert_read_only(ps)
+
+    @pytest.mark.parametrize("matrix", [np.empty((0, 3)), np.empty((2, 0)),
+                                        np.array([[1.0, np.inf]]), np.array([1.0, 2.0])],
+                             ids=["no-rows", "no-columns", "non-finite", "one-dimensional"])
+    def test_adopt_checks_like_the_constructor(self, matrix):
+        with pytest.raises(ConfigError) as adopted:
+            ParticleSet._adopt(matrix.copy())
+        with pytest.raises(ConfigError) as constructed:
+            ParticleSet(matrix)
+        assert str(adopted.value) == str(constructed.value)
+
     def test_yielded_particles_are_read_only_views_of_the_rows(self):
         ps = ParticleSet(RandomSource(4).standard_normal(60).reshape(20, 3) * 0.6)
         for i, p in enumerate(ps):
@@ -174,6 +198,13 @@ class TestConfigValidation:
             SmcConfig(likelihood=lik, n_steps=0)
         with pytest.raises(ConfigError):
             SmcConfig(likelihood=lik, step_std=-0.5)
+
+    @pytest.mark.parametrize("record", [SmcConfig, McmcConfig])
+    def test_steps_past_one_array_name_n_steps_and_the_target_dims(self, record):
+        lik = LikelihoodConfig(target=Particle(np.zeros(4)))
+        steps = 10**20
+        with pytest.raises(ConfigError, match=rf"n_steps \({steps}\) times 4 dims exceeds"):
+            record(likelihood=lik, n_steps=steps)
 
     def test_mcmc_config_burn_in_bound(self):
         lik = LikelihoodConfig(target=Particle([0.0]))

@@ -17,7 +17,7 @@ from abcfuzz import (
     generate_prior,
     run_mcmc,
 )
-from support import replay_chain
+from support import assert_read_only, replay_chain
 
 
 class TestAcceptProbability:
@@ -50,6 +50,17 @@ def _config(seed, n_steps=1000, burn_in=100, n_dims=100, **kwargs):
 
 
 class TestRunMcmc:
+    @pytest.mark.parametrize("trace_all_dims", [False, True])
+    def test_chain_is_read_only(self, trace_all_dims):
+        prior = generate_prior(PriorConfig(n_particles=5, n_dims=100, seed=1))
+        result = run_mcmc(prior, _config(seed=2, n_steps=6, burn_in=2),
+                          trace_all_dims=trace_all_dims)
+        assert_read_only(result.chain)
+        if trace_all_dims:  # the chain is the trace's post-burn-in rows, not a copy
+            assert not result.trace_full.flags.writeable
+            assert np.shares_memory(result.chain.values, result.trace_full)
+            np.testing.assert_array_equal(result.chain.values, result.trace_full[2:])
+
     def test_bookkeeping_contract(self):
         prior = generate_prior(PriorConfig(seed=1))
         result = run_mcmc(prior, _config(seed=2, n_steps=5, burn_in=0))

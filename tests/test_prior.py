@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from abcfuzz import ConfigError, PriorConfig, generate_prior, slice_count, slice_indices
+from support import assert_read_only
 
 
 def test_reference_configuration_zeroes_three_particles():
@@ -86,3 +87,7 @@ def test_invalid_config_is_rejected_at_construction():
         PriorConfig(n_particles=0)
     with pytest.raises(ConfigError):
         PriorConfig(n_dims=0)
+
+
+def test_generated_prior_is_read_only():
+    assert_read_only(generate_prior(PriorConfig(n_particles=4, n_dims=3, seed=2)))

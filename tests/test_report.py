@@ -32,6 +32,7 @@ from abcfuzz import (
 from abcfuzz import core, report, smc
 from abcfuzz.cli import main
 from abcfuzz.report import write_csv, write_json
+from support import assert_read_only
 
 
 def _report(**overrides):
@@ -601,6 +602,14 @@ class TestPoolReader:
         with _pool_forced(2):
             assert report._read_pooled(path) is None
         assert _read_outcome(path, 2) == _read_outcome(path, 0)
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("workers", [2, 0], ids=["pooled", "serial"])
+    def test_read_set_is_read_only(self, tmp_path, workers):
+        path = _prior_file(tmp_path)
+        with _pool_forced(workers):
+            assert (report._read_pooled(path) is not None) == (workers > 0)
+            assert_read_only(read_particles_csv(path))
         assert multiprocessing.active_children() == []
 
     def test_workers_parse_the_runs(self, tmp_path, pool_reader):

@@ -20,7 +20,8 @@ from abcfuzz import (
     run_smc,
     systematic_resample,
 )
-from support import replay_smc
+from abcfuzz import report
+from support import assert_read_only, replay_smc
 
 
 class FixedUniformSource:
@@ -116,6 +117,28 @@ def _reference_smc_config(seed, n_steps=1000):
 
 
 class TestRunSmc:
+    def test_posterior_is_read_only(self):
+        prior = generate_prior(PriorConfig(n_particles=5, n_dims=100, seed=1))
+        assert_read_only(run_smc(prior, _reference_smc_config(seed=2, n_steps=4)).posterior)
+
+    @pytest.mark.parametrize("min_cells", [0, None], ids=["shared-buffer", "private-buffer"])
+    def test_posterior_is_the_sinks_buffer_read_only(self, tmp_path, monkeypatch, min_cells):
+        if min_cells is not None:  # a shared mapping, as a large posterior gets
+            monkeypatch.setattr(report, "POOL_MIN_CELLS", min_cells)
+        prior = generate_prior(PriorConfig(n_particles=5, n_dims=100, seed=1))
+        buffers = []
+        with report.CsvSink(tmp_path / "posterior.csv", [f"x{i}" for i in range(100)]) as sink:
+            allocate = sink.buffer
+
+            def recorded(rows, cols):
+                buffers.append(allocate(rows, cols))
+                return buffers[-1]
+
+            sink.buffer = recorded
+            result = run_smc(prior, _reference_smc_config(seed=2, n_steps=4), sink=sink)
+        assert result.posterior.values is buffers[0]
+        assert_read_only(result.posterior)
+
     def test_posterior_has_one_particle_per_step(self):
         prior = generate_prior(PriorConfig(seed=1))
         result = run_smc(prior, _reference_smc_config(seed=2, n_steps=7))
