@@ -35,6 +35,10 @@ RUNS = {
     # writer pool where the host has two usable CPUs, the serial path otherwise
     "smc-pooled": ["run", "smc", "--steps", "3000"],
     "mcmc-pooled": ["run", "mcmc", "--steps", "3100", "--burn-in", "100"],
+    # a wide proposal rejects about three steps in four, so most rows of this
+    # pooled-size chain repeat the row before them
+    "mcmc-pooled-repeats": ["run", "mcmc", "--steps", "3100", "--burn-in", "100",
+                            "--step-std", "5"],
     # reads smc-pooled's 3000x100 posterior.csv: the pooled reader where the
     # host has two usable CPUs, the serial one otherwise
     "mcmc-pooled-prior": ["run", "mcmc", "--prior", "smc-pooled/posterior.csv",
@@ -162,6 +166,16 @@ GOLDEN = {
             "e15dcb0b90e4979186c228b44cbc6e1d46d8443a4b9bb82d33ebdf0668d5ec31",
         "report.json":
             "1c6f05d91ae0d79a170fdba8028e2e3ba17dad4274a0ea96e1d79c6fd8604c28",
+    },
+    "mcmc-pooled-repeats": {
+        "diagnostics.csv":
+            "5ea88f27555ecb033fe7ce4222d97fb79e33b0c2f5708bae07eba7a31edece51",
+        "plot-mcmc-trace.dat":
+            "4fbba87104d767fd6995633f4424c1dc6cb943624d43ee056953e74703c5e3e3",
+        "posterior.csv":
+            "d4d2d5118eae5670b77a17e2182c89e922e98efd2176b72d76e72fe125e254ae",
+        "report.json":
+            "d7f570b36d36e46e91e10fea0b11d294b6f7a44f7787c813f930dbccd176c1cb",
     },
     "mcmc-pooled-prior": {
         "diagnostics.csv":
