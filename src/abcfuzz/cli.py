@@ -286,12 +286,18 @@ def _resolve_target(spec, n_dims: int):
     return target_set[0]
 
 
-def _resolve_likelihood(args, file_cfg: dict, n_dims: int, prior_std) -> LikelihoodConfig:
-    """The likelihood record; ``prior_std()`` is called only for a derived scale."""
+def _resolve_likelihood(args, file_cfg: dict, n_dims: int, prior_std,
+                        std_from: str = "std from --std/std_dev") -> LikelihoodConfig:
+    """The likelihood record; ``prior_std()`` is called only for a derived
+    scale, and ``std_from`` says where that std comes from when the scale overflows."""
     data = _section(file_cfg, "likelihood", args)
     data["target"] = _resolve_target(data.get("target"), n_dims)
     if data.get("scale") is None:  # null, like an absent key, means "derive"
-        data["scale"] = LikelihoodConfig.for_prior(n_dims, prior_std()).scale
+        std = prior_std()
+        _require(math.sqrt(n_dims) * std <= sys.float_info.max,
+                 f"likelihood scale derived as sqrt(n_dims) * std overflows: "
+                 f"sqrt({n_dims}) * {std!r}, {std_from}; set --scale or likelihood.scale")
+        data["scale"] = LikelihoodConfig.for_prior(n_dims, std).scale
     cfg = LikelihoodConfig.from_dict(data)
     if cfg.target.dim != n_dims:
         raise ConfigError(
@@ -398,7 +404,8 @@ def cmd_run(args) -> int:
     particles, prior_cfg, prior_echo = _resolve_run_prior(args, file_cfg, seed)
     if particles is not None:
         likelihood = _resolve_likelihood(args, file_cfg, particles.dim,
-                                         lambda: _estimated_std(particles))
+                                         lambda: _estimated_std(particles),
+                                         f"std of the values in --prior file {args.prior}")
     else:
         likelihood = _resolve_likelihood(args, file_cfg, prior_cfg.n_dims,
                                          lambda: _generated_std(prior_cfg))

@@ -99,19 +99,34 @@ def _block_rows(width: int, steps: int) -> int:
     return max(1, min(steps, BLOCK_DOUBLES // width))
 
 
-def _uniforms_to_normals(u: np.ndarray) -> np.ndarray:
-    """Turn uniforms into standard normals in place: ndtri(max(u, 2**-54)).
+def _load_ndtri():
+    """``scipy.special.ndtri``, imported at the first call, or, where scipy
+    cannot be imported, the ImportError, returned rather than raised.
 
-    The one definition of the normal-draw contract; returns ``u``. scipy is
-    imported at the first call, so a run that fails before its first draw
-    (and ``--version``) never loads it. A scipy that cannot be imported
-    raises ImportError naming it.
+    The one import of scipy: ``_uniforms_to_normals`` calls it at a run's
+    first draw, and the pooled CSV reader while its workers parse, so that
+    the import costs no wall time there. A failed import is tried again at
+    the next call.
     """
     try:
         from scipy.special import ndtri
     except ImportError as exc:
+        return exc
+    return ndtri
+
+
+def _uniforms_to_normals(u: np.ndarray) -> np.ndarray:
+    """Turn uniforms into standard normals in place: ndtri(max(u, 2**-54)).
+
+    The one definition of the normal-draw contract; returns ``u``. scipy is
+    loaded at the first call at the latest, so a run that fails before its
+    first draw (and ``--version``) never needs it. A scipy that cannot be
+    imported raises ImportError naming it.
+    """
+    ndtri = _load_ndtri()
+    if isinstance(ndtri, ImportError):
         raise ImportError(f"normal draws need scipy.special, which cannot be imported: "
-                          f"{exc}") from exc
+                          f"{ndtri}") from ndtri
     np.maximum(u, 2.0**-54, out=u)
     return ndtri(u, out=u)
 

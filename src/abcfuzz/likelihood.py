@@ -21,12 +21,12 @@ def log_likelihood_values(values: np.ndarray, config: LikelihoodConfig) -> np.nd
     if values.shape[1] != config.target.dim:
         raise ConfigError(
             f"particles have {values.shape[1]} dims but target has {config.target.dim}")
-    diffs = values - config.target.values
-    # coordinates near the float ceiling overflow the norm to inf; that is a
-    # legitimate -inf score, handled downstream as weight degeneracy
+    # coordinates near the float ceiling, a tiny scale or a huge alpha
+    # overflow the score to -inf; that is a legitimate score, handled
+    # downstream as weight degeneracy
     with np.errstate(over="ignore"):
-        distances = np.linalg.norm(diffs, axis=1)
-    return -(distances / config.scale) - config.alpha * np.abs(values[:, 0])
+        distances = np.linalg.norm(values - config.target.values, axis=1)
+        return -(distances / config.scale) - config.alpha * np.abs(values[:, 0])
 
 
 def _log_likelihood_row(x: np.ndarray, target: np.ndarray, scale: float, alpha: float) -> float:

@@ -19,7 +19,7 @@ from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
-from .core import ConfigError, ENGINE_VERSION, ParticleSet, _Record, _require
+from .core import ConfigError, ENGINE_VERSION, ParticleSet, _Record, _load_ndtri, _require
 from .mcmc import McmcResult
 from .smc import SmcResult
 
@@ -108,8 +108,21 @@ def _format_lines(rows) -> str:
 
 
 def _format_rows(rows: np.ndarray) -> str:
-    """The one matrix formatter: a numeric matrix as CSV lines, floats by repr."""
-    return _format_lines(rows.tolist())
+    """The one matrix formatter: a float64 matrix as CSV lines, floats by repr.
+
+    A row whose bits equal the previous row's (a rejected Metropolis
+    proposal repeats the chain's state) reuses that row's text. Bits, not
+    values: a -0.0 row after a 0.0 row is printed as its own.
+    """
+    bits = rows.view(np.int64)
+    new = np.ones(rows.shape[0], dtype=bool)
+    np.any(bits[1:] != bits[:-1], axis=1, out=new[1:])
+    if new.all():
+        return _format_lines(rows.tolist())
+    starts = np.flatnonzero(new)
+    repeats = np.diff(starts, append=rows.shape[0]).tolist()
+    lines = [",".join(map(repr, row)) + "\n" for row in rows[starts].tolist()]
+    return "".join([line * count for line, count in zip(lines, repeats)])
 
 
 def _shared(nbytes: int, what: str):
@@ -463,7 +476,8 @@ def _read_pooled(path) -> Optional[np.ndarray]:
     run into its rows of a shared matrix. Anything the serial reader would
     read differently (blank lines, a ragged row, a header that is not one
     UTF-8 line, a missing final newline) shows as a count or shape that
-    disagrees, and returns None. A worker that dies raises OSError.
+    disagrees, and returns None. A worker that dies raises OSError. While
+    the workers parse, the parent loads scipy for the run's first draw.
     """
     try:
         fh = open(path, "rb")
@@ -496,6 +510,7 @@ def _read_pooled(path) -> Optional[np.ndarray]:
         _fork_pool(pool, len(runs), partial(_parse_range, path, matrix))
         for (_, conn), run in zip(pool, runs):
             conn.send(run)
+        _load_ndtri()  # the run's first draw needs it; load it while the workers parse
         parsed = [conn.recv() for _, conn in pool]
     except _WORKER_DIED as exc:
         raise OSError(f"a CSV reader process died while reading {path}") from exc

@@ -151,7 +151,10 @@ def run_smc(prior: ParticleSet, config: SmcConfig,
     for first in range(0, steps, rows):
         block = rng.uniform_block(min(rows, steps - first), nd + 2)
         noise = _uniforms_to_normals(block[:, :nd])
-        noise *= config.step_std
+        # a huge step std overflows the noise to inf, and the weights then
+        # collapse, reported as degeneracy
+        with np.errstate(over="ignore"):
+            noise *= config.step_std
         # per step: the n resampling grid points, then the posterior pick
         points = np.hstack([block[:, nd, np.newaxis] / n + grid, block[:, nd + 1:]])
 

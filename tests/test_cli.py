@@ -678,12 +678,76 @@ class TestLazyScipy:
         assert not out.exists()
 
 
+# Runs main in a child whose scipy.special cannot be imported and whose CSV
+# reader takes the pool on any file, and prints whether the pooled read
+# kept its values, then which of scipy, mmap and multiprocessing it loaded.
+_POOLED_MAIN_WITHOUT_SCIPY = """
+import sys
+sys.modules["scipy.special"] = None
+from abcfuzz import report
+report.POOL_MIN_CELLS = 0
+report._pool_workers = lambda: 2
+read_pooled = report._read_pooled
+
+def logged(path):
+    values = read_pooled(path)
+    print("pooled" if values is not None else "serial")
+    return values
+
+report._read_pooled = logged
+from abcfuzz.cli import main
+code = main(sys.argv[1:]) if sys.argv[1:] else 0
+loaded = {name.split(".")[0] for name, module in sys.modules.items() if module is not None}
+print(sorted(loaded & {"scipy", "mmap", "multiprocessing"}))
+sys.exit(code)
+"""
+
+
+class TestPooledReadWithoutScipy:
+    """The pooled reader loads scipy while its workers parse; a scipy that
+    cannot be imported is still reported at the first draw, after the file."""
+
+    def test_malformed_file_still_exits_2(self, tmp_path):
+        prior = _small_prior_file(tmp_path, "x0,x1\n0.5,1.5\n2.5,3.5\n4.5\n")
+        proc = _child(_POOLED_MAIN_WITHOUT_SCIPY,
+                      ["run", "mcmc", "--prior", str(prior), "--out", str(tmp_path / "run")])
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stdout.splitlines()[0] == "serial"  # the workers disagreed
+        assert proc.stderr.startswith(f"abc-fuzz: error: particle CSV {prior} is malformed")
+        assert len(proc.stderr.splitlines()) == 1, proc.stderr
+
+    def test_clean_file_exits_3_at_the_first_draw(self, tmp_path):
+        prior = _small_prior_file(tmp_path)
+        proc = _child(_POOLED_MAIN_WITHOUT_SCIPY,
+                      ["run", "mcmc", "--prior", str(prior), "--out", str(tmp_path / "run")])
+        assert proc.returncode == 3, proc.stderr
+        assert proc.stdout.splitlines()[0] == "pooled"
+        assert proc.stderr.startswith("abc-fuzz: environment error: normal draws need scipy")
+        assert len(proc.stderr.splitlines()) == 1, proc.stderr
+
+    @pytest.mark.parametrize("args", [[], ["--version"], ["run", "--help"]],
+                             ids=["import", "version", "run-help"])
+    def test_startup_loads_no_scipy_mmap_or_multiprocessing(self, args):
+        proc = _child(_POOLED_MAIN_WITHOUT_SCIPY, args)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "[]"
+
+    @pytest.mark.parametrize("workers", [2, 0], ids=["pooled", "serial"])
+    def test_only_the_pooled_read_loads_scipy(self, tmp_path, workers):
+        code = ("import sys; from abcfuzz import report; report.POOL_MIN_CELLS = 0; "
+                f"report._pool_workers = lambda: {workers}; "
+                "report.read_particles_csv(sys.argv[1]); print('scipy.special' in sys.modules)")
+        proc = _child(code, [str(_small_prior_file(tmp_path))])
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == f"{workers > 0}\n"
+
+
 class TestPriorFileStd:
     """The std of a --prior file is read only for a derived scale, and its
     overflow prints nothing of its own."""
 
     @pytest.mark.parametrize("args, code, shown", [
-        ([], 2, "abc-fuzz: error: scale must be a finite number, got inf"),
+        ([], 2, "abc-fuzz: error: likelihood scale derived as sqrt(n_dims) * std overflows"),
         (["--scale", "1", "--initial-index", "0"], 4, "abc-fuzz: degeneracy"),
     ], ids=["derived-scale", "given-scale"])
     def test_huge_prior_file_prints_one_line(self, tmp_path, args, code, shown):
@@ -713,6 +777,51 @@ class TestPriorFileStd:
             args += ["--config", str(config)]
         assert main(args) == 0
         assert _read_report(out)["config_echo"]["mcmc"]["likelihood"]["scale"] == 2
+
+
+class TestNumericExtremes:
+    """Flags at the float limits: no numpy warning reaches stderr (tier-1
+    turns one into an error), and a derived scale that overflows names
+    where its std came from."""
+
+    @pytest.mark.parametrize("args, code", [
+        (["run", "smc", "--scale", "5e-324", "--steps", "3"], 4),
+        (["run", "mcmc", "--scale", "5e-324", "--steps", "3", "--burn-in", "1"], 4),
+        (["run", "smc", "--alpha", "1e308", "--steps", "3"], 0),
+        (["run", "mcmc", "--alpha", "1e308", "--steps", "3", "--burn-in", "1"], 4),
+        (["run", "smc", "--step-std", "1e308", "--steps", "3"], 4),
+    ], ids=["smc-tiny-scale", "mcmc-tiny-scale", "smc-huge-alpha", "mcmc-huge-alpha",
+            "smc-huge-step-std"])
+    def test_overflowing_score_prints_at_most_one_line(self, tmp_path, capsys, args, code):
+        assert main([*args, "--out", str(tmp_path / "run")]) == code
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == (0 if code == 0 else 1), err
+        if code == 4:
+            assert err.startswith("abc-fuzz: degeneracy (step 0)")
+
+    @pytest.mark.parametrize("args, shown", [
+        (["compare", "--budget", "5", "--std", "1e308"], "sqrt(100) * 1e+308"),
+        (["run", "smc", "--std", "1e307", "--dims", "1000", "--steps", "2"],
+         "sqrt(1000) * 1e+307"),
+    ], ids=["compare", "run-smc"])
+    def test_derived_scale_overflow_names_the_std(self, tmp_path, capsys, args, shown):
+        out = tmp_path / "run"
+        assert main([*args, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == ("abc-fuzz: error: likelihood scale derived as sqrt(n_dims) * std "
+                       f"overflows: {shown}, std from --std/std_dev; set --scale or "
+                       "likelihood.scale\n")
+        assert not out.exists()
+
+    def test_derived_scale_overflow_names_the_prior_file(self, tmp_path, capsys):
+        prior = _small_prior_file(tmp_path, "x0,x1\n1e308,1e308\n1e308,1e308\n")
+        out = tmp_path / "run"
+        assert main(["run", "mcmc", "--prior", str(prior), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == ("abc-fuzz: error: likelihood scale derived as sqrt(n_dims) * std "
+                       f"overflows: sqrt(2) * inf, std of the values in --prior file {prior}; "
+                       "set --scale or likelihood.scale\n")
+        assert not out.exists()
 
 
 class TestEnvironment:

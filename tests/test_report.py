@@ -359,6 +359,66 @@ class TestPoolWriter:
         assert multiprocessing.active_children() == []
 
 
+def _per_row_text(matrix) -> str:
+    """The plain formatter: every row printed on its own."""
+    return "".join(",".join(map(repr, row)) + "\n" for row in matrix.tolist())
+
+
+def _csv_bytes_both_ways(tmp_path, matrix, chunk_rows):
+    """(pooled, serial) bytes of ``matrix`` written in chunks of ``chunk_rows`` rows."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(report, "CHUNK_CELLS", chunk_rows * matrix.shape[1])
+        patch.setattr(report, "_pool_workers", lambda: 2)
+        patch.setattr(report, "POOL_MIN_CELLS", 0)
+        write_csv(tmp_path / "pooled.csv", ["h"], matrix)
+        patch.setattr(report, "POOL_MIN_CELLS", matrix.size + 1)
+        write_csv(tmp_path / "serial.csv", ["h"], matrix)
+    assert multiprocessing.active_children() == []
+    return (tmp_path / "pooled.csv").read_bytes(), (tmp_path / "serial.csv").read_bytes()
+
+
+# Runs of one row: a matrix whose rows mostly repeat the row before them,
+# as a Metropolis chain's rejected proposals do.
+_RUN_CELLS = st.sampled_from([0.0, *SPECIAL_VALUES])
+_RUNS_OF_ROWS = st.integers(1, 3).flatmap(lambda cols: st.lists(
+    st.tuples(st.lists(_RUN_CELLS, min_size=cols, max_size=cols), st.integers(1, 4)),
+    min_size=1, max_size=6))
+
+
+class TestRepeatedRows:
+    """A row whose bits equal the previous row's reuses its text; the bytes
+    equal a plain per-row formatter's, pooled and serial."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(runs=_RUNS_OF_ROWS, chunk_rows=st.integers(1, 5))
+    def test_runs_of_rows_print_like_every_row(self, tmp_path_factory, runs, chunk_rows):
+        matrix = np.array([row for row, count in runs for _ in range(count)])
+        text = _per_row_text(matrix)
+        assert report._format_rows(matrix) == text
+        pooled, serial = _csv_bytes_both_ways(tmp_path_factory.mktemp("runs"), matrix,
+                                              chunk_rows)
+        assert pooled == serial == b"h\n" + text.encode("ascii")
+
+    @pytest.mark.parametrize("chunk_rows", [1, 2, 3], ids=["one-row-chunks", "2", "3"])
+    def test_zero_and_negative_zero_rows_print_apart(self, tmp_path, chunk_rows):
+        matrix = np.array([[0.0, 1.0], [-0.0, 1.0], [-0.0, 1.0], [0.0, 1.0], [0.0, -0.0]])
+        pooled, serial = _csv_bytes_both_ways(tmp_path, matrix, chunk_rows)
+        assert pooled == serial == b"h\n0.0,1.0\n-0.0,1.0\n-0.0,1.0\n0.0,1.0\n0.0,-0.0\n"
+
+    @pytest.mark.parametrize("chunk_rows", [1, 2, 4], ids=["one-row-chunks", "2", "4"])
+    def test_repeats_across_a_chunk_boundary(self, tmp_path, chunk_rows):
+        # rows 1-5 repeat one state, so every chunk boundary falls inside a run
+        matrix = np.array([[0.5, 2.0]] + [[1e-05, -3.0]] * 5 + [[0.5, 2.0]] * 2)
+        pooled, serial = _csv_bytes_both_ways(tmp_path, matrix, chunk_rows)
+        assert pooled == serial == b"h\n" + _per_row_text(matrix).encode("ascii")
+
+    def test_a_strided_view_compares_its_own_cells(self):
+        # columns 1 and 3 repeat while the skipped columns do not
+        matrix = np.array([[1.0, 2.0, 3.0, 4.0], [9.0, 2.0, 8.0, 4.0], [7.0, 2.0, 6.0, 4.0]])
+        assert report._format_rows(matrix[:, 1::2]) == "2.0,4.0\n" * 3
+        assert report._format_rows(matrix[:, ::2]) == _per_row_text(matrix[:, ::2])
+
+
 # A 3x2 population: 6-cell chunks hold 3 posterior rows. With 40 doubles a
 # draw block, a block holds 5 steps, so chunks end out of step with blocks.
 STREAM_ARGS = ["run", "smc", "--n", "3", "--dims", "2", "--steps", "300"]
