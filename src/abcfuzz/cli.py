@@ -56,6 +56,7 @@ from .report import (
     PLOT_KINDS,
     CsvSink,
     RunReport,
+    _write_mcmc_trace,
     emit_plot_data,
     read_particles_csv,
     utc_now_iso,
@@ -294,10 +295,12 @@ def _resolve_likelihood(args, file_cfg: dict, n_dims: int, prior_std,
     data["target"] = _resolve_target(data.get("target"), n_dims)
     if data.get("scale") is None:  # null, like an absent key, means "derive"
         std = prior_std()
-        _require(math.sqrt(n_dims) * std <= sys.float_info.max,
-                 f"likelihood scale derived as sqrt(n_dims) * std overflows: "
-                 f"sqrt({n_dims}) * {std!r}, {std_from}; set --scale or likelihood.scale")
-        data["scale"] = LikelihoodConfig.for_prior(n_dims, std).scale
+        try:
+            data["scale"] = LikelihoodConfig.for_prior(n_dims, std).scale
+        except ConfigError as exc:  # the one fault of a derived scale: it overflows
+            raise ConfigError(
+                f"likelihood scale derived as sqrt(n_dims) * std overflows: "
+                f"sqrt({n_dims}) * {std!r}, {std_from}; set --scale or likelihood.scale") from exc
     cfg = LikelihoodConfig.from_dict(data)
     if cfg.target.dim != n_dims:
         raise ConfigError(
@@ -444,9 +447,8 @@ def cmd_run(args) -> int:
                           trace_all_dims=bool(args.trace_all))
         posterior_rate = result.chain_pass_rate
 
-        write_csv(outdir / "diagnostics.csv", ["step", "x0", "accepted_flag"],
-                  columns=[range(n_steps), result.trace_dim0, result.accepted.astype(int)])
-        emit_plot_data(result, "mcmc-trace-data", outdir / PLOT_KINDS["mcmc-trace-data"])
+        _write_mcmc_trace(result, outdir / PLOT_KINDS["mcmc-trace-data"],
+                          outdir / "diagnostics.csv")
         if result.trace_full is not None:
             write_particles_csv(ParticleSet._adopt(result.trace_full),
                                 outdir / "trace-full.csv")

@@ -100,18 +100,18 @@ def _block_rows(width: int, steps: int) -> int:
 
 
 def _load_ndtri():
-    """``scipy.special.ndtri``, imported at the first call, or, where scipy
-    cannot be imported, the ImportError, returned rather than raised.
+    """``scipy.special.ndtri``, imported at the first call.
 
     The one import of scipy: ``_uniforms_to_normals`` calls it at a run's
-    first draw, and the pooled CSV reader while its workers parse, so that
-    the import costs no wall time there. A failed import is tried again at
-    the next call.
+    first draw, and the pooled CSV reader while its workers parse. A scipy
+    that cannot be imported raises ImportError naming it; a failed import
+    is tried again at the next call.
     """
     try:
         from scipy.special import ndtri
     except ImportError as exc:
-        return exc
+        raise ImportError(f"normal draws need scipy.special, which cannot be imported: "
+                          f"{exc}") from exc
     return ndtri
 
 
@@ -120,13 +120,9 @@ def _uniforms_to_normals(u: np.ndarray) -> np.ndarray:
 
     The one definition of the normal-draw contract; returns ``u``. scipy is
     loaded at the first call at the latest, so a run that fails before its
-    first draw (and ``--version``) never needs it. A scipy that cannot be
-    imported raises ImportError naming it.
+    first draw (and ``--version``) never needs it.
     """
     ndtri = _load_ndtri()
-    if isinstance(ndtri, ImportError):
-        raise ImportError(f"normal draws need scipy.special, which cannot be imported: "
-                          f"{ndtri}") from ndtri
     np.maximum(u, 2.0**-54, out=u)
     return ndtri(u, out=u)
 

@@ -7,6 +7,7 @@ full round-trip precision. One writer per path: concurrent runs must
 target distinct output directories (out/<run-id>/ by convention).
 """
 
+import contextlib
 import io
 import json
 import os
@@ -117,8 +118,6 @@ def _format_rows(rows: np.ndarray) -> str:
     bits = rows.view(np.int64)
     new = np.ones(rows.shape[0], dtype=bool)
     np.any(bits[1:] != bits[:-1], axis=1, out=new[1:])
-    if new.all():
-        return _format_lines(rows.tolist())
     starts = np.flatnonzero(new)
     repeats = np.diff(starts, append=rows.shape[0]).tolist()
     lines = [",".join(map(repr, row)) + "\n" for row in rows[starts].tolist()]
@@ -510,7 +509,10 @@ def _read_pooled(path) -> Optional[np.ndarray]:
         _fork_pool(pool, len(runs), partial(_parse_range, path, matrix))
         for (_, conn), run in zip(pool, runs):
             conn.send(run)
-        _load_ndtri()  # the run's first draw needs it; load it while the workers parse
+        # the run's first draw needs scipy: load it while the workers parse,
+        # and leave a scipy that cannot be imported for that draw to report
+        with contextlib.suppress(ImportError):
+            _load_ndtri()
         parsed = [conn.recv() for _, conn in pool]
     except _WORKER_DIED as exc:
         raise OSError(f"a CSV reader process died while reading {path}") from exc
@@ -524,9 +526,11 @@ def read_particles_csv(path) -> ParticleSet:
 
     A large file is parsed by forked workers where the process may fork
     (see ``_read_pooled``), and otherwise, or on any disagreement, in
-    process; both give the same values and errors. Ragged rows, non-numeric
-    or non-finite cells and a file without rows raise ConfigError naming
-    the file.
+    process; both give the same values and errors. While the workers
+    parse, this process imports scipy.special, which a sampler's first
+    normal draw needs; a caller that never draws pays for that import too.
+    Ragged rows, non-numeric or non-finite cells and a file without rows
+    raise ConfigError naming the file.
     """
     values = _read_pooled(path)
     if values is None:
@@ -539,6 +543,21 @@ def read_particles_csv(path) -> ParticleSet:
         return ParticleSet._adopt(values)
     except ConfigError as exc:
         raise ConfigError(f"particle CSV {path}: {exc}") from exc
+
+
+def _write_mcmc_trace(result: McmcResult, plot_path, diagnostics_path=None) -> None:
+    """A chain's ``mcmc-trace-data`` file (step, x0) and, given its path,
+    its diagnostics CSV (step, x0, accepted_flag): each step's x0 is
+    formatted once for both, as ``write_csv`` formats it."""
+    lines = [f"{step},{x0!r}" for step, x0 in enumerate(result.trace_dim0.tolist())]
+    if diagnostics_path is not None:
+        flags = result.accepted.astype(int).tolist()
+        with _create(diagnostics_path) as fh:
+            fh.write("step,x0,accepted_flag\n")
+            fh.write("".join([f"{line},{flag}\n" for line, flag in zip(lines, flags)]))
+    with _create(plot_path) as fh:
+        fh.write("step,x0\n")
+        fh.write("".join([line + "\n" for line in lines]))
 
 
 def emit_plot_data(result: Union[SmcResult, McmcResult, ParticleSet], kind: str,
@@ -576,8 +595,7 @@ def emit_plot_data(result: Union[SmcResult, McmcResult, ParticleSet], kind: str,
     elif kind == "mcmc-trace-data":
         if not isinstance(result, McmcResult):
             raise ConfigError(f"plot kind {kind!r} needs an McmcResult")
-        write_csv(path, ["step", "x0"],
-                  columns=[range(result.trace_dim0.size), result.trace_dim0])
+        _write_mcmc_trace(result, path)
     else:  # smc-weights-data
         if not isinstance(result, SmcResult):
             raise ConfigError(f"plot kind {kind!r} needs an SmcResult")

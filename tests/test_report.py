@@ -17,6 +17,7 @@ from abcfuzz import (
     ConfigError,
     LikelihoodConfig,
     McmcConfig,
+    McmcResult,
     ParticleSet,
     PriorConfig,
     RunReport,
@@ -417,6 +418,31 @@ class TestRepeatedRows:
         matrix = np.array([[1.0, 2.0, 3.0, 4.0], [9.0, 2.0, 8.0, 4.0], [7.0, 2.0, 6.0, 4.0]])
         assert report._format_rows(matrix[:, 1::2]) == "2.0,4.0\n" * 3
         assert report._format_rows(matrix[:, ::2]) == _per_row_text(matrix[:, ::2])
+
+
+class TestMcmcTraceFiles:
+    """A chain's plot trace and diagnostics CSV, each x0 formatted once for
+    both, hold the bytes ``write_csv`` writes for the same columns."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(cells=st.lists(st.tuples(_RUN_CELLS, st.booleans()), min_size=1, max_size=8))
+    def test_trace_files_match_write_csv(self, tmp_path_factory, cells):
+        out = tmp_path_factory.mktemp("trace")
+        trace = np.array([x0 for x0, _ in cells])
+        accepted = np.array([flag for _, flag in cells])
+        result = McmcResult(chain=ParticleSet([[0.0]]), trace_dim0=trace,
+                            accepted=accepted, acceptance_rate=float(accepted.mean()))
+        report._write_mcmc_trace(result, out / "trace.dat", out / "diagnostics.csv")
+        write_csv(out / "trace-ref.dat", ["step", "x0"], columns=[range(trace.size), trace])
+        write_csv(out / "diagnostics-ref.csv", ["step", "x0", "accepted_flag"],
+                  columns=[range(trace.size), trace, accepted.astype(int)])
+        assert (out / "trace.dat").read_bytes() == (out / "trace-ref.dat").read_bytes()
+        assert ((out / "diagnostics.csv").read_bytes()
+                == (out / "diagnostics-ref.csv").read_bytes())
+
+    def test_plot_kind_writes_only_the_trace(self, tmp_path, mcmc_result):
+        emit_plot_data(mcmc_result, "mcmc-trace-data", tmp_path / "trace.dat")
+        assert [p.name for p in tmp_path.iterdir()] == ["trace.dat"]
 
 
 # A 3x2 population: 6-cell chunks hold 3 posterior rows. With 40 doubles a
