@@ -2,6 +2,7 @@
 
 import io
 import json
+import shlex
 import signal
 import subprocess
 import sys
@@ -535,6 +536,35 @@ class TestExitCodes:
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr
         assert "exec oracle command" in proc.stderr
+
+
+class TestOracleTimeoutOnOutput:
+    """An exec oracle that passes the prior, then times out on the first
+    output particle: exit 3, one stderr line, and no output artifact."""
+
+    @pytest.mark.parametrize("sampler, extra", [
+        ("smc", []),
+        ("mcmc", ["--burn-in", "1"]),
+    ])
+    def test_timeout_after_the_prior_exits_3_without_output(self, tmp_path, capsys,
+                                                            sampler, extra):
+        counter = tmp_path / "calls"
+        # the first three calls (the prior's) pass; later calls outlive the timeout
+        script = (f"n=$(cat {shlex.quote(str(counter))} 2>/dev/null || echo 0); n=$((n+1)); "
+                  f"echo $n > {shlex.quote(str(counter))}; [ $n -le 3 ] || exec sleep 5")
+        out = tmp_path / "run"
+        code = main(["run", sampler, "--n", "3", "--dims", "2", "--steps", "3", *extra,
+                     "--oracle", "exec:" + shlex.join(["sh", "-c", script]),
+                     "--oracle-timeout", "0.5", "--out", str(out)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err == "abc-fuzz: environment error: oracle command 'sh' exceeded 0.5 s\n"
+        assert counter.read_text() == "4\n"
+        if sampler == "smc":
+            # the posterior sink made the directory and discarded its .tmp file
+            assert list(out.iterdir()) == []
+        else:
+            assert not out.exists()
 
 
 _HUGE = str(10**20)
