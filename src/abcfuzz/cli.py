@@ -332,8 +332,7 @@ def _resolve_oracle(args, file_cfg: dict):
 def _estimated_std(particles: ParticleSet) -> float:
     """The std of a --prior file's values, inf where it overflows."""
     with np.errstate(over="ignore"):
-        value = float(particles.values.std())
-    return value if value > 0 else 1.0
+        return float(particles.values.std())
 
 
 def _generated_std(cfg: PriorConfig) -> float:
@@ -416,15 +415,19 @@ def cmd_run(args) -> int:
     cfg = _SAMPLERS[sampler].from_dict({**data, "likelihood": likelihood})
     if particles is None:
         particles = generate_prior(prior_cfg)
+    # an oracle that does not fit the particles fails here, before the loop
+    prior_rate = pass_rate(particles, oracle)
     n_steps = cfg.n_steps
     outdir = _output_dir(args.out, f"{sampler}-seed{seed}")
 
     if sampler == "smc":
-        # posterior.csv is formatted while the loop runs
+        # posterior.csv is formatted while the loop runs, and judged before
+        # the file is completed, so a failing oracle leaves none
         header = [f"x{i}" for i in range(particles.dim)]
         with CsvSink(outdir / "posterior.csv", header) as sink:
-            result = run_smc(particles, cfg, oracle, sink=sink)
-        posterior_rate = result.posterior_pass_rate
+            result = run_smc(particles, cfg, sink=sink)
+            output = result.posterior
+            posterior_rate = pass_rate(output, oracle)
 
         write_csv(outdir / "diagnostics.csv", ["step", "log_weight_sum", "ess"],
                   columns=[range(n_steps), result.weight_sum_series, result.ess_series])
@@ -443,9 +446,9 @@ def cmd_run(args) -> int:
             diagnostics["convergence_note"] = CONVERGENCE_NOTE
         config_echo = {"prior": prior_echo, "smc": cfg.to_dict(), "oracle": oracle_echo}
     else:
-        result = run_mcmc(particles, cfg, oracle,
-                          trace_all_dims=bool(args.trace_all))
-        posterior_rate = result.chain_pass_rate
+        result = run_mcmc(particles, cfg, trace_all_dims=bool(args.trace_all))
+        output = result.chain
+        posterior_rate = pass_rate(output, oracle)
 
         _write_mcmc_trace(result, outdir / PLOT_KINDS["mcmc-trace-data"],
                           outdir / "diagnostics.csv")
@@ -464,19 +467,20 @@ def cmd_run(args) -> int:
         config_echo = {"prior": prior_echo, "mcmc": cfg.to_dict(), "oracle": oracle_echo}
         write_particles_csv(result.chain, outdir / "posterior.csv")
 
+    oracle_calls = particles.n + output.n
     report = RunReport(
         sampler=sampler,
         seed=seed,
         config_echo=config_echo,
-        prior_pass_rate=result.prior_pass_rate,
+        prior_pass_rate=prior_rate,
         posterior_pass_rate=posterior_rate,
-        oracle_calls=result.oracle_calls,
+        oracle_calls=oracle_calls,
         diagnostics=diagnostics,
     )
     write_report(report, outdir / "report.json")
 
-    print(f"{sampler} steps={n_steps} prior_pass_rate={result.prior_pass_rate!r} "
-          f"posterior_pass_rate={posterior_rate!r} oracle_calls={result.oracle_calls}")
+    print(f"{sampler} steps={n_steps} prior_pass_rate={prior_rate!r} "
+          f"posterior_pass_rate={posterior_rate!r} oracle_calls={oracle_calls}")
     return EXIT_OK
 
 
@@ -506,7 +510,7 @@ def cmd_compare(args) -> int:
     # Arm 2: SMC. One posterior particle per step, so budget steps produce
     # exactly budget oracle-evaluated candidates; the small live population
     # itself is never oracle-evaluated.
-    smc_result = run_smc(generate_prior(prior_cfg), smc_cfg, oracle=None)
+    smc_result = run_smc(generate_prior(prior_cfg), smc_cfg)
     smc_found = count_passing(smc_result.posterior, oracle)
 
     rows = [

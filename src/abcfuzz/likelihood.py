@@ -23,8 +23,9 @@ def log_likelihood_values(values: np.ndarray, config: LikelihoodConfig) -> np.nd
             f"particles have {values.shape[1]} dims but target has {config.target.dim}")
     # coordinates near the float ceiling, a tiny scale or a huge alpha
     # overflow the score to -inf; that is a legitimate score, handled
-    # downstream as weight degeneracy
-    with np.errstate(over="ignore"):
+    # downstream as weight degeneracy. An infinite x[0] times alpha 0 is
+    # NaN, which the samplers report with _nan_score_error.
+    with np.errstate(over="ignore", invalid="ignore"):
         distances = np.linalg.norm(values - config.target.values, axis=1)
         return -(distances / config.scale) - config.alpha * np.abs(values[:, 0])
 
@@ -40,3 +41,11 @@ def _log_likelihood_row(x: np.ndarray, target: np.ndarray, scale: float, alpha: 
     """
     diff = x - target
     return -(math.sqrt(float(np.add.reduce(diff * diff))) / scale) - alpha * abs(float(x[0]))
+
+
+def _nan_score_error(step: int, alpha: float) -> ConfigError:
+    """The error for a NaN score: a coordinate that overflowed to inf, where
+    alpha 0 times an infinite x[0] has no value."""
+    return ConfigError(
+        f"log-likelihood is NaN at step {step}: a particle coordinate overflowed to inf, "
+        f"and with alpha {alpha!r} its score has no value")

@@ -21,8 +21,9 @@ from .core import (
     _block_rows,
     _uniforms_to_normals,
 )
-from .likelihood import _log_likelihood_row, log_likelihood_values
-from .oracle import Oracle, pass_rate
+from .likelihood import _log_likelihood_row, _nan_score_error, log_likelihood_values
+# re-exported only for bench/tracing.py, which wraps mcmc.pass_rate by name
+from .oracle import pass_rate  # noqa: F401
 
 
 @dataclass(frozen=True, eq=False)
@@ -38,9 +39,6 @@ class McmcResult:
     trace_dim0: np.ndarray
     accepted: np.ndarray
     acceptance_rate: float
-    oracle_calls: int = 0
-    prior_pass_rate: Optional[float] = None
-    chain_pass_rate: Optional[float] = None
     trace_full: Optional[np.ndarray] = None
 
 
@@ -62,7 +60,6 @@ def accept_probability(log_likelihood_current: float, log_likelihood_proposed: f
 
 
 def run_mcmc(prior: ParticleSet, config: McmcConfig,
-             oracle: Optional[Oracle] = None,
              trace_all_dims: bool = False) -> McmcResult:
     """Run the Metropolis chain for n_steps and keep the post-burn-in states.
 
@@ -73,10 +70,6 @@ def run_mcmc(prior: ParticleSet, config: McmcConfig,
     when it is random), so identical (prior, config) pairs produce
     bitwise-identical results. The per-step uniforms are drawn in blocks
     of several steps, which consumes the same doubles in the same order.
-
-    When an oracle is given, the prior's pass rate is evaluated before the
-    first step and the post-burn-in chain's after the last;
-    ``oracle_calls`` is the number of particles evaluated.
     """
     if prior.dim != config.likelihood.target.dim:
         raise ConfigError(
@@ -84,7 +77,6 @@ def run_mcmc(prior: ParticleSet, config: McmcConfig,
             f"{config.likelihood.target.dim}")
     n, d = prior.n, prior.dim
     steps, burn_in = config.n_steps, config.burn_in
-    prior_rate = None if oracle is None else pass_rate(prior, oracle)
     rng = RandomSource(config.seed)
 
     if config.initial_index is not None:
@@ -125,6 +117,8 @@ def run_mcmc(prior: ParticleSet, config: McmcConfig,
                     raise DegenerateStateError(
                         f"chain degenerated (state and proposal at -inf) at step {step}",
                         step=step) from exc
+                except ConfigError as exc:  # the proposal's score is NaN
+                    raise _nan_score_error(step, alpha) from exc
                 if u < prob:
                     state = proposal
                     log_l = log_l_proposal
@@ -134,21 +128,13 @@ def run_mcmc(prior: ParticleSet, config: McmcConfig,
                 if step >= first_kept:
                     kept[step - first_kept] = state
 
-    chain = ParticleSet._adopt(kept[burn_in - first_kept:])
-    acceptance_rate = n_accepted / steps
-
-    chain_rate = None if oracle is None else pass_rate(chain, oracle)
-
     trace.setflags(write=False)
     accepted.setflags(write=False)
     kept.setflags(write=False)
     return McmcResult(
-        chain=chain,
+        chain=ParticleSet._adopt(kept[burn_in - first_kept:]),
         trace_dim0=trace,
         accepted=accepted,
-        acceptance_rate=acceptance_rate,
-        oracle_calls=0 if oracle is None else n + chain.n,
-        prior_pass_rate=prior_rate,
-        chain_pass_rate=chain_rate,
+        acceptance_rate=n_accepted / steps,
         trace_full=kept if trace_all_dims else None,
     )

@@ -9,7 +9,6 @@ population size.
 """
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -24,8 +23,9 @@ from .core import (
     _require,
     _uniforms_to_normals,
 )
-from .likelihood import log_likelihood_values
-from .oracle import Oracle, pass_rate
+from .likelihood import _nan_score_error, log_likelihood_values
+# re-exported only for bench/tracing.py, which wraps smc.pass_rate by name
+from .oracle import pass_rate  # noqa: F401
 
 
 @dataclass(frozen=True, eq=False)
@@ -41,9 +41,6 @@ class SmcResult:
     posterior: ParticleSet
     weight_sum_series: np.ndarray
     ess_series: np.ndarray
-    oracle_calls: int = 0
-    prior_pass_rate: Optional[float] = None
-    posterior_pass_rate: Optional[float] = None
 
 
 def _weights(log_weights: np.ndarray, peak) -> tuple:
@@ -100,8 +97,7 @@ def systematic_resample(weights, rng: RandomSource) -> np.ndarray:
     return _select(np.cumsum(w), grid).astype(np.int64)
 
 
-def run_smc(prior: ParticleSet, config: SmcConfig,
-            oracle: Optional[Oracle] = None, sink=None) -> SmcResult:
+def run_smc(prior: ParticleSet, config: SmcConfig, sink=None) -> SmcResult:
     """Run the full SMC loop and collect one posterior particle per step.
 
     Per step: (1) move every particle by the random walk, (2) score them,
@@ -114,12 +110,7 @@ def run_smc(prior: ParticleSet, config: SmcConfig,
     order: the N*D random-walk normals (row-major), the resampling offset,
     then the posterior pick. Uniforms are drawn in blocks of several
     steps, which consumes the same doubles in the same order as drawing
-    them one step at a time.
-
-    When an oracle is given, the prior's pass rate is evaluated before the
-    first step, so an oracle that does not fit the particles fails before
-    the loop, and the posterior's after the last; ``oracle_calls`` counts
-    the N + T particles evaluated. Identical (prior, config) pairs produce
+    them one step at a time. Identical (prior, config) pairs produce
     bitwise-identical results.
 
     When a sink is given (an entered ``report.CsvSink``), the posterior is
@@ -138,7 +129,6 @@ def run_smc(prior: ParticleSet, config: SmcConfig,
     n, d = prior.n, prior.dim
     nd = n * d
     steps = config.n_steps
-    prior_rate = None if oracle is None else pass_rate(prior, oracle)
     rng = RandomSource(config.seed)
 
     population = prior.to_array()
@@ -148,46 +138,42 @@ def run_smc(prior: ParticleSet, config: SmcConfig,
     grid = np.arange(n) / n
     rows = _block_rows(nd + 2, steps)
 
-    for first in range(0, steps, rows):
-        block = rng.uniform_block(min(rows, steps - first), nd + 2)
-        noise = _uniforms_to_normals(block[:, :nd])
-        # a huge step std overflows the noise to inf, and the weights then
-        # collapse, reported as degeneracy
-        with np.errstate(over="ignore"):
+    # a huge step std or a coordinate near the float ceiling overflows the
+    # moved particles to inf, and the weights then collapse, reported as
+    # degeneracy
+    with np.errstate(over="ignore"):
+        for first in range(0, steps, rows):
+            block = rng.uniform_block(min(rows, steps - first), nd + 2)
+            noise = _uniforms_to_normals(block[:, :nd])
             noise *= config.step_std
-        # per step: the n resampling grid points, then the posterior pick
-        points = np.hstack([block[:, nd, np.newaxis] / n + grid, block[:, nd + 1:]])
+            # per step: the n resampling grid points, then the posterior pick
+            points = np.hstack([block[:, nd, np.newaxis] / n + grid, block[:, nd + 1:]])
 
-        for j in range(block.shape[0]):
-            step = first + j
-            population += noise[j].reshape(n, d)
-            log_w = log_likelihood_values(population, config.likelihood)
-            peak = log_w.max()
-            if peak == -np.inf:
-                raise DegenerateWeightsError(
-                    f"all particle weights collapsed to zero at step {step}", step=step)
-            # NaN (an infinite coordinate times alpha 0) propagates through max
-            _require(peak < np.inf, "log-weights must not contain NaN or +inf")
-            w, weight_sums[step] = _weights(log_w, peak)
-            # float round-off can push 1/sum(w^2) past N by ~1e-15; keep the
-            # recorded series inside its documented [1, N] range
-            ess[step] = min(max(1.0 / float(np.sum(w * w)), 1.0), float(n))
-            selected = _select(np.cumsum(w), points[j])
-            posterior[step] = population[selected[n]]
-            population = population[selected[:n]]
-        if sink is not None:
-            sink.advance(first + block.shape[0])
-
-    posterior_set = ParticleSet._adopt(posterior)
-    posterior_rate = None if oracle is None else pass_rate(posterior_set, oracle)
+            for j in range(block.shape[0]):
+                step = first + j
+                population += noise[j].reshape(n, d)
+                log_w = log_likelihood_values(population, config.likelihood)
+                peak = log_w.max()
+                if peak == -np.inf:
+                    raise DegenerateWeightsError(
+                        f"all particle weights collapsed to zero at step {step}", step=step)
+                # NaN propagates through max; scores are never +inf
+                if not peak < np.inf:
+                    raise _nan_score_error(step, config.likelihood.alpha)
+                w, weight_sums[step] = _weights(log_w, peak)
+                # float round-off can push 1/sum(w^2) past N by ~1e-15; keep the
+                # recorded series inside its documented [1, N] range
+                ess[step] = min(max(1.0 / float(np.sum(w * w)), 1.0), float(n))
+                selected = _select(np.cumsum(w), points[j])
+                posterior[step] = population[selected[n]]
+                population = population[selected[:n]]
+            if sink is not None:
+                sink.advance(first + block.shape[0])
 
     weight_sums.setflags(write=False)
     ess.setflags(write=False)
     return SmcResult(
-        posterior=posterior_set,
+        posterior=ParticleSet._adopt(posterior),
         weight_sum_series=weight_sums,
         ess_series=ess,
-        oracle_calls=0 if oracle is None else n + steps,
-        prior_pass_rate=prior_rate,
-        posterior_pass_rate=posterior_rate,
     )

@@ -76,11 +76,12 @@ def test_criterion_2_smc_directedness():
     for seed in SMC_FIXTURE_SEEDS:
         prior = generate_prior(PriorConfig(**REFERENCE_PRIOR, seed=seed))
         result = run_smc(prior, SmcConfig(likelihood=likelihood, n_steps=1000,
-                                          step_std=0.5, seed=seed), oracle)
-        assert result.prior_pass_rate == 0.3, f"fixture premise broken for seed {seed}"
-        worst_posterior = min(worst_posterior, result.posterior_pass_rate)
-        worst_margin = min(worst_margin,
-                           result.posterior_pass_rate - result.prior_pass_rate)
+                                          step_std=0.5, seed=seed))
+        prior_rate = pass_rate(prior, oracle)
+        posterior_rate = pass_rate(result.posterior, oracle)
+        assert prior_rate == 0.3, f"fixture premise broken for seed {seed}"
+        worst_posterior = min(worst_posterior, posterior_rate)
+        worst_margin = min(worst_margin, posterior_rate - prior_rate)
     ok = worst_posterior > 0.60 and worst_margin >= 0.25
     _verdict(ok, f"criterion 2: SMC posterior rate > 0.60 (min {worst_posterior:.3f}) "
                  f"and margin >= 0.25 (min {worst_margin:.3f}) on 20 seeds", started)

@@ -1,7 +1,9 @@
 """CLI contract: artifacts, exit codes, determinism, config merging."""
 
+import contextlib
 import io
 import json
+import re
 import shlex
 import signal
 import subprocess
@@ -9,12 +11,14 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
 from abcfuzz import (
+    LikelihoodConfig,
     PriorConfig,
     RangeOracle,
     SmcConfig,
+    generate_prior,
     pass_rate,
     read_particles_csv,
 )
@@ -30,6 +34,15 @@ def _without_timestamp(outdir):
     data = _read_report(outdir)
     data.pop("timestamp")
     return data
+
+
+def _assert_rates_judge_prior_and_output(report, outdir):
+    """The report's rates are the default oracle's over the generated prior
+    and over posterior.csv."""
+    prior = generate_prior(PriorConfig.from_dict(report["config_echo"]["prior"]))
+    assert report["prior_pass_rate"] == pass_rate(prior, RangeOracle())
+    assert report["posterior_pass_rate"] == pass_rate(
+        read_particles_csv(outdir / "posterior.csv"), RangeOracle())
 
 
 class TestGenPrior:
@@ -100,6 +113,14 @@ class TestRunSmc:
                            f"posterior_pass_rate={report['posterior_pass_rate']!r} "
                            f"oracle_calls=50")
 
+    def test_oracle_calls_are_n_plus_t(self, tmp_path):
+        out = tmp_path / "run"
+        assert main(["run", "smc", "--n", "7", "--steps", "40", "--seed", "7",
+                     "--out", str(out)]) == 0
+        report = _read_report(out)
+        assert report["oracle_calls"] == 7 + 40
+        _assert_rates_judge_prior_and_output(report, out)
+
     def test_config_echo_round_trips_to_the_resolved_config(self, tmp_path):
         out = tmp_path / "run"
         main(["run", "smc", "--steps", "25", "--seed", "8", "--alpha", "2.0",
@@ -164,6 +185,15 @@ class TestRunSmc:
 
 
 class TestRunMcmc:
+    def test_oracle_calls_are_n_plus_chain_length(self, tmp_path):
+        out = tmp_path / "run"
+        assert main(["run", "mcmc", "--steps", "60", "--burn-in", "20", "--seed", "12",
+                     "--out", str(out)]) == 0
+        report = _read_report(out)
+        assert report["diagnostics"]["chain_length"] == 40
+        assert report["oracle_calls"] == 10 + 40
+        _assert_rates_judge_prior_and_output(report, out)
+
     def test_chain_length_is_steps_minus_burn_in(self, tmp_path):
         out = tmp_path / "run"
         code = main(["run", "mcmc", "--steps", "1000", "--burn-in", "100",
@@ -790,6 +820,19 @@ class TestPriorFileStd:
         assert len(proc.stderr.splitlines()) == 1, proc.stderr
         assert proc.stderr.startswith(shown)
 
+    def test_constant_prior_file_gets_the_zero_std_scale(self, tmp_path):
+        # a file whose values are all equal has std 0, like a generated --std 0
+        # prior: both derive the scale LikelihoodConfig.for_prior gives std 0
+        prior = _small_prior_file(tmp_path, "x0,x1,x2,x3\n0.25,0.25,0.25,0.25\n"
+                                            "0.25,0.25,0.25,0.25\n")
+        file_out, generated_out = tmp_path / "file", tmp_path / "generated"
+        args = ["run", "mcmc", "--steps", "2", "--burn-in", "0"]
+        assert main([*args, "--prior", str(prior), "--out", str(file_out)]) == 0
+        assert main([*args, "--dims", "4", "--std", "0", "--out", str(generated_out)]) == 0
+        scales = [_read_report(out)["config_echo"]["mcmc"]["likelihood"]["scale"]
+                  for out in (file_out, generated_out)]
+        assert scales == [LikelihoodConfig.for_prior(4, 0.0).scale] * 2 == [1.0, 1.0]
+
     @pytest.mark.parametrize("scale_from", ["flag", "file"])
     def test_std_is_not_read_for_a_given_scale(self, tmp_path, monkeypatch, scale_from):
         def unexpected(particles):
@@ -809,6 +852,9 @@ class TestPriorFileStd:
         assert _read_report(out)["config_echo"]["mcmc"]["likelihood"]["scale"] == 2
 
 
+_MAX = repr(sys.float_info.max)
+
+
 class TestNumericExtremes:
     """Flags at the float limits: no numpy warning reaches stderr (tier-1
     turns one into an error), and a derived scale that overflows names
@@ -820,14 +866,32 @@ class TestNumericExtremes:
         (["run", "smc", "--alpha", "1e308", "--steps", "3"], 0),
         (["run", "mcmc", "--alpha", "1e308", "--steps", "3", "--burn-in", "1"], 4),
         (["run", "smc", "--step-std", "1e308", "--steps", "3"], 4),
+        (["run", "smc", "--mean", _MAX, "--std", "0", "--step-std", "1e300", "--dims", "1",
+          "--steps", "2"], 4),
+        (["compare", "--budget", "2", "--mean", _MAX, "--std", "0", "--step-std", "1e300",
+          "--dims", "1"], 4),
     ], ids=["smc-tiny-scale", "mcmc-tiny-scale", "smc-huge-alpha", "mcmc-huge-alpha",
-            "smc-huge-step-std"])
+            "smc-huge-step-std", "smc-moved-past-the-ceiling", "compare-moved-past-the-ceiling"])
     def test_overflowing_score_prints_at_most_one_line(self, tmp_path, capsys, args, code):
         assert main([*args, "--out", str(tmp_path / "run")]) == code
         err = capsys.readouterr().err
         assert len(err.splitlines()) == (0 if code == 0 else 1), err
         if code == 4:
             assert err.startswith("abc-fuzz: degeneracy (step 0)")
+
+    @pytest.mark.parametrize("args, step", [
+        (["run", "smc", "--n", "3", "--dims", "2", "--steps", "3"], 0),
+        (["run", "mcmc", "--dims", "1", "--steps", "3", "--burn-in", "0"], 1),
+        (["compare", "--budget", "3", "--n", "3", "--dims", "2"], 0),
+    ], ids=["smc", "mcmc", "compare"])
+    def test_nan_score_names_alpha(self, tmp_path, capsys, args, step):
+        # a step std at the float ceiling moves a first coordinate to inf,
+        # and alpha 0 times inf is NaN
+        out = tmp_path / "run"
+        assert main([*args, "--alpha", "0", "--step-std", _MAX, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"abc-fuzz: error: log-likelihood is NaN at step {step}: a particle coordinate "
+            "overflowed to inf, and with alpha 0.0 its score has no value\n")
 
     @pytest.mark.parametrize("args, shown", [
         (["compare", "--budget", "5", "--std", "1e308"], "sqrt(100) * 1e+308"),
@@ -852,6 +916,107 @@ class TestNumericExtremes:
                        f"overflows: sqrt(2) * inf, std of the values in --prior file {prior}; "
                        "set --scale or likelihood.scale\n")
         assert not out.exists()
+
+
+_LIMITS = (0.0, 5e-324, 1e-300, 1e300, 1e307, 1e308, sys.float_info.max)
+_REAL = st.sampled_from([*_LIMITS, *(-v for v in _LIMITS)])
+# a size between 3 and 10**20 could allocate gigabytes or run for minutes
+_SIZE = st.sampled_from([0, 1, 2, 3, 10**20, 2**64])
+_SEED = st.sampled_from([0, 2**64 - 1, 2**64])
+_PRIOR_FLAGS = {"--n": _SIZE, "--dims": _SIZE, "--mean": _REAL, "--std": _REAL,
+                "--zero-fraction": _REAL}
+_SAMPLER_FLAGS = {**_PRIOR_FLAGS, "--step-std": _REAL, "--alpha": _REAL, "--scale": _REAL,
+                  "--seed": _SEED, "--oracle-timeout": _REAL}
+_NONNEGATIVE = st.sampled_from(_LIMITS)
+# The limits each real flag's parser accepts; --oracle-timeout accepts
+# positive values, and with the range oracle every one of them exits 2.
+_ACCEPTED_REALS = {"--mean": _REAL, "--std": _NONNEGATIVE, "--step-std": _NONNEGATIVE,
+                   "--alpha": _NONNEGATIVE, "--scale": st.sampled_from(_LIMITS[1:]),
+                   "--zero-fraction": st.sampled_from(_LIMITS[:3])}
+# Per command: its size flags with the small value each takes unless drawn
+# (so no default size applies), and every numeric flag with its values.
+_NUMERIC_FLAGS = {
+    ("gen-prior",): ({"--n": 1, "--dims": 1}, {**_PRIOR_FLAGS, "--seed": _SEED}),
+    ("run", "smc"): ({"--n": 1, "--dims": 1, "--steps": 1},
+                     {**_SAMPLER_FLAGS, "--steps": _SIZE, "--prior-seed": _SEED}),
+    ("run", "mcmc"): ({"--n": 1, "--dims": 1, "--steps": 1, "--burn-in": 0},
+                      {**_SAMPLER_FLAGS, "--steps": _SIZE, "--prior-seed": _SEED,
+                       "--burn-in": _SIZE, "--initial-index": _SIZE}),
+    ("compare",): ({"--budget": 1, "--n": 1, "--dims": 1}, {**_SAMPLER_FLAGS, "--budget": _SIZE}),
+}
+
+
+def _names_of(flags) -> list:
+    """The flags given plus the config keys they set, per cli._FLAG_FIELDS."""
+    names = list(flags)
+    for flag in flags:
+        dest = flag[2:].replace("-", "_")
+        names += [fields[dest] for fields in cli._FLAG_FIELDS.values() if dest in fields]
+    return names
+
+
+def _mentions(text: str, names) -> bool:
+    return any(re.search(rf"(?<![\w-]){re.escape(name)}(?![\w-])", text) for name in names)
+
+
+def _run_at_limits(tmp_path_factory, command, flags):
+    """Run ``command`` with ``flags`` in process and check the exit-code
+    contract: 0, 2, 3 or 4, no traceback or warning, nothing on stderr on
+    success, and otherwise one line that says which flag or key is at fault."""
+    argv = [*command, *(f"{flag}={value!r}" for flag, value in flags.items()),
+            "--out", str(tmp_path_factory.mktemp("limits") / "run")]
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main(argv)
+    err = stderr.getvalue()
+    event(f"exit {code}")
+    assert code in (0, 2, 3, 4), err
+    assert "Traceback" not in err and "Warning" not in err, err
+    if code == 0:
+        assert err == ""
+        return
+    lines = err.splitlines()
+    if lines[0].startswith("usage: "):  # argparse names the flag it rejects
+        assert code == 2
+        assert re.fullmatch(r"abc-fuzz [\w -]+: error: argument --[\w-]+: .+", lines[-1]), err
+        assert _mentions(lines[-1], flags), err
+        assert not any("error:" in line for line in lines[:-1]), err
+        return
+    assert len(lines) == 1, err
+    if code == 2:
+        assert lines[0].startswith("abc-fuzz: error: "), err
+        assert _mentions(lines[0], _names_of(flags)) or "overflows" in lines[0], err
+    elif code == 3:
+        assert lines[0].startswith("abc-fuzz: environment error: "), err
+    else:
+        assert lines[0].startswith("abc-fuzz: degeneracy"), err
+
+
+class TestNumericFlagsProperty:
+    """Numeric flags at the float and integer limits keep the exit-code contract."""
+
+    @pytest.mark.parametrize("command", list(_NUMERIC_FLAGS), ids=" ".join)
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(data=st.data())
+    def test_any_limit_keeps_the_exit_code_contract(self, tmp_path_factory, command, data):
+        small, limits = _NUMERIC_FLAGS[command]
+        # a few flags at their limits, so that most runs get past argparse
+        drawn = data.draw(st.lists(st.sampled_from(sorted(limits)), max_size=3, unique=True))
+        flags = {**small, **{flag: data.draw(limits[flag], label=flag) for flag in drawn}}
+        _run_at_limits(tmp_path_factory, command, flags)
+
+    @pytest.mark.parametrize("command", list(_NUMERIC_FLAGS), ids=" ".join)
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(data=st.data())
+    def test_accepted_limits_together_keep_the_exit_code_contract(self, tmp_path_factory,
+                                                                   command, data):
+        # every real flag at once, each at a limit its parser accepts, so the
+        # samplers run with every value near the float ceiling or floor
+        small, limits = _NUMERIC_FLAGS[command]
+        flags = dict(small)
+        for flag in sorted(limits.keys() & _ACCEPTED_REALS.keys()):
+            flags[flag] = data.draw(_ACCEPTED_REALS[flag], label=flag)
+        _run_at_limits(tmp_path_factory, command, flags)
 
 
 class TestEnvironment:

@@ -12,7 +12,6 @@ from abcfuzz import (
     McmcConfig,
     ParticleSet,
     PriorConfig,
-    RangeOracle,
     accept_probability,
     generate_prior,
     run_mcmc,
@@ -92,13 +91,12 @@ class TestRunMcmc:
     def test_bitwise_determinism(self):
         prior = generate_prior(PriorConfig(seed=6))
         cfg = _config(seed=7, n_steps=150, burn_in=10)
-        a = run_mcmc(prior, cfg, RangeOracle())
-        b = run_mcmc(prior, cfg, RangeOracle())
+        a = run_mcmc(prior, cfg)
+        b = run_mcmc(prior, cfg)
         assert a.chain.values.tobytes() == b.chain.values.tobytes()
         assert a.trace_dim0.tobytes() == b.trace_dim0.tobytes()
         assert np.array_equal(a.accepted, b.accepted)
-        assert (a.acceptance_rate, a.prior_pass_rate, a.chain_pass_rate) == \
-               (b.acceptance_rate, b.prior_pass_rate, b.chain_pass_rate)
+        assert a.acceptance_rate == b.acceptance_rate
 
     def test_initial_index_out_of_range(self):
         prior = generate_prior(PriorConfig(seed=1))
@@ -127,13 +125,6 @@ class TestRunMcmc:
         trace, accepted, _, _ = replay_chain(prior, cfg)
         np.testing.assert_array_equal(result.trace_dim0, trace)
         np.testing.assert_array_equal(result.accepted, accepted)
-
-    def test_oracle_counts_prior_plus_chain(self):
-        prior = generate_prior(PriorConfig(seed=12))
-        result = run_mcmc(prior, _config(seed=12, n_steps=60, burn_in=20), RangeOracle())
-        assert result.oracle_calls == prior.n + 40
-        assert result.prior_pass_rate is not None
-        assert result.chain_pass_rate is not None
 
     def test_trace_all_dims_records_every_state(self):
         prior = generate_prior(PriorConfig(seed=13))

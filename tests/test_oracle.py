@@ -1,5 +1,6 @@
 """Oracles: range check, pass rates, external commands."""
 
+import json
 import math
 import shlex
 import shutil
@@ -13,8 +14,6 @@ import pytest
 from abcfuzz import (
     ConfigError,
     ExternalOracle,
-    LikelihoodConfig,
-    McmcConfig,
     OracleSpawnError,
     OracleTimeoutError,
     Particle,
@@ -22,12 +21,10 @@ from abcfuzz import (
     PriorConfig,
     RandomSource,
     RangeOracle,
-    SmcConfig,
     generate_prior,
     pass_rate,
-    run_mcmc,
-    run_smc,
 )
+from abcfuzz.cli import main
 
 DEFAULT = RangeOracle()
 
@@ -93,19 +90,21 @@ class TestPassRate:
         assert pass_rate(ps, oracle) == sum(verdicts) / len(verdicts) == 0.5
 
 
-@pytest.mark.parametrize("module, run, config_class", [
-    ("abcfuzz.smc", run_smc, SmcConfig),
-    ("abcfuzz.mcmc", run_mcmc, McmcConfig),
-])
-def test_misfit_oracle_fails_before_the_sampler_loop(monkeypatch, module, run, config_class):
+@pytest.mark.parametrize("sampler", ["smc", "mcmc"])
+def test_misfit_oracle_fails_before_the_sampler_loop(monkeypatch, tmp_path, capsys, sampler):
     def never_scored(*args, **kwargs):
         raise AssertionError("the sampler scored a particle before checking its oracle")
 
-    monkeypatch.setattr(f"{module}.log_likelihood_values", never_scored)
-    prior = generate_prior(PriorConfig(n_dims=2, seed=1))
-    cfg = config_class(likelihood=LikelihoodConfig.for_prior(2, 10.0), n_steps=200_000)
-    with pytest.raises(ConfigError, match="oracle dimension 5 out of range"):
-        run(prior, cfg, RangeOracle(dimension=5))
+    for name in ("abcfuzz.smc.log_likelihood_values", "abcfuzz.mcmc.log_likelihood_values",
+                 "abcfuzz.mcmc._log_likelihood_row"):
+        monkeypatch.setattr(name, never_scored)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"oracle": {"dimension": 5}}))
+    out = tmp_path / "run"
+    assert main(["run", sampler, "--dims", "2", "--steps", "200000", "--config", str(config),
+                 "--out", str(out)]) == 2
+    assert "oracle dimension 5 out of range" in capsys.readouterr().err
+    assert not out.exists()
 
 
 class TestExternalOracle:

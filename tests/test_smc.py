@@ -13,7 +13,6 @@ from abcfuzz import (
     ParticleSet,
     PriorConfig,
     RandomSource,
-    RangeOracle,
     SmcConfig,
     generate_prior,
     normalize_log_weights,
@@ -171,13 +170,11 @@ class TestRunSmc:
     def test_bitwise_determinism(self):
         prior = generate_prior(PriorConfig(seed=5))
         cfg = _reference_smc_config(seed=6, n_steps=100)
-        a = run_smc(prior, cfg, RangeOracle())
-        b = run_smc(prior, cfg, RangeOracle())
+        a = run_smc(prior, cfg)
+        b = run_smc(prior, cfg)
         assert a.posterior.values.tobytes() == b.posterior.values.tobytes()
         assert a.weight_sum_series.tobytes() == b.weight_sum_series.tobytes()
         assert a.ess_series.tobytes() == b.ess_series.tobytes()
-        assert (a.prior_pass_rate, a.posterior_pass_rate, a.oracle_calls) == \
-               (b.prior_pass_rate, b.posterior_pass_rate, b.oracle_calls)
 
     @pytest.mark.parametrize("n, d, steps", [
         (10, 100, 700),   # 32 steps per draw block, the last block partial
@@ -193,19 +190,6 @@ class TestRunSmc:
         assert result.posterior.values.tobytes() == posterior.tobytes()
         assert result.weight_sum_series.tobytes() == weight_sums.tobytes()
         assert result.ess_series.tobytes() == ess.tobytes()
-
-    def test_oracle_call_budget_is_n_plus_t(self):
-        prior = generate_prior(PriorConfig(seed=7))
-        result = run_smc(prior, _reference_smc_config(seed=7, n_steps=40), RangeOracle())
-        assert result.oracle_calls == prior.n + 40
-        assert result.prior_pass_rate is not None
-        assert result.posterior_pass_rate is not None
-
-    def test_no_oracle_means_no_rates(self):
-        prior = generate_prior(PriorConfig(seed=7))
-        result = run_smc(prior, _reference_smc_config(seed=7, n_steps=5))
-        assert result.oracle_calls == 0
-        assert result.prior_pass_rate is None and result.posterior_pass_rate is None
 
     def test_weight_collapse_aborts_and_names_the_step(self):
         # coordinates near 1e200 overflow the distance norm to inf, sending
