@@ -963,6 +963,7 @@ def _run_at_limits(tmp_path_factory, command, flags):
     """Run ``command`` with ``flags`` in process and check the exit-code
     contract: 0, 2, 3 or 4, no traceback or warning, nothing on stderr on
     success, and otherwise one line that says which flag or key is at fault."""
+    # --flag=value, since argparse reads a separate "-1e308" as a flag
     argv = [*command, *(f"{flag}={value!r}" for flag, value in flags.items()),
             "--out", str(tmp_path_factory.mktemp("limits") / "run")]
     stdout, stderr = io.StringIO(), io.StringIO()
