@@ -16,7 +16,6 @@ from .core import (
     ENGINE_VERSION,
     LikelihoodConfig,
     McmcConfig,
-    Particle,
     ParticleSet,
     PriorConfig,
     RandomSource,
@@ -65,7 +64,6 @@ __all__ = [
     "OracleSpawnError",
     "OracleTimeoutError",
     "OracleVerdict",
-    "Particle",
     "ParticleSet",
     "PriorConfig",
     "RandomSource",

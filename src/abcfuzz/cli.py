@@ -12,6 +12,7 @@ import argparse
 import dataclasses
 import math
 import os
+import re
 import signal
 import sys
 import threading
@@ -25,7 +26,6 @@ from .core import (
     ENGINE_VERSION,
     LikelihoodConfig,
     McmcConfig,
-    Particle,
     ParticleSet,
     PriorConfig,
     SmcConfig,
@@ -120,6 +120,12 @@ _positive_float = _checked(float, lambda v: math.isfinite(v) and v > 0,
 _finite_float = _checked(float, math.isfinite, "must be a finite number")
 _fraction = _checked(float, lambda v: 0.0 <= v <= 1.0, "must lie in [0, 1]")
 _seed = _checked(int, lambda v: 0 <= v < _SEED_MODULUS, "must fit in 64 unsigned bits")
+_path = _checked(str, bool, "must not be empty")
+
+# argparse's negative-number pattern has no exponent, so it reads the word
+# "-1e308" as a flag and "--mean -1e308" as lacking its value. There is no
+# public hook for the pattern: build_parser replaces each parser's private one.
+_NEGATIVE_NUMBER = re.compile(r"^-\d+([eE][-+]?\d+)?$|^-\d*\.\d+([eE][-+]?\d+)?$")
 
 
 def _oracle_spec(text: str) -> dict:
@@ -172,9 +178,9 @@ def _output_dir(out_flag, run_id: str) -> Path:
 
 
 def _add_config_flags(parser):
-    parser.add_argument("--config", metavar="FILE",
+    parser.add_argument("--config", type=_path, metavar="FILE",
                         help="JSON config file; flags override its values")
-    parser.add_argument("--out", metavar="DIR",
+    parser.add_argument("--out", type=_path, metavar="DIR",
                         help="output directory (default: <root>/<run-id>/, root from "
                              "$ABC_FUZZ_OUT or ./out)")
 
@@ -199,7 +205,7 @@ def _add_likelihood_flags(parser):
                              f"(default {LikelihoodConfig.alpha})")
     parser.add_argument("--scale", type=_positive_float,
                         help="distance normalizer (default sqrt(dims) * prior std)")
-    parser.add_argument("--target", metavar="origin|FILE",
+    parser.add_argument("--target", type=_path, metavar="origin|FILE",
                         help="likelihood target point: 'origin' or a one-particle CSV "
                              "(default origin)")
 
@@ -230,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="run a sampler against an oracle")
     run.add_argument("sampler", choices=("smc", "mcmc"))
-    run.add_argument("--prior", metavar="FILE",
+    run.add_argument("--prior", type=_path, metavar="FILE",
                      help="load the prior from a particle CSV instead of generating it")
     _add_prior_flags(run)
     run.add_argument("--prior-seed", type=_seed,
@@ -270,6 +276,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_flags(comp)
     comp.set_defaults(func=cmd_compare)
 
+    for each in (parser, *sub.choices.values()):
+        each._negative_number_matcher = _NEGATIVE_NUMBER
     return parser
 
 
@@ -277,7 +285,7 @@ def _resolve_target(spec, n_dims: int):
     """Resolve 'origin' (or null) and a one-particle CSV path; any other value
     is left for LikelihoodConfig.from_dict to check as an inline list."""
     if spec is None or spec == "origin":
-        return Particle(np.zeros(n_dims))
+        return np.zeros(n_dims)
     if not isinstance(spec, str):
         return spec
     target_set = read_particles_csv(spec)
@@ -302,9 +310,9 @@ def _resolve_likelihood(args, file_cfg: dict, n_dims: int, prior_std,
                 f"likelihood scale derived as sqrt(n_dims) * std overflows: "
                 f"sqrt({n_dims}) * {std!r}, {std_from}; set --scale or likelihood.scale") from exc
     cfg = LikelihoodConfig.from_dict(data)
-    if cfg.target.dim != n_dims:
+    if cfg.target.size != n_dims:
         raise ConfigError(
-            f"--target has {cfg.target.dim} dims but the prior has {n_dims}")
+            f"--target has {cfg.target.size} dims but the prior has {n_dims}")
     return cfg
 
 

@@ -168,57 +168,6 @@ class RandomSource:
         return _uniforms_to_normals(self._gen.random(n))
 
 
-class Particle:
-    """One fuzz input: a fixed-length vector of finite floats.
-
-    The backing array is copied on construction and marked read-only, so a
-    particle never changes after it exists. A particle taken from a
-    ParticleSet shares the set's read-only row instead of copying it.
-    """
-
-    __slots__ = ("_values",)
-
-    def __init__(self, values: Union[Sequence[float], np.ndarray]):
-        arr = np.array(values, dtype=np.float64)
-        _require(arr.ndim == 1, f"particle must be one-dimensional, got shape {arr.shape}")
-        _require(arr.size >= 1, "particle needs at least one dimension")
-        _require(bool(np.isfinite(arr).all()), "particle values must be finite (no NaN/inf)")
-        arr.setflags(write=False)
-        self._values = arr
-
-    @classmethod
-    def _of_row(cls, row: np.ndarray) -> "Particle":
-        """Wrap a ParticleSet's row view, which the set already keeps finite and read-only."""
-        particle = cls.__new__(cls)
-        particle._values = row
-        return particle
-
-    @property
-    def values(self) -> np.ndarray:
-        return self._values
-
-    @property
-    def dim(self) -> int:
-        return self._values.size
-
-    def __len__(self) -> int:
-        return self._values.size
-
-    def __getitem__(self, index: int) -> float:
-        return float(self._values[index])
-
-    def __iter__(self):
-        return iter(self._values.tolist())
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Particle):
-            return NotImplemented
-        return np.array_equal(self._values, other._values)
-
-    def __repr__(self) -> str:
-        return f"Particle(dim={self.dim})"
-
-
 class ParticleSet:
     """A population of particles sharing one dimensionality: an (N, D) matrix.
 
@@ -265,14 +214,14 @@ class ParticleSet:
     def __len__(self) -> int:
         return self.n
 
-    def __getitem__(self, index: int) -> Particle:
+    def __getitem__(self, index: int) -> np.ndarray:
+        """Particle ``index``: a read-only view of its row."""
         row = self._values[index]
         _require(row.ndim == 1, f"particle must be one-dimensional, got shape {row.shape}")
-        return Particle._of_row(row)
+        return row
 
     def __iter__(self):
-        for row in self._values:
-            yield Particle._of_row(row)
+        return iter(self._values)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ParticleSet):
@@ -303,7 +252,7 @@ def _field_names(cls) -> list:
 class _Record:
     """A frozen dataclass record and its JSON object, mapped field by field.
 
-    ``to_dict`` turns a nested record into its own dict and a Particle into
+    ``to_dict`` turns a nested record into its own dict and an array into
     its list of values; ``from_dict`` reverses both after rejecting keys
     that name no field and missing keys of fields without a default, naming
     the record's ``SECTION`` in the error.
@@ -324,24 +273,23 @@ class _Record:
 def _to_json(value):
     if isinstance(value, _Record):
         return value.to_dict()
-    if isinstance(value, Particle):
-        return value.values.tolist()
+    if isinstance(value, np.ndarray):
+        return value.tolist()
     return value
 
 
 def _from_json(kind, name: str, value):
-    """``value`` given for a field of type ``kind``, as that type: a dict
-    becomes a nested record and a list of numbers a Particle."""
+    """``value`` given for a field of type ``kind``: a dict becomes a nested
+    record; a list for an array field must hold finite numbers only."""
     if not isinstance(kind, type) or isinstance(value, kind):
         return value
     if issubclass(kind, _Record):
         return kind.from_dict(value)
-    if kind is Particle:
+    if kind is np.ndarray:
         _require(isinstance(value, (list, tuple)),
                  f"{name} must be a list of numbers, got {value!r}")
         for coordinate in value:
             _check_real(f"{name} coordinate", coordinate)
-        return Particle(value)
     return value
 
 
@@ -372,22 +320,34 @@ class PriorConfig(_Record):
 class LikelihoodConfig(_Record):
     """Directed scoring: distance to a target point plus a first-dimension penalty.
 
+    ``target`` is kept as a read-only float64 copy of the 1-D sequence given.
     ``alpha`` weights the penalty for deviating from zero in dimension 0;
     ``scale`` normalizes the Euclidean distance so raw scores stay in a
-    numerically benign range.
+    numerically benign range. Configs compare by value and are unhashable.
     """
 
     SECTION = "likelihood"
 
-    target: Particle
+    target: np.ndarray
     alpha: float = 1.0
     scale: float = 1.0
 
     def __post_init__(self):
-        _require(isinstance(self.target, Particle), "target must be a Particle")
+        target = np.array(self.target, dtype=np.float64)
+        _require(target.ndim == 1, f"target must be one-dimensional, got shape {target.shape}")
+        _require(target.size >= 1, "target needs at least one dimension")
+        _require(bool(np.isfinite(target).all()), "target values must be finite (no NaN/inf)")
+        target.setflags(write=False)
+        object.__setattr__(self, "target", target)
         _check_real("alpha", self.alpha, 0)
         _check_real("scale", self.scale, 0)
         _require(self.scale > 0, f"scale must be positive, got {self.scale!r}")
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, LikelihoodConfig):
+            return NotImplemented
+        return (np.array_equal(self.target, other.target)
+                and (self.alpha, self.scale) == (other.alpha, other.scale))
 
     @classmethod
     def for_prior(cls, n_dims: int, prior_std: float, *,
@@ -399,7 +359,7 @@ class LikelihoodConfig(_Record):
         std falls back to scale 1.
         """
         scale = math.sqrt(n_dims) * prior_std
-        return cls(target=Particle(np.zeros(n_dims)), alpha=alpha,
+        return cls(target=np.zeros(n_dims), alpha=alpha,
                    scale=scale if scale > 0 else 1.0)
 
 
@@ -418,7 +378,7 @@ class SmcConfig(_Record):
         _require(isinstance(self.likelihood, LikelihoodConfig),
                  "likelihood must be a LikelihoodConfig")
         _check_int("n_steps", self.n_steps, 1)
-        _check_rows("n_steps", self.n_steps, self.likelihood.target.dim)
+        _check_rows("n_steps", self.n_steps, self.likelihood.target.size)
         _check_real("step_std", self.step_std, 0)
         _validate_seed(self.seed)
 
@@ -445,7 +405,7 @@ class McmcConfig(_Record):
         _require(isinstance(self.likelihood, LikelihoodConfig),
                  "likelihood must be a LikelihoodConfig")
         _check_int("n_steps", self.n_steps, 1)
-        _check_rows("n_steps", self.n_steps, self.likelihood.target.dim)
+        _check_rows("n_steps", self.n_steps, self.likelihood.target.size)
         _check_int("burn_in", self.burn_in)
         _require(self.burn_in < self.n_steps,
                  f"burn_in ({self.burn_in}) must be smaller than n_steps ({self.n_steps})")

@@ -18,20 +18,20 @@ from .core import ConfigError, LikelihoodConfig
 
 def log_likelihood_values(values: np.ndarray, config: LikelihoodConfig) -> np.ndarray:
     """Score each row of an (N, D) matrix; returns N log-likelihoods, in row order."""
-    if values.shape[1] != config.target.dim:
+    if values.shape[1] != config.target.size:
         raise ConfigError(
-            f"particles have {values.shape[1]} dims but target has {config.target.dim}")
+            f"particles have {values.shape[1]} dims but target has {config.target.size}")
     # coordinates near the float ceiling, a tiny scale or a huge alpha
     # overflow the score to -inf; that is a legitimate score, handled
     # downstream as weight degeneracy. An infinite x[0] times alpha 0 is
     # NaN, which the samplers report with _nan_score_error.
     with np.errstate(over="ignore", invalid="ignore"):
-        distances = np.linalg.norm(values - config.target.values, axis=1)
+        distances = np.linalg.norm(values - config.target, axis=1)
         return -(distances / config.scale) - config.alpha * np.abs(values[:, 0])
 
 
 def _log_likelihood_row(x: np.ndarray, target: np.ndarray, scale: float, alpha: float) -> float:
-    """log_likelihood_values for one row ``x`` against the target's values:
+    """log_likelihood_values for one row ``x`` against the target:
     the same formula, bit for bit, without the matrix entry point's per-call
     overhead. ``np.linalg.norm(axis=1)`` sums ``x * x`` with the same
     ``add.reduce``, and ``math.sqrt`` rounds like ``np.sqrt``.

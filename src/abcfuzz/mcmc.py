@@ -71,10 +71,10 @@ def run_mcmc(prior: ParticleSet, config: McmcConfig,
     bitwise-identical results. The per-step uniforms are drawn in blocks
     of several steps, which consumes the same doubles in the same order.
     """
-    if prior.dim != config.likelihood.target.dim:
+    if prior.dim != config.likelihood.target.size:
         raise ConfigError(
             f"prior particles have {prior.dim} dims but likelihood target has "
-            f"{config.likelihood.target.dim}")
+            f"{config.likelihood.target.size}")
     n, d = prior.n, prior.dim
     steps, burn_in = config.n_steps, config.burn_in
     rng = RandomSource(config.seed)
@@ -97,7 +97,7 @@ def run_mcmc(prior: ParticleSet, config: McmcConfig,
     accepted = np.zeros(steps, dtype=bool)
     n_accepted = 0
     rows = _block_rows(d + 1, steps)
-    target = config.likelihood.target.values
+    target = config.likelihood.target
     scale, alpha = config.likelihood.scale, config.likelihood.alpha
 
     # an overflowing proposal scores -inf and is rejected, as in the matrix scorer

@@ -11,10 +11,11 @@ import threading
 from dataclasses import dataclass
 from typing import Callable
 
+import numpy as np
+
 from .core import (
     AbcFuzzError,
     ConfigError,
-    Particle,
     ParticleSet,
     _Record,
     _check_int,
@@ -36,7 +37,7 @@ class OracleVerdict:
     passed: bool
 
 
-Oracle = Callable[[Particle], OracleVerdict]
+Oracle = Callable[[np.ndarray], OracleVerdict]
 
 
 @dataclass(frozen=True)
@@ -56,11 +57,11 @@ class RangeOracle(_Record):
                  f"low ({self.low!r}) must not exceed high ({self.high!r})")
         _check_int("dimension", self.dimension)
 
-    def __call__(self, particle: Particle) -> OracleVerdict:
-        if self.dimension >= particle.dim:
+    def __call__(self, values: np.ndarray) -> OracleVerdict:
+        if self.dimension >= values.size:
             raise ConfigError(
-                f"oracle dimension {self.dimension} out of range for {particle.dim}-dim particle")
-        return OracleVerdict(self.low <= particle[self.dimension] <= self.high)
+                f"oracle dimension {self.dimension} out of range for {values.size}-dim particle")
+        return OracleVerdict(self.low <= float(values[self.dimension]) <= self.high)
 
 
 @dataclass(frozen=True)
@@ -89,12 +90,13 @@ class ExternalOracle(_Record):
         except ValueError as exc:
             raise ConfigError(f"exec oracle command {command!r} does not parse: {exc}") from exc
         _require(argv and argv[0], f"exec oracle command must name a program, got {command!r}")
-        _check_real("timeout", self.timeout)
+        # the watchdog's wait cannot take a longer timeout
+        _check_real("timeout", self.timeout, 0, threading.TIMEOUT_MAX)
         _require(self.timeout > 0, f"timeout must be positive, got {self.timeout!r}")
         object.__setattr__(self, "_argv", argv)  # not a field: never echoed or compared
 
-    def __call__(self, particle: Particle) -> OracleVerdict:
-        payload = "".join(f"{float(v)!r}\n" for v in particle.values).encode("ascii")
+    def __call__(self, values: np.ndarray) -> OracleVerdict:
+        payload = "".join(f"{v!r}\n" for v in values.tolist()).encode("ascii")
         try:
             proc = subprocess.Popen(self._argv, stdin=subprocess.PIPE,
                                     stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)

@@ -122,10 +122,10 @@ def run_smc(prior: ParticleSet, config: SmcConfig, sink=None) -> SmcResult:
     Raises DegenerateWeightsError, naming the step, if every particle
     weight collapses.
     """
-    if prior.dim != config.likelihood.target.dim:
+    if prior.dim != config.likelihood.target.size:
         raise ConfigError(
             f"prior particles have {prior.dim} dims but likelihood target has "
-            f"{config.likelihood.target.dim}")
+            f"{config.likelihood.target.size}")
     n, d = prior.n, prior.dim
     nd = n * d
     steps = config.n_steps

@@ -16,7 +16,6 @@ from scipy.integrate import quad
 from abcfuzz import (
     LikelihoodConfig,
     McmcConfig,
-    Particle,
     ParticleSet,
     PriorConfig,
     RandomSource,
@@ -128,7 +127,7 @@ def test_criterion_3c_one_dimensional_stationarity():
     denominator, _ = quad(density, 0, np.inf)
     target_mean = numerator / denominator
 
-    likelihood = LikelihoodConfig(target=Particle([0.0]), alpha=alpha, scale=scale)
+    likelihood = LikelihoodConfig(target=[0.0], alpha=alpha, scale=scale)
     config = McmcConfig(likelihood=likelihood, n_steps=101_000, burn_in=1000,
                         step_std=1.0, initial_index=0, seed=11)
     result = run_mcmc(ParticleSet([[0.0]]), config)

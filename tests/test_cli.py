@@ -90,6 +90,15 @@ class TestGenPrior:
         assert report["config_echo"]["oracle"] == {"kind": "range", **band.to_dict()}
         assert "oracle=range" in capsys.readouterr().out
 
+    def test_negative_number_in_exponent_form_is_a_flag_value(self, tmp_path):
+        assert main(["gen-prior", "--mean", "-1e308", "--out", str(tmp_path / "a")]) == 0
+        assert main(["gen-prior", "--mean=-1e308", "--out", str(tmp_path / "b")]) == 0
+        assert _read_report(tmp_path / "a")["config_echo"]["prior"]["mean"] == -1e308
+        assert ((tmp_path / "a" / "prior.csv").read_bytes()
+                == (tmp_path / "b" / "prior.csv").read_bytes())
+        assert main(["run", "smc", "--steps", "2", "--mean", "-1.5E+3",
+                     "--out", str(tmp_path / "c")]) == 0
+
     def test_small_dims_skip_surface_plot(self, tmp_path):
         out = tmp_path / "run"
         assert main(["gen-prior", "--dims", "2", "--out", str(out)]) == 0
@@ -659,6 +668,43 @@ class TestUsageErrorsBeforeOutput:
                      "--out", str(out)]) == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, flag", [(["gen-prior"], "--out"),
+                                               (["gen-prior"], "--config"),
+                                               (["run", "smc"], "--prior"),
+                                               (["run", "smc"], "--target")])
+    def test_empty_path_flag_exits_2_naming_it(self, tmp_path, monkeypatch, capsys, command,
+                                               flag):
+        monkeypatch.chdir(tmp_path)
+        assert main([*command, flag, ""]) == 2
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1].endswith(f"error: argument {flag}: must not be empty"), err
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("command, source", [
+        (["run", "smc", "--steps", "1"], "flag"),
+        (["gen-prior"], "file"),
+        (["run", "mcmc", "--steps", "1", "--burn-in", "0"], "file"),
+        (["compare", "--budget", "2"], "file"),
+    ])
+    def test_oracle_timeout_past_the_watchdog_limit_exits_2(self, tmp_path, command, source):
+        # a longer timeout would overflow the watchdog thread's wait and kill it
+        if source == "flag":
+            given = ["--oracle", "exec:true", "--oracle-timeout", "1e10"]
+        else:
+            config = tmp_path / "F.json"
+            config.write_text(json.dumps(
+                {"oracle": {"kind": "exec", "command": "true", "timeout": 1e300}}))
+            given = ["--config", str(config)]
+        out = tmp_path / "X"
+        proc = subprocess.run(
+            [sys.executable, "-m", "abcfuzz.cli", *command, "--n", "2", "--dims", "2", *given,
+             "--out", str(out)],
+            capture_output=True, text=True)
+        assert proc.returncode == 2
+        assert len(proc.stderr.splitlines()) == 1, proc.stderr
+        assert proc.stderr.startswith("abc-fuzz: error: timeout must lie in [0, "), proc.stderr
+        assert not out.exists()
+
     def test_budget_too_large_names_the_flag(self, tmp_path, capsys):
         out = tmp_path / "X"
         assert main(["compare", "--budget", _HUGE, "--out", str(out)]) == 2
@@ -928,6 +974,7 @@ _PRIOR_FLAGS = {"--n": _SIZE, "--dims": _SIZE, "--mean": _REAL, "--std": _REAL,
 _SAMPLER_FLAGS = {**_PRIOR_FLAGS, "--step-std": _REAL, "--alpha": _REAL, "--scale": _REAL,
                   "--seed": _SEED, "--oracle-timeout": _REAL}
 _NONNEGATIVE = st.sampled_from(_LIMITS)
+_POSITIVE = st.sampled_from(_LIMITS[1:])
 # The limits each real flag's parser accepts; --oracle-timeout accepts
 # positive values, and with the range oracle every one of them exits 2.
 _ACCEPTED_REALS = {"--mean": _REAL, "--std": _NONNEGATIVE, "--step-std": _NONNEGATIVE,
@@ -944,6 +991,13 @@ _NUMERIC_FLAGS = {
                        "--burn-in": _SIZE, "--initial-index": _SIZE}),
     ("compare",): ({"--budget": 1, "--n": 1, "--dims": 1}, {**_SAMPLER_FLAGS, "--budget": _SIZE}),
 }
+# The sampler commands again, each particle judged by a child process, with
+# --oracle-timeout drawn from the positive limits, which its parser accepts.
+_EXEC_TRUE = "--oracle=exec:true"
+_NUMERIC_FLAGS.update({
+    (*command, _EXEC_TRUE): (small, {**limits, "--oracle-timeout": _POSITIVE})
+    for command, (small, limits) in list(_NUMERIC_FLAGS.items()) if command != ("gen-prior",)
+})
 
 
 def _names_of(flags) -> list:
@@ -963,8 +1017,9 @@ def _run_at_limits(tmp_path_factory, command, flags):
     """Run ``command`` with ``flags`` in process and check the exit-code
     contract: 0, 2, 3 or 4, no traceback or warning, nothing on stderr on
     success, and otherwise one line that says which flag or key is at fault."""
-    # --flag=value, since argparse reads a separate "-1e308" as a flag
-    argv = [*command, *(f"{flag}={value!r}" for flag, value in flags.items()),
+    # each value as a separate word, so a negative one in exponent form
+    # ("-1e308") must still be read as the flag's value
+    argv = [*command, *(word for flag, value in flags.items() for word in (flag, repr(value))),
             "--out", str(tmp_path_factory.mktemp("limits") / "run")]
     stdout, stderr = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
@@ -981,6 +1036,7 @@ def _run_at_limits(tmp_path_factory, command, flags):
         assert code == 2
         assert re.fullmatch(r"abc-fuzz [\w -]+: error: argument --[\w-]+: .+", lines[-1]), err
         assert _mentions(lines[-1], flags), err
+        assert "expected one argument" not in lines[-1], err  # a value read as a flag
         assert not any("error:" in line for line in lines[:-1]), err
         return
     assert len(lines) == 1, err
@@ -1014,9 +1070,12 @@ class TestNumericFlagsProperty:
         # every real flag at once, each at a limit its parser accepts, so the
         # samplers run with every value near the float ceiling or floor
         small, limits = _NUMERIC_FLAGS[command]
+        accepted = _ACCEPTED_REALS
+        if _EXEC_TRUE in command:
+            accepted = {**accepted, "--oracle-timeout": _POSITIVE}
         flags = dict(small)
-        for flag in sorted(limits.keys() & _ACCEPTED_REALS.keys()):
-            flags[flag] = data.draw(_ACCEPTED_REALS[flag], label=flag)
+        for flag in sorted(limits.keys() & accepted.keys()):
+            flags[flag] = data.draw(accepted[flag], label=flag)
         _run_at_limits(tmp_path_factory, command, flags)
 
 

@@ -1,4 +1,4 @@
-"""Core types: random source, particles, configs, config files."""
+"""Core types: random source, particle sets, configs, config files."""
 
 import json
 
@@ -12,7 +12,6 @@ from abcfuzz import (
     ExternalOracle,
     LikelihoodConfig,
     McmcConfig,
-    Particle,
     ParticleSet,
     PriorConfig,
     RandomSource,
@@ -61,34 +60,27 @@ class TestRandomSource:
             RandomSource(1.5)
 
 
-class TestParticle:
-    def test_basic_accessors(self):
-        p = Particle([1.0, -2.0, 3.5])
-        assert p.dim == len(p) == 3
-        assert p[1] == -2.0
-        assert list(p) == [1.0, -2.0, 3.5]
-        assert p == Particle([1.0, -2.0, 3.5])
-        assert p != Particle([1.0, -2.0, 3.6])
+class TestLikelihoodTarget:
+    def test_target_is_a_read_only_float64_copy(self):
+        source = np.array([1.0, 2.0])
+        cfg = LikelihoodConfig(target=source)
+        source[0] = 99.0
+        assert cfg.target.dtype == np.float64 and cfg.target.tolist() == [1.0, 2.0]
+        with pytest.raises(ValueError):
+            cfg.target[0] = 5.0
+        assert LikelihoodConfig(target=[1, -2]).target.dtype == np.float64
 
     def test_rejects_nan_and_inf(self):
-        with pytest.raises(ConfigError):
-            Particle([0.0, float("nan")])
-        with pytest.raises(ConfigError):
-            Particle([float("inf")])
+        with pytest.raises(ConfigError, match="target"):
+            LikelihoodConfig(target=[0.0, float("nan")])
+        with pytest.raises(ConfigError, match="target"):
+            LikelihoodConfig(target=[float("inf")])
 
     def test_rejects_empty_and_matrix(self):
-        with pytest.raises(ConfigError):
-            Particle([])
-        with pytest.raises(ConfigError):
-            Particle([[1.0, 2.0]])
-
-    def test_values_are_read_only_and_copied(self):
-        source = np.array([1.0, 2.0])
-        p = Particle(source)
-        source[0] = 99.0
-        assert p[0] == 1.0
-        with pytest.raises(ValueError):
-            p.values[0] = 5.0
+        with pytest.raises(ConfigError, match="target"):
+            LikelihoodConfig(target=[])
+        with pytest.raises(ConfigError, match="target"):
+            LikelihoodConfig(target=[[1.0, 2.0]])
 
     @given(st.lists(st.floats(allow_nan=False, allow_infinity=False, width=64),
                     min_size=1, max_size=8),
@@ -96,16 +88,25 @@ class TestParticle:
     def test_any_injected_nan_is_rejected(self, values, position):
         corrupted = list(values)
         corrupted[position % len(corrupted)] = float("nan")
-        with pytest.raises(ConfigError):
-            Particle(corrupted)
+        with pytest.raises(ConfigError, match="target"):
+            LikelihoodConfig(target=corrupted)
+
+    def test_configs_compare_by_value_and_are_unhashable(self):
+        cfg = LikelihoodConfig(target=[1.0, -2.0], alpha=2.0, scale=3.0)
+        assert cfg == LikelihoodConfig(target=np.array([1.0, -2.0]), alpha=2.0, scale=3.0)
+        assert cfg != LikelihoodConfig(target=[1.0, -2.5], alpha=2.0, scale=3.0)
+        assert cfg != LikelihoodConfig(target=[1.0, -2.0], alpha=2.5, scale=3.0)
+        assert cfg != LikelihoodConfig(target=[1.0, -2.0, 0.0], alpha=2.0, scale=3.0)
+        with pytest.raises(TypeError):
+            hash(cfg)
 
 
 class TestParticleSet:
     def test_shape_and_access(self):
         ps = ParticleSet([[1.0, 2.0], [3.0, 4.0]])
         assert ps.n == 2 and ps.dim == 2 and len(ps) == 2
-        assert ps[1] == Particle([3.0, 4.0])
-        assert [p[0] for p in ps] == [1.0, 3.0]
+        assert ps[1].tolist() == [3.0, 4.0]
+        assert [row[0] for row in ps] == [1.0, 3.0]
 
     def test_rejects_empty_and_nonfinite(self):
         with pytest.raises(ConfigError):
@@ -138,22 +139,22 @@ class TestParticleSet:
             ParticleSet(matrix)
         assert str(adopted.value) == str(constructed.value)
 
-    def test_yielded_particles_are_read_only_views_of_the_rows(self):
+    def test_yielded_rows_are_read_only_views_of_the_matrix(self):
         ps = ParticleSet(RandomSource(4).standard_normal(60).reshape(20, 3) * 0.6)
-        for i, p in enumerate(ps):
-            assert np.array_equal(p.values, ps.values[i])
-            assert np.array_equal(ps[i].values, ps.values[i])
-            assert not p.values.flags.writeable and not ps[i].values.flags.writeable
+        for i, row in enumerate(ps):
+            assert row.base is ps.values and ps[i].base is ps.values
+            assert np.array_equal(row, ps.values[i]) and np.array_equal(ps[i], ps.values[i])
+            assert not row.flags.writeable and not ps[i].flags.writeable
             with pytest.raises(ValueError):
-                p.values[0] = 1.0
-        copies = [Particle(row) for row in ps.values]
+                row[0] = 1.0
+        copies = [row.copy() for row in ps.values]
         oracle = RangeOracle()
-        expected = sum(oracle(p).passed for p in copies) / len(copies)
+        expected = sum(oracle(row).passed for row in copies) / len(copies)
         assert pass_rate(ps, oracle) == expected
 
     def test_indexing_must_select_one_particle(self):
         ps = ParticleSet([[1.0, 2.0], [3.0, 4.0]])
-        assert ps[-1] == Particle([3.0, 4.0])
+        assert ps[-1].tolist() == [3.0, 4.0]
         with pytest.raises(ConfigError):
             ps[0:2]
         with pytest.raises(IndexError):
@@ -180,7 +181,7 @@ class TestConfigValidation:
             PriorConfig(seed=-3)
 
     def test_likelihood_config(self):
-        target = Particle([0.0, 0.0])
+        target = [0.0, 0.0]
         with pytest.raises(ConfigError):
             LikelihoodConfig(target=target, alpha=-0.1)
         with pytest.raises(ConfigError):
@@ -189,11 +190,11 @@ class TestConfigValidation:
     def test_for_prior_default_scale(self):
         cfg = LikelihoodConfig.for_prior(100, 10.0)
         assert cfg.scale == pytest.approx(100.0)
-        assert cfg.target == Particle(np.zeros(100))
+        assert np.array_equal(cfg.target, np.zeros(100))
         assert LikelihoodConfig.for_prior(4, 0.0).scale == 1.0
 
     def test_smc_config(self):
-        lik = LikelihoodConfig(target=Particle([0.0]))
+        lik = LikelihoodConfig(target=[0.0])
         with pytest.raises(ConfigError):
             SmcConfig(likelihood=lik, n_steps=0)
         with pytest.raises(ConfigError):
@@ -201,13 +202,13 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize("record", [SmcConfig, McmcConfig])
     def test_steps_past_one_array_name_n_steps_and_the_target_dims(self, record):
-        lik = LikelihoodConfig(target=Particle(np.zeros(4)))
+        lik = LikelihoodConfig(target=np.zeros(4))
         steps = 10**20
         with pytest.raises(ConfigError, match=rf"n_steps \({steps}\) times 4 dims exceeds"):
             record(likelihood=lik, n_steps=steps)
 
     def test_mcmc_config_burn_in_bound(self):
-        lik = LikelihoodConfig(target=Particle([0.0]))
+        lik = LikelihoodConfig(target=[0.0])
         McmcConfig(likelihood=lik, n_steps=10, burn_in=9)
         with pytest.raises(ConfigError):
             McmcConfig(likelihood=lik, n_steps=10, burn_in=10)
@@ -229,11 +230,11 @@ class TestConfigValidation:
     def test_int_valued_reals_stay_ints(self):
         cfg = PriorConfig(mean=0, std_dev=2, zero_fraction=1)
         assert cfg.to_dict()["mean"] == 0 and isinstance(cfg.to_dict()["mean"], int)
-        lik = LikelihoodConfig(target=Particle([0.0]), alpha=1, scale=3)
+        lik = LikelihoodConfig(target=[0.0], alpha=1, scale=3)
         assert isinstance(lik.alpha, int) and isinstance(lik.scale, int)
 
     def test_sampler_fields_reject_bools_and_strings(self):
-        lik = LikelihoodConfig(target=Particle([0.0]))
+        lik = LikelihoodConfig(target=[0.0])
         for kwargs in ({"n_steps": True}, {"step_std": "0.5"}, {"seed": 1.5}):
             with pytest.raises(ConfigError, match=next(iter(kwargs))):
                 SmcConfig(likelihood=lik, **kwargs)
@@ -242,7 +243,7 @@ class TestConfigValidation:
                 McmcConfig(likelihood=lik, **kwargs)
         for kwargs in ({"alpha": [1]}, {"scale": True}):
             with pytest.raises(ConfigError, match=next(iter(kwargs))):
-                LikelihoodConfig(target=Particle([0.0]), **kwargs)
+                LikelihoodConfig(target=[0.0], **kwargs)
 
     def test_inline_target_takes_only_numbers(self):
         for target in (5, "origin", ["a", 1.0], [True], [float("inf")]):
@@ -257,21 +258,21 @@ class TestConfigSerialization:
         assert PriorConfig.from_dict(cfg.to_dict()) == cfg
 
     def test_likelihood_round_trip(self):
-        cfg = LikelihoodConfig(target=Particle([0.5, -1.0]), alpha=2.0, scale=3.0)
+        cfg = LikelihoodConfig(target=[0.5, -1.0], alpha=2.0, scale=3.0)
         assert LikelihoodConfig.from_dict(cfg.to_dict()) == cfg
 
     def test_smc_round_trip(self):
-        cfg = SmcConfig(likelihood=LikelihoodConfig(target=Particle([0.0])),
+        cfg = SmcConfig(likelihood=LikelihoodConfig(target=[0.0]),
                         n_steps=50, step_std=0.25, seed=4)
         assert SmcConfig.from_dict(cfg.to_dict()) == cfg
 
     def test_mcmc_round_trip(self):
-        cfg = McmcConfig(likelihood=LikelihoodConfig(target=Particle([0.0])),
+        cfg = McmcConfig(likelihood=LikelihoodConfig(target=[0.0]),
                          n_steps=50, burn_in=5, step_std=0.25, initial_index=2, seed=4)
         assert McmcConfig.from_dict(cfg.to_dict()) == cfg
 
     def test_round_trip_through_json_text(self):
-        cfg = SmcConfig(likelihood=LikelihoodConfig(target=Particle([0.125, -7.5])),
+        cfg = SmcConfig(likelihood=LikelihoodConfig(target=[0.125, -7.5]),
                         n_steps=3, step_std=0.1, seed=1)
         assert SmcConfig.from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg
 

@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 from abcfuzz import (
     ConfigError,
     LikelihoodConfig,
-    Particle,
     ParticleSet,
     RandomSource,
     accept_probability,
@@ -24,24 +23,24 @@ def reference_score(values, target, alpha, scale):
     return -(distance / scale) - alpha * abs(values[0])
 
 
-def _score(particle, config):
+def _score(values, config):
     """One particle's score, through the matrix entry point as a one-row matrix."""
-    return float(log_likelihood_values(particle.values[np.newaxis, :], config)[0])
+    return float(log_likelihood_values(np.array([values], dtype=float), config)[0])
 
 
 class TestScalar:
     def test_global_maximum_is_zero(self):
-        cfg = LikelihoodConfig(target=Particle([0.0, 0.0]), alpha=1.0, scale=1.0)
-        assert _score(Particle([0.0, 0.0]), cfg) == 0.0
+        cfg = LikelihoodConfig(target=[0.0, 0.0], alpha=1.0, scale=1.0)
+        assert _score([0.0, 0.0], cfg) == 0.0
 
     def test_pure_distance_when_alpha_is_zero(self):
-        cfg = LikelihoodConfig(target=Particle([0.0, 0.0]), alpha=0.0, scale=1.0)
-        assert _score(Particle([0.0, 3.0]), cfg) == -3.0
+        cfg = LikelihoodConfig(target=[0.0, 0.0], alpha=0.0, scale=1.0)
+        assert _score([0.0, 3.0], cfg) == -3.0
 
     def test_hand_computed_case(self):
         # D=2, t=(0,0), s=2, alpha=1, p=(1,0): -(1/2) - 1*1 = -1.5
-        cfg = LikelihoodConfig(target=Particle([0.0, 0.0]), alpha=1.0, scale=2.0)
-        assert _score(Particle([1.0, 0.0]), cfg) == -1.5
+        cfg = LikelihoodConfig(target=[0.0, 0.0], alpha=1.0, scale=2.0)
+        assert _score([1.0, 0.0], cfg) == -1.5
 
     def test_against_independent_implementation(self):
         rng = RandomSource(13)
@@ -51,23 +50,23 @@ class TestScalar:
             target = rng.standard_normal(d)
             alpha = float(rng.uniform()) * 2
             scale = 0.5 + float(rng.uniform()) * 3
-            cfg = LikelihoodConfig(target=Particle(target), alpha=alpha, scale=scale)
+            cfg = LikelihoodConfig(target=target, alpha=alpha, scale=scale)
             expected = reference_score(values, target, alpha, scale)
-            assert _score(Particle(values), cfg) == pytest.approx(expected, abs=1e-12)
+            assert _score(values, cfg) == pytest.approx(expected, abs=1e-12)
 
     def test_always_finite_for_finite_inputs(self):
-        cfg = LikelihoodConfig(target=Particle([0.0]), alpha=5.0, scale=0.001)
-        assert math.isfinite(_score(Particle([1e6]), cfg))
+        cfg = LikelihoodConfig(target=[0.0], alpha=5.0, scale=0.001)
+        assert math.isfinite(_score([1e6], cfg))
 
     def test_dimension_mismatch(self):
-        cfg = LikelihoodConfig(target=Particle([0.0, 0.0]))
+        cfg = LikelihoodConfig(target=[0.0, 0.0])
         with pytest.raises(ConfigError):
-            _score(Particle([0.0]), cfg)
+            _score([0.0], cfg)
 
 
 class TestBatch:
     def test_singleton_matches_scalar(self):
-        cfg = LikelihoodConfig(target=Particle([1.0, 2.0]), alpha=0.5, scale=1.5)
+        cfg = LikelihoodConfig(target=[1.0, 2.0], alpha=0.5, scale=1.5)
         ps = ParticleSet([[0.5, -0.5]])
         batch = log_likelihood_values(ps.values, cfg)
         assert batch.shape == (1,)
@@ -77,7 +76,7 @@ class TestBatch:
         rng = RandomSource(21)
         values = rng.standard_normal(100 * 5).reshape(100, 5)
         ps = ParticleSet(values)
-        cfg = LikelihoodConfig(target=Particle(rng.standard_normal(5)), alpha=1.0, scale=2.0)
+        cfg = LikelihoodConfig(target=rng.standard_normal(5), alpha=1.0, scale=2.0)
         batch = log_likelihood_values(ps.values, cfg)
         scalars = np.array([_score(p, cfg) for p in ps])
         np.testing.assert_array_equal(batch, scalars)
@@ -85,7 +84,7 @@ class TestBatch:
     def test_permuted_input_gives_permuted_output(self):
         rng = RandomSource(22)
         values = rng.standard_normal(8 * 3).reshape(8, 3)
-        cfg = LikelihoodConfig(target=Particle([0.0, 0.0, 0.0]), alpha=1.0, scale=1.0)
+        cfg = LikelihoodConfig(target=[0.0, 0.0, 0.0], alpha=1.0, scale=1.0)
         perm = np.array([3, 1, 7, 0, 2, 6, 4, 5])
         direct = log_likelihood_values(ParticleSet(values).values, cfg)
         permuted = log_likelihood_values(ParticleSet(values[perm]).values, cfg)
@@ -96,19 +95,19 @@ class TestProperties:
     @given(st.floats(min_value=0.01, max_value=50.0),
            st.floats(min_value=1.01, max_value=4.0))
     def test_growing_first_dimension_penalty_strictly_lowers_score(self, x0, factor):
-        cfg = LikelihoodConfig(target=Particle([0.0]), alpha=1.0, scale=1e12)
-        near = _score(Particle([x0]), cfg)
-        far = _score(Particle([x0 * factor]), cfg)
+        cfg = LikelihoodConfig(target=[0.0], alpha=1.0, scale=1e12)
+        near = _score([x0], cfg)
+        far = _score([x0 * factor], cfg)
         assert far < near
 
     def test_growing_distance_strictly_lowers_score(self):
-        cfg = LikelihoodConfig(target=Particle([0.0, 0.0]), alpha=1.0, scale=2.0)
-        scores = [_score(Particle([0.5, y]), cfg) for y in (0.0, 1.0, 2.0, 4.0)]
+        cfg = LikelihoodConfig(target=[0.0, 0.0], alpha=1.0, scale=2.0)
+        scores = [_score([0.5, y], cfg) for y in (0.0, 1.0, 2.0, 4.0)]
         assert all(a > b for a, b in zip(scores, scores[1:]))
 
     def test_doubling_scale_halves_the_distance_term(self):
-        target = Particle([0.0, 0.0, 0.0])
-        p = Particle([1.0, -2.0, 0.5])
+        target = [0.0, 0.0, 0.0]
+        p = [1.0, -2.0, 0.5]
         small = LikelihoodConfig(target=target, alpha=0.0, scale=1.3)
         large = LikelihoodConfig(target=target, alpha=0.0, scale=2.6)
         assert _score(p, large) == _score(p, small) / 2
@@ -116,17 +115,17 @@ class TestProperties:
     def test_alpha_zero_reduces_to_distance_only_scoring(self):
         rng = RandomSource(30)
         target = rng.standard_normal(4)
-        cfg = LikelihoodConfig(target=Particle(target), alpha=0.0, scale=1.0)
+        cfg = LikelihoodConfig(target=target, alpha=0.0, scale=1.0)
         for _ in range(50):
             values = rng.standard_normal(4) * 2
             distance_only = -float(np.linalg.norm(values - target))
-            assert _score(Particle(values), cfg) == pytest.approx(distance_only, rel=1e-15)
+            assert _score(values, cfg) == pytest.approx(distance_only, rel=1e-15)
 
 
 def _row_and_matrix_scores(x, cfg):
     """The one-row score of ``x`` and its score through the matrix entry point."""
     with np.errstate(over="ignore", invalid="ignore"):
-        row = _log_likelihood_row(x, cfg.target.values, cfg.scale, cfg.alpha)
+        row = _log_likelihood_row(x, cfg.target, cfg.scale, cfg.alpha)
         matrix = log_likelihood_values(x[np.newaxis, :], cfg)[0]
     return row, float(matrix)
 
@@ -151,20 +150,20 @@ class TestRowScore:
             x = np.array(data.draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
                                             min_size=dims, max_size=dims), label="x"))
         target = np.random.default_rng(seed + 1).standard_normal(dims)
-        cfg = LikelihoodConfig(target=Particle(target), alpha=alpha, scale=scale)
+        cfg = LikelihoodConfig(target=target, alpha=alpha, scale=scale)
         row, matrix = _row_and_matrix_scores(x, cfg)
         assert isinstance(row, float)
         assert _same_float(row, matrix)
 
     def test_overflow_scores_minus_inf_in_both(self):
-        cfg = LikelihoodConfig(target=Particle([0.0, 0.0]), alpha=1.0, scale=1.0)
+        cfg = LikelihoodConfig(target=[0.0, 0.0], alpha=1.0, scale=1.0)
         for x in ([1e300, 1e300], [math.inf, 0.0], [0.0, -math.inf]):
             row, matrix = _row_and_matrix_scores(np.array(x), cfg)
             assert row == matrix == -math.inf
             assert accept_probability(-1.0, row) == 0.0
 
     def test_alpha_zero_with_an_infinite_first_coordinate_is_nan_and_rejected(self):
-        cfg = LikelihoodConfig(target=Particle([0.0, 0.0]), alpha=0.0, scale=1.0)
+        cfg = LikelihoodConfig(target=[0.0, 0.0], alpha=0.0, scale=1.0)
         row, matrix = _row_and_matrix_scores(np.array([math.inf, 0.0]), cfg)
         assert math.isnan(row) and math.isnan(matrix)
         with pytest.raises(ConfigError, match="NaN"):
