@@ -20,10 +20,8 @@ from .core import (
     PriorConfig,
     RandomSource,
     SmcConfig,
-    load_config_file,
 )
 from .diagnostics import (
-    TraceSummary,
     trace_summary,
     weight_sum_delta_series,
     weight_updates_converging,
@@ -38,7 +36,7 @@ from .oracle import (
     RangeOracle,
     pass_rate,
 )
-from .prior import generate_prior, slice_count, slice_indices
+from .prior import generate_prior, slice_count
 from .report import (
     RunReport,
     emit_plot_data,
@@ -71,11 +69,9 @@ __all__ = [
     "RunReport",
     "SmcConfig",
     "SmcResult",
-    "TraceSummary",
     "accept_probability",
     "emit_plot_data",
     "generate_prior",
-    "load_config_file",
     "log_likelihood_values",
     "normalize_log_weights",
     "pass_rate",
@@ -83,7 +79,6 @@ __all__ = [
     "run_mcmc",
     "run_smc",
     "slice_count",
-    "slice_indices",
     "systematic_resample",
     "trace_summary",
     "weight_sum_delta_series",

@@ -10,6 +10,7 @@ degeneracy, 130 interrupted (Ctrl-C).
 
 import argparse
 import dataclasses
+import json
 import math
 import os
 import re
@@ -34,7 +35,6 @@ from .core import (
     _reject_unknown_keys,
     _require,
     _validate_seed,
-    load_config_file,
 )
 from .diagnostics import (
     CONVERGENCE_NOTE,
@@ -51,7 +51,7 @@ from .oracle import (
     count_passing,
     pass_rate,
 )
-from .prior import generate_prior, slice_indices
+from .prior import generate_prior, slice_count
 from .report import (
     PLOT_KINDS,
     CsvSink,
@@ -88,9 +88,9 @@ _FLAG_FIELDS = {
 }
 _SAMPLERS = {"smc": SmcConfig, "mcmc": McmcConfig}
 _ORACLES = {"range": RangeOracle, "exec": ExternalOracle}
-# Keys each config-file section may hold: its record's fields. The
-# likelihood is a section of its own, never a sampler key; the oracle
-# section holds the kind plus the fields of every kind's record.
+# The config file's sections and the keys each may hold: its record's
+# fields. The likelihood is a section of its own, never a sampler key; the
+# oracle section holds the kind plus the fields of every kind's record.
 _FILE_KEYS = {
     "prior": _field_names(PriorConfig),
     "likelihood": _field_names(LikelihoodConfig),
@@ -138,11 +138,20 @@ def _oracle_spec(text: str) -> dict:
 
 
 def _load_file_config(path) -> dict:
-    """The config file's sections, every one checked for unknown keys,
-    whether or not the command reads it."""
+    """The config file's sections: a JSON object of ``_FILE_KEYS`` sections,
+    each an object, every one checked for unknown keys whether or not the
+    command reads it."""
     if path is None:
         return {}
-    file_cfg = load_config_file(path)
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            file_cfg = json.load(fh)
+        except ValueError as exc:  # JSONDecodeError, or an int past the digit limit
+            raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
+    _require(isinstance(file_cfg, dict), f"config file {path} must hold a JSON object")
+    _reject_unknown_keys("file", file_cfg, _FILE_KEYS)
+    for name, data in file_cfg.items():
+        _require(isinstance(data, dict), f"config section {name!r} must be a JSON object")
     for name, data in file_cfg.items():
         _reject_unknown_keys(name, data, _FILE_KEYS[name])
     return file_cfg
@@ -288,6 +297,7 @@ def _resolve_target(spec, n_dims: int):
         return np.zeros(n_dims)
     if not isinstance(spec, str):
         return spec
+    _require(spec != "", "likelihood target must be 'origin' or a particle CSV path, got ''")
     target_set = read_particles_csv(spec)
     if target_set.n != 1:
         raise ConfigError(
@@ -357,14 +367,14 @@ def cmd_gen_prior(args) -> int:
     cfg = PriorConfig.from_dict(_section(file_cfg, "prior", args, seed=args.seed))
     oracle, oracle_echo = _resolve_oracle(args, file_cfg)
     particles = generate_prior(cfg)
-    indices = slice_indices(cfg)
+    zeroed = slice_count(cfg)
     rate = pass_rate(particles, oracle)
 
     outdir = _output_dir(args.out, f"gen-prior-seed{cfg.seed}")
     write_particles_csv(particles, outdir / "prior.csv")
-    write_csv(outdir / "slice-indices.csv", ["index"], columns=[sorted(indices)])
+    write_csv(outdir / "slice-indices.csv", ["index"], columns=[range(zeroed)])
     emit_plot_data(particles, "prior-histogram-data",
-                   outdir / PLOT_KINDS["prior-histogram-data"], slice_indices=indices)
+                   outdir / PLOT_KINDS["prior-histogram-data"], zeroed=zeroed)
     if particles.dim >= 4:
         emit_plot_data(particles, "dims-1-3-surface-data",
                        outdir / PLOT_KINDS["dims-1-3-surface-data"])
@@ -377,7 +387,7 @@ def cmd_gen_prior(args) -> int:
         "config_echo": {"prior": cfg.to_dict(), "oracle": oracle_echo},
         "pass_rate": rate,
         "oracle_calls": particles.n,
-        "slice_indices": sorted(indices),
+        "slice_indices": list(range(zeroed)),
     }, outdir / "report.json")
 
     print(f"prior pass rate: {rate!r} (n={cfg.n_particles}, oracle={oracle_echo['kind']})")
@@ -470,8 +480,7 @@ def cmd_run(args) -> int:
             "acceptance_rate": result.acceptance_rate,
         }
         if result.chain.n >= 2:
-            diagnostics["trace_dim0_summary"] = trace_summary(
-                result.trace_dim0, cfg.burn_in).to_dict()
+            diagnostics["trace_dim0_summary"] = trace_summary(result.trace_dim0, cfg.burn_in)
         config_echo = {"prior": prior_echo, "mcmc": cfg.to_dict(), "oracle": oracle_echo}
         write_particles_csv(result.chain, outdir / "posterior.csv")
 
@@ -527,7 +536,7 @@ def cmd_compare(args) -> int:
     ]
     outdir = _output_dir(args.out, f"compare-seed{seed}")
     write_csv(outdir / "compare-table.csv",
-              ["method", "oracle_calls", "passing", "pass_rate"], rows)
+              ["method", "oracle_calls", "passing", "pass_rate"], columns=list(zip(*rows)))
     write_json({
         "kind": "compare",
         "engine_version": ENGINE_VERSION,

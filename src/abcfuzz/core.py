@@ -5,7 +5,6 @@ threads. Random sources are the one stateful object; each sampler run owns
 exactly one and never shares it.
 """
 
-import json
 import math
 import sys
 from dataclasses import MISSING, dataclass, fields
@@ -149,12 +148,9 @@ class RandomSource:
         self.seed = _validate_seed(seed)
         self._gen = np.random.Generator(np.random.PCG64(self.seed))
 
-    def uniform(self, n: Optional[int] = None) -> Union[float, np.ndarray]:
-        """Draw one uniform (n=None) or an array of n uniforms in [0, 1)."""
-        if n is None:
-            return float(self._gen.random())
-        _require(n >= 0, f"draw count must be nonnegative, got {n}")
-        return self._gen.random(n)
+    def uniform(self) -> float:
+        """Draw one uniform in [0, 1)."""
+        return float(self._gen.random())
 
     def uniform_block(self, rows: int, width: int) -> np.ndarray:
         """Draw a writable (rows, width) block of uniforms, filled row by row."""
@@ -414,26 +410,3 @@ class McmcConfig(_Record):
             _check_int("initial_index", self.initial_index)
         _validate_seed(self.seed)
 
-
-CONFIG_FILE_SECTIONS = ("prior", "likelihood", "smc", "mcmc", "oracle")
-
-
-def load_config_file(path) -> dict:
-    """Parse a JSON run-config file into its sections.
-
-    The file must be a JSON object whose top-level keys are a subset of
-    ``prior``, ``likelihood``, ``smc``, ``mcmc``, ``oracle``, each holding
-    an object. Unknown top-level keys are errors. Section contents are
-    validated when they are turned into config records.
-    """
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except ValueError as exc:  # JSONDecodeError, or an int past the digit limit
-            raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
-    _require(isinstance(data, dict), f"config file {path} must hold a JSON object")
-    _reject_unknown_keys("file", data, CONFIG_FILE_SECTIONS)
-    for section, content in data.items():
-        _require(isinstance(content, dict),
-                 f"config section {section!r} must be a JSON object")
-    return data

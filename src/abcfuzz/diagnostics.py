@@ -3,31 +3,17 @@
 All functions here are pure: same input, same output, no hidden state.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .core import _Record, _require
+from .core import _require
 
 CONVERGENCE_NOTE = ("heuristic: tail 10% of weight-update magnitudes averages "
                     "below 10% of the head 10%'s average; advisory only")
 
 
-@dataclass(frozen=True)
-class TraceSummary(_Record):
-    """Moments of a post-burn-in trace segment (std uses divisor n-1)."""
-
-    SECTION = "trace summary"
-
-    mean: float
-    std: float
-    min: float
-    max: float
-    count: int
-
-
-def trace_summary(trace, burn_in: int) -> TraceSummary:
-    """Summarize the trace after discarding the first burn_in entries."""
+def trace_summary(trace, burn_in: int) -> dict:
+    """Moments of the trace after discarding the first burn_in entries:
+    mean, std (divisor n-1), min, max and count."""
     arr = np.asarray(trace, dtype=np.float64)
     _require(arr.ndim == 1, "trace must be a flat sequence")
     _require(0 <= burn_in < arr.size,
@@ -35,13 +21,8 @@ def trace_summary(trace, burn_in: int) -> TraceSummary:
     segment = arr[burn_in:]
     _require(segment.size >= 2,
              "post-burn-in segment needs at least 2 points for a sample std")
-    return TraceSummary(
-        mean=float(segment.mean()),
-        std=float(segment.std(ddof=1)),
-        min=float(segment.min()),
-        max=float(segment.max()),
-        count=int(segment.size),
-    )
+    return {"mean": float(segment.mean()), "std": float(segment.std(ddof=1)),
+            "min": float(segment.min()), "max": float(segment.max()), "count": int(segment.size)}
 
 
 def weight_sum_delta_series(log_weight_sums) -> np.ndarray:

@@ -7,7 +7,6 @@ the default range oracle.
 """
 
 import math
-from typing import Set
 
 import numpy as np
 
@@ -15,18 +14,11 @@ from .core import ParticleSet, PriorConfig, RandomSource, _require
 
 
 def slice_count(config: PriorConfig) -> int:
-    """Number of particles in the forced-zero slice: floor(fraction * N)."""
-    return math.floor(config.zero_fraction * config.n_particles)
+    """Number of particles in the forced-zero slice: floor(fraction * N).
 
-
-def slice_indices(config: PriorConfig) -> Set[int]:
-    """Indices of the forced-zero particles: the lowest slice_count indices.
-
-    Exposed so reports can tell forced-pass particles from lucky ones. The
-    slice sits at the low indices by convention; downstream samplers do not
-    care about particle order.
+    The slice is the particles at indices 0 .. count - 1.
     """
-    return set(range(slice_count(config)))
+    return math.floor(config.zero_fraction * config.n_particles)
 
 
 def generate_prior(config: PriorConfig) -> ParticleSet:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from datetime import datetime, timezone
 from functools import partial
 from pathlib import Path
-from typing import Iterable, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -84,12 +84,6 @@ def write_report(report: RunReport, path) -> None:
     write_json(report.to_dict(), path)
 
 
-def _format(value) -> str:
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    return str(value)
-
-
 # Cells per chunk of a matrix's rows: a forked worker formats one chunk per
 # task, and the serial path walks the same chunks.
 CHUNK_CELLS = 65536
@@ -104,8 +98,9 @@ CELL_BYTES = 25
 
 
 def _format_lines(rows) -> str:
-    """Rows of Python numbers as CSV lines: ints as written, floats by repr."""
-    return "".join([",".join(map(repr, row)) + "\n" for row in rows])
+    """Rows of Python strings and numbers as CSV lines: a float by its
+    shortest round-trip text, which ``str`` gives as ``repr`` does."""
+    return "".join([",".join(map(str, row)) + "\n" for row in rows])
 
 
 def _format_rows(rows: np.ndarray) -> str:
@@ -354,28 +349,24 @@ class CsvSink:
                     os.unlink(self._temp)
 
 
-def write_csv(path, header: Sequence[str], rows: Union[np.ndarray, Iterable[Sequence]] = (),
-              *, columns: Optional[Sequence] = None) -> None:
+def write_csv(path, header: Sequence[str], rows: Optional[np.ndarray] = None,
+              *, columns: Sequence = ()) -> None:
     """Plain comma-separated writer; floats keep full round-trip precision.
 
     ``rows`` is a 2-D float64 array, written through a CsvSink, which
     converts it to Python numbers one chunk of rows at a time (never the
-    whole matrix at once, which would multiply peak memory), or an
-    iterable of rows of numbers and strings. ``columns``, given instead of
-    ``rows``, holds equal-length numeric columns: arrays, converted with
-    ``tolist`` once each, or sequences of Python ints.
+    whole matrix at once, which would multiply peak memory). ``columns``,
+    given instead of ``rows``, holds equal-length columns: arrays, converted
+    with ``tolist`` once each, or sequences of Python strings and numbers.
     """
-    if isinstance(rows, np.ndarray):
+    if rows is not None:
         with CsvSink(path, header) as sink:
             sink._attach(rows)
         return
     with _create(path) as fh:
         fh.write(",".join(header) + "\n")
-        if columns is not None:
-            fh.write(_format_lines(zip(*[c.tolist() if isinstance(c, np.ndarray) else c
-                                         for c in columns])))
-        for row in rows:
-            fh.write(",".join(map(_format, row)) + "\n")
+        fh.write(_format_lines(zip(*[c.tolist() if isinstance(c, np.ndarray) else c
+                                     for c in columns])))
 
 
 def write_particles_csv(particles: ParticleSet, path) -> None:
@@ -561,14 +552,14 @@ def _write_mcmc_trace(result: McmcResult, plot_path, diagnostics_path=None) -> N
 
 
 def emit_plot_data(result: Union[SmcResult, McmcResult, ParticleSet], kind: str,
-                   path, slice_indices: Optional[set] = None) -> None:
+                   path, zeroed: int = 0) -> None:
     """Write one figure's underlying data as a columnar text file.
 
     Kinds and the result type they need:
 
     - ``prior-histogram-data`` (ParticleSet): dimension-0 value of every
-      particle with a 0/1 flag marking membership in the forced-zero slice
-      (pass ``slice_indices``; defaults to empty).
+      particle with a 0/1 flag marking membership in the forced-zero slice,
+      the first ``zeroed`` particles (default none).
     - ``dims-1-3-surface-data`` (ParticleSet, D >= 4): coordinates 1..3 of
       every particle, verbatim.
     - ``mcmc-trace-data`` (McmcResult): (step, x0) for every step.
@@ -582,8 +573,7 @@ def emit_plot_data(result: Union[SmcResult, McmcResult, ParticleSet], kind: str,
     if kind == "prior-histogram-data":
         if not isinstance(result, ParticleSet):
             raise ConfigError(f"plot kind {kind!r} needs a ParticleSet")
-        marked = slice_indices or set()
-        flags = [1 if i in marked else 0 for i in range(result.n)]
+        flags = [int(i < zeroed) for i in range(result.n)]
         write_csv(path, ["x0", "in_slice"], columns=[result.values[:, 0], flags])
     elif kind == "dims-1-3-surface-data":
         if not isinstance(result, ParticleSet):

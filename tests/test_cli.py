@@ -268,7 +268,8 @@ class TestCompare:
         assert report["budget"] == 200
         table = (out / "compare-table.csv").read_text().splitlines()
         assert table[0] == "method,oracle_calls,passing,pass_rate"
-        assert len(table) == 3
+        assert table[1:] == [f"{r['method']},{r['oracle_calls']},{r['passing']},{r['pass_rate']!r}"
+                             for r in report["results"]]
 
     def test_identical_seeds_identical_output_bytes(self, tmp_path, capsys):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -381,6 +382,52 @@ class TestConfigFileMerging:
         cfg = self._write_config(tmp_path, {section: {"bogus": 1}})
         assert main([*command, "--config", str(cfg), "--out", str(tmp_path / "run")]) == 2
         assert f"unknown {section} config keys: ['bogus']" in capsys.readouterr().err
+
+
+class TestConfigFile:
+    """Faults of the file itself: each exits 2 with one line, before any output."""
+
+    def _run(self, tmp_path, content: bytes):
+        path = tmp_path / "config.json"
+        path.write_bytes(content)
+        out = tmp_path / "run"
+        code = main(["run", "smc", "--config", str(path), "--out", str(out)])
+        return code, out
+
+    def _assert_fault(self, tmp_path, capsys, content: bytes, message: str):
+        code, out = self._run(tmp_path, content)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("abc-fuzz: error: ") and len(err.splitlines()) == 1, err
+        assert message in err
+        assert not out.exists()
+
+    def test_loads_sections(self, tmp_path):
+        code, out = self._run(tmp_path, json.dumps(
+            {"prior": {"n_particles": 5}, "smc": {"n_steps": 9}}).encode())
+        assert code == 0
+        echo = _read_report(out)["config_echo"]
+        assert echo["prior"]["n_particles"] == 5
+        assert echo["smc"]["n_steps"] == 9
+
+    def test_unknown_section_is_an_error(self, tmp_path, capsys):
+        self._assert_fault(tmp_path, capsys, json.dumps({"priors": {}}).encode(),
+                           "unknown file config keys: ['priors']")
+
+    def test_malformed_json_is_an_error(self, tmp_path, capsys):
+        self._assert_fault(tmp_path, capsys, b"{not json", "config.json is not valid JSON: ")
+
+    @pytest.mark.parametrize("content", [b"\xff{}", b'{"prior": {"seed": 1' + b"0" * 5000 + b"}}"],
+                             ids=["not-utf-8", "int-past-the-digit-limit"])
+    def test_undecodable_json_is_an_error(self, tmp_path, capsys, content):
+        self._assert_fault(tmp_path, capsys, content, "config.json is not valid JSON: ")
+
+    def test_non_object_sections_are_errors(self, tmp_path, capsys):
+        self._assert_fault(tmp_path, capsys, json.dumps({"prior": [1, 2]}).encode(),
+                           "config section 'prior' must be a JSON object")
+
+    def test_non_object_file_is_an_error(self, tmp_path, capsys):
+        self._assert_fault(tmp_path, capsys, b"[1, 2]", "config.json must hold a JSON object")
 
 
 # Keeps the regression cases small; each case's own values override it.
@@ -680,6 +727,19 @@ class TestUsageErrorsBeforeOutput:
         assert err.splitlines()[-1].endswith(f"error: argument {flag}: must not be empty"), err
         assert not any(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("command", [["run", "smc", "--steps", "1"],
+                                         ["run", "mcmc", "--steps", "1", "--burn-in", "0"],
+                                         ["compare", "--budget", "2"]])
+    def test_empty_target_key_exits_2_naming_it(self, tmp_path, capsys, command):
+        config = tmp_path / "F.json"
+        config.write_text(json.dumps({"likelihood": {"target": ""}}))
+        out = tmp_path / "X"
+        assert main([*command, "--config", str(config), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == ("abc-fuzz: error: likelihood target must be 'origin' or a particle "
+                       "CSV path, got ''\n"), err
+        assert not out.exists()
+
     @pytest.mark.parametrize("command, source", [
         (["run", "smc", "--steps", "1"], "flag"),
         (["gen-prior"], "file"),
@@ -759,6 +819,19 @@ class TestLazyScipy:
         assert proc.returncode == 2, proc.stderr
         assert proc.stdout == "[]\n"
         assert "Traceback" not in proc.stderr
+        assert not out.exists()
+
+    @pytest.mark.parametrize("config", [{"prior": [1]}, {"likelihood": {"target": ""}}],
+                             ids=["section-not-an-object", "empty-target"])
+    def test_config_file_fault_exits_2_before_loading_scipy(self, tmp_path, config):
+        path = tmp_path / "F.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / "run"
+        proc = _child(_MAIN_LISTING_SCIPY, ["run", "smc", "--config", str(path),
+                                            "--out", str(out)])
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stdout == "[]\n"
+        assert len(proc.stderr.splitlines()) == 1 and "Traceback" not in proc.stderr
         assert not out.exists()
 
     def test_version_runs_without_scipy(self):

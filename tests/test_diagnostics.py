@@ -14,19 +14,19 @@ from abcfuzz import (
 class TestTraceSummary:
     def test_constant_trace_has_zero_std(self):
         summary = trace_summary([2.5] * 10, burn_in=0)
-        assert summary.std == 0.0
-        assert summary.mean == summary.min == summary.max == 2.5
-        assert summary.count == 10
+        assert summary["std"] == 0.0
+        assert summary["mean"] == summary["min"] == summary["max"] == 2.5
+        assert summary["count"] == 10
 
     def test_hand_computed_moments(self):
         summary = trace_summary([0.0, 1.0, 2.0, 3.0], burn_in=0)
-        assert summary.mean == 1.5
-        assert summary.std == pytest.approx(1.2910, abs=1e-4)  # sqrt(5/3)
+        assert summary["mean"] == 1.5
+        assert summary["std"] == pytest.approx(1.2910, abs=1e-4)  # sqrt(5/3)
 
     def test_burn_in_windows_the_segment(self):
         summary = trace_summary([100.0, -100.0, 1.0, 3.0], burn_in=2)
-        assert summary.mean == 2.0
-        assert summary.count == 2
+        assert summary["mean"] == 2.0
+        assert summary["count"] == 2
 
     def test_burn_in_must_leave_two_points(self):
         with pytest.raises(ConfigError):

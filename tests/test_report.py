@@ -162,7 +162,7 @@ def mcmc_result(small_prior):
 class TestPlotData:
     def test_histogram_rows_and_slice_flags(self, tmp_path, small_prior):
         path = tmp_path / "hist.dat"
-        emit_plot_data(small_prior, "prior-histogram-data", path, slice_indices={0, 1, 2})
+        emit_plot_data(small_prior, "prior-histogram-data", path, zeroed=3)
         lines = path.read_text().splitlines()
         assert lines[0] == "x0,in_slice"
         assert len(lines) == 1 + small_prior.n
