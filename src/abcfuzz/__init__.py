@@ -38,7 +38,6 @@ from .oracle import (
 )
 from .prior import generate_prior, slice_count
 from .report import (
-    RunReport,
     emit_plot_data,
     read_particles_csv,
     write_particles_csv,
@@ -66,7 +65,6 @@ __all__ = [
     "PriorConfig",
     "RandomSource",
     "RangeOracle",
-    "RunReport",
     "SmcConfig",
     "SmcResult",
     "accept_probability",

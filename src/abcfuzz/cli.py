@@ -15,6 +15,7 @@ import math
 import os
 import re
 import signal
+import stat
 import sys
 import threading
 from pathlib import Path
@@ -55,16 +56,15 @@ from .prior import generate_prior, slice_count
 from .report import (
     PLOT_KINDS,
     CsvSink,
-    RunReport,
     _write_mcmc_trace,
     emit_plot_data,
     read_particles_csv,
-    utc_now_iso,
     write_csv,
-    write_json,
     write_particles_csv,
     write_report,
 )
+# imported only for bench/tracing.py, which wraps cli.write_json by name
+from .report import write_json  # noqa: F401
 from .smc import run_smc
 
 EXIT_OK = 0
@@ -74,6 +74,8 @@ EXIT_DEGENERACY = 4
 EXIT_INTERRUPTED = 130  # 128 + SIGINT, as a shell reports it
 
 _SEED_MODULUS = 2**64
+# Bytes a config or target file may hold: each is a few values, never a corpus.
+_INPUT_CAP = 16 << 20
 
 # Config section -> {argparse dest: record field}. A dest that a subcommand
 # lacks reads as None, like a flag that was not given.
@@ -137,13 +139,29 @@ def _oracle_spec(text: str) -> dict:
     raise argparse.ArgumentTypeError(f"must be 'range' or 'exec:<command>', got {text!r}")
 
 
+def _input_file(path, name: str, capped: bool = True):
+    """``path``, given as ``name``, once it names a regular file, of at most
+    _INPUT_CAP bytes where ``capped``: a device, pipe or directory is never
+    read. A path that cannot be stat'ed is left for its reader to report."""
+    try:
+        info = os.stat(path)
+    except OSError:
+        return path
+    except ValueError as exc:  # a NUL in the path
+        raise ConfigError(f"{name} {path!r} is not a valid path: {exc}") from exc
+    _require(stat.S_ISREG(info.st_mode), f"{name} {path} is not a regular file")
+    _require(not capped or info.st_size <= _INPUT_CAP,
+             f"{name} {path} is larger than the {_INPUT_CAP >> 20} MiB cap")
+    return path
+
+
 def _load_file_config(path) -> dict:
     """The config file's sections: a JSON object of ``_FILE_KEYS`` sections,
     each an object, every one checked for unknown keys whether or not the
     command reads it."""
     if path is None:
         return {}
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(_input_file(path, "--config"), "r", encoding="utf-8") as fh:
         try:
             file_cfg = json.load(fh)
         except ValueError as exc:  # JSONDecodeError, or an int past the digit limit
@@ -290,15 +308,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_target(spec, n_dims: int):
-    """Resolve 'origin' (or null) and a one-particle CSV path; any other value
-    is left for LikelihoodConfig.from_dict to check as an inline list."""
+def _resolve_target(spec, n_dims: int, name: str):
+    """Resolve 'origin' (or null) and a one-particle CSV path given as ``name``;
+    any other value is left for LikelihoodConfig.from_dict to check."""
     if spec is None or spec == "origin":
         return np.zeros(n_dims)
     if not isinstance(spec, str):
         return spec
     _require(spec != "", "likelihood target must be 'origin' or a particle CSV path, got ''")
-    target_set = read_particles_csv(spec)
+    target_set = read_particles_csv(_input_file(spec, name))
     if target_set.n != 1:
         raise ConfigError(
             f"target file {spec} must contain exactly one particle, got {target_set.n}")
@@ -310,7 +328,8 @@ def _resolve_likelihood(args, file_cfg: dict, n_dims: int, prior_std,
     """The likelihood record; ``prior_std()`` is called only for a derived
     scale, and ``std_from`` says where that std comes from when the scale overflows."""
     data = _section(file_cfg, "likelihood", args)
-    data["target"] = _resolve_target(data.get("target"), n_dims)
+    name = "likelihood.target" if getattr(args, "target", None) is None else "--target"
+    data["target"] = _resolve_target(data.get("target"), n_dims, name)
     if data.get("scale") is None:  # null, like an absent key, means "derive"
         std = prior_std()
         try:
@@ -379,10 +398,8 @@ def cmd_gen_prior(args) -> int:
         emit_plot_data(particles, "dims-1-3-surface-data",
                        outdir / PLOT_KINDS["dims-1-3-surface-data"])
 
-    write_json({
+    write_report({
         "kind": "prior",
-        "engine_version": ENGINE_VERSION,
-        "timestamp": utc_now_iso(),
         "seed": cfg.seed,
         "config_echo": {"prior": cfg.to_dict(), "oracle": oracle_echo},
         "pass_rate": rate,
@@ -399,7 +416,7 @@ def _resolve_run_prior(args, file_cfg: dict, sampler_seed: int):
     """The prior before any draw: (particles, config, echo). A --prior file
     is read, with no config; a generated prior is configured, not drawn."""
     if args.prior is not None:
-        particles = read_particles_csv(args.prior)
+        particles = read_particles_csv(_input_file(args.prior, "--prior", capped=False))
         echo = {"file": str(args.prior), "n_particles": particles.n,
                 "n_dims": particles.dim}
         return particles, None, echo
@@ -485,16 +502,15 @@ def cmd_run(args) -> int:
         write_particles_csv(result.chain, outdir / "posterior.csv")
 
     oracle_calls = particles.n + output.n
-    report = RunReport(
-        sampler=sampler,
-        seed=seed,
-        config_echo=config_echo,
-        prior_pass_rate=prior_rate,
-        posterior_pass_rate=posterior_rate,
-        oracle_calls=oracle_calls,
-        diagnostics=diagnostics,
-    )
-    write_report(report, outdir / "report.json")
+    write_report({
+        "sampler": sampler,
+        "seed": seed,
+        "config_echo": config_echo,
+        "prior_pass_rate": prior_rate,
+        "posterior_pass_rate": posterior_rate,
+        "oracle_calls": oracle_calls,
+        "diagnostics": diagnostics,
+    }, outdir / "report.json")
 
     print(f"{sampler} steps={n_steps} prior_pass_rate={prior_rate!r} "
           f"posterior_pass_rate={posterior_rate!r} oracle_calls={oracle_calls}")
@@ -537,10 +553,8 @@ def cmd_compare(args) -> int:
     outdir = _output_dir(args.out, f"compare-seed{seed}")
     write_csv(outdir / "compare-table.csv",
               ["method", "oracle_calls", "passing", "pass_rate"], columns=list(zip(*rows)))
-    write_json({
+    write_report({
         "kind": "compare",
-        "engine_version": ENGINE_VERSION,
-        "timestamp": utc_now_iso(),
         "seed": seed,
         "budget": budget,
         "config_echo": {"prior": prior_cfg.to_dict(), "random_prior": random_cfg.to_dict(),

@@ -12,7 +12,6 @@ import io
 import json
 import os
 import warnings
-from dataclasses import dataclass
 from datetime import datetime, timezone
 from functools import partial
 from pathlib import Path
@@ -20,7 +19,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .core import ConfigError, ENGINE_VERSION, ParticleSet, _Record, _load_ndtri, _require
+from .core import ConfigError, ENGINE_VERSION, ParticleSet, _load_ndtri, _require
 from .mcmc import McmcResult
 from .smc import SmcResult
 
@@ -30,38 +29,6 @@ PLOT_KINDS = {
     "mcmc-trace-data": "plot-mcmc-trace.dat",
     "smc-weights-data": "plot-smc-weights.dat",
 }
-
-
-def utc_now_iso() -> str:
-    return datetime.now(timezone.utc).isoformat()
-
-
-@dataclass(frozen=True)
-class RunReport(_Record):
-    """Serialized record of one sampler run: config, seed, rates, diagnostics."""
-
-    SECTION = "report"
-
-    sampler: str
-    seed: int
-    config_echo: dict
-    prior_pass_rate: Optional[float]
-    posterior_pass_rate: Optional[float]
-    oracle_calls: int
-    diagnostics: dict
-    engine_version: str = ENGINE_VERSION
-    timestamp: str = ""
-
-    def __post_init__(self):
-        _require(self.sampler in ("smc", "mcmc"),
-                 f"sampler must be 'smc' or 'mcmc', got {self.sampler!r}")
-        for name, rate in (("prior_pass_rate", self.prior_pass_rate),
-                           ("posterior_pass_rate", self.posterior_pass_rate)):
-            if rate is not None:
-                _require(0.0 <= rate <= 1.0, f"{name} must lie in [0, 1], got {rate!r}")
-        _require(self.oracle_calls >= 0, "oracle_calls must be nonnegative")
-        if not self.timestamp:
-            object.__setattr__(self, "timestamp", utc_now_iso())
 
 
 def _create(path, binary: bool = False):
@@ -80,8 +47,11 @@ def write_json(payload: dict, path) -> None:
         fh.write("\n")
 
 
-def write_report(report: RunReport, path) -> None:
-    write_json(report.to_dict(), path)
+def write_report(payload: dict, path) -> None:
+    """Write a command's report.json: ``payload`` stamped with the engine
+    version and the UTC time of writing."""
+    write_json({**payload, "engine_version": ENGINE_VERSION,
+                "timestamp": datetime.now(timezone.utc).isoformat()}, path)
 
 
 # Cells per chunk of a matrix's rows: a forked worker formats one chunk per
@@ -148,7 +118,8 @@ def _pool_worker(conn, parent_ends, handle) -> None:
     The worker inherits what ``handle`` reads (a matrix, a shared mapping)
     through fork, so a task carries only bounds. Ctrl-C is left to the
     parent. The worker closes its inherited copies of the parent's pipe
-    ends, so it ends when the parent closes its end or dies.
+    ends, so it ends when the parent closes its end or dies, silently even
+    when the parent dies while it holds a task.
     """
     import signal
 
@@ -160,7 +131,9 @@ def _pool_worker(conn, parent_ends, handle) -> None:
             task = conn.recv()
         except EOFError:
             return
-        conn.send(handle(task))
+        result = handle(task)
+        with contextlib.suppress(BrokenPipeError, ConnectionResetError):  # the parent died
+            conn.send(result)
 
 
 def _pool_workers() -> int:

@@ -3,7 +3,9 @@
 import contextlib
 import io
 import json
+import os
 import re
+import resource
 import shlex
 import signal
 import subprocess
@@ -854,6 +856,94 @@ class TestLazyScipy:
         assert proc.returncode == 3, proc.stderr
         assert proc.stderr.startswith("abc-fuzz: environment error: normal draws need scipy")
         assert len(proc.stderr.splitlines()) == 1, proc.stderr
+        assert not out.exists()
+
+
+def _limited_child(args):
+    """_MAIN_LISTING_SCIPY in a child with 1 GiB of address space and 10 s to run."""
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+    return subprocess.run([sys.executable, "-c", _MAIN_LISTING_SCIPY, *args],
+                          capture_output=True, text=True, timeout=10, preexec_fn=limit)
+
+
+class TestInputFiles:
+    """--config, --prior, --target and a likelihood.target key must name a
+    regular file, and a config or target file may hold at most 16 MiB:
+    anything else exits 2 at once with one line, leaving no output and
+    loading no scipy."""
+
+    @pytest.fixture(params=["dev-zero", "fifo", "directory"])
+    def not_regular(self, request, tmp_path):
+        if request.param == "dev-zero":
+            return "/dev/zero"
+        path = tmp_path / request.param
+        if request.param == "fifo":
+            os.mkfifo(path)
+        else:
+            path.mkdir()
+        return str(path)
+
+    def _assert_refused(self, tmp_path, args, message):
+        out = tmp_path / "run"
+        proc = _limited_child([*args, "--out", str(out)])
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.splitlines() == [f"abc-fuzz: error: {message}"]
+        assert proc.stdout == "[]\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, flag", [
+        (["gen-prior"], "--config"),
+        (["run", "smc"], "--config"),
+        (["run", "mcmc"], "--prior"),
+        (["run", "smc"], "--target"),
+        (["compare", "--budget", "5"], "--target"),
+    ], ids=["gen-prior-config", "run-config", "run-prior", "run-target", "compare-target"])
+    def test_flag_naming_no_regular_file_exits_2(self, tmp_path, not_regular, command, flag):
+        self._assert_refused(tmp_path, [*command, flag, not_regular],
+                             f"{flag} {not_regular} is not a regular file")
+
+    def test_target_key_naming_no_regular_file_exits_2(self, tmp_path, not_regular):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"likelihood": {"target": not_regular}}))
+        self._assert_refused(tmp_path, ["run", "smc", "--config", str(config)],
+                             f"likelihood.target {not_regular} is not a regular file")
+
+    @pytest.mark.parametrize("flag", ["--config", "--target"])
+    def test_file_past_the_cap_exits_2(self, tmp_path, flag):
+        path = tmp_path / "big"
+        with open(path, "wb") as fh:
+            fh.truncate(cli._INPUT_CAP + 1)  # sparse: no 16 MiB written
+        self._assert_refused(tmp_path, ["run", "smc", flag, str(path)],
+                             f"{flag} {path} is larger than the 16 MiB cap")
+
+    def test_config_file_at_the_cap_is_read(self, tmp_path):
+        path = tmp_path / "config.json"
+        text = json.dumps({"smc": {"n_steps": 2}})
+        path.write_text(text + " " * (cli._INPUT_CAP - len(text)))
+        assert main(["run", "smc", "--config", str(path), "--out", str(tmp_path / "run")]) == 0
+
+    def test_nul_in_the_target_key_exits_2(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"likelihood": {"target": "a\0b"}}))
+        out = tmp_path / "run"
+        assert main(["run", "smc", "--config", str(config), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "abc-fuzz: error: likelihood.target 'a\\x00b' is not a valid path: "
+            "embedded null byte\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag, message", [
+        ("--config", "[Errno 2] No such file or directory: '{}'"),
+        ("--prior", "{} not found."),
+        ("--target", "{} not found."),
+    ])
+    def test_missing_file_still_exits_3(self, tmp_path, capsys, flag, message):
+        path = str(tmp_path / "absent")
+        out = tmp_path / "run"
+        assert main(["run", "smc", flag, path, "--out", str(out)]) == 3
+        assert capsys.readouterr().err == (
+            f"abc-fuzz: environment error: {message.format(path)}\n")
         assert not out.exists()
 
 

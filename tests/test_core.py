@@ -303,7 +303,7 @@ PUBLIC_NAMES = [
     "AbcFuzzError", "ConfigError", "DegeneracyError", "DegenerateStateError",
     "DegenerateWeightsError", "ENGINE_VERSION", "ExternalOracle", "LikelihoodConfig",
     "McmcConfig", "McmcResult", "OracleSpawnError", "OracleTimeoutError", "OracleVerdict",
-    "ParticleSet", "PriorConfig", "RandomSource", "RangeOracle", "RunReport", "SmcConfig",
+    "ParticleSet", "PriorConfig", "RandomSource", "RangeOracle", "SmcConfig",
     "SmcResult", "accept_probability", "emit_plot_data", "generate_prior",
     "log_likelihood_values", "normalize_log_weights", "pass_rate", "read_particles_csv",
     "run_mcmc", "run_smc", "slice_count", "systematic_resample", "trace_summary",
@@ -315,7 +315,7 @@ PUBLIC_NAMES = [
 def test_public_names_are_pinned():
     import abcfuzz
 
-    assert len(PUBLIC_NAMES) == 36
+    assert len(PUBLIC_NAMES) == 35
     assert sorted(abcfuzz.__all__) == PUBLIC_NAMES
     assert len(set(abcfuzz.__all__)) == len(abcfuzz.__all__)
     for name in abcfuzz.__all__:

@@ -6,21 +6,24 @@ import mmap
 import multiprocessing
 import os
 import signal
+import subprocess
+import sys
 import threading
 import time
+from datetime import datetime, timedelta
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from abcfuzz import (
+    ENGINE_VERSION,
     ConfigError,
     LikelihoodConfig,
     McmcConfig,
     McmcResult,
     ParticleSet,
     PriorConfig,
-    RunReport,
     SmcConfig,
     emit_plot_data,
     generate_prior,
@@ -36,62 +39,62 @@ from abcfuzz.report import write_csv, write_json
 from support import assert_read_only
 
 
-def _report(**overrides):
-    fields = dict(
-        sampler="smc",
-        seed=42,
-        config_echo={"smc": {"n_steps": 10}},
-        prior_pass_rate=0.3,
-        posterior_pass_rate=0.897,
-        oracle_calls=20,
-        diagnostics={"ess_final": 5.5},
-    )
-    fields.update(overrides)
-    return RunReport(**fields)
+def _payload(**overrides):
+    return {
+        "sampler": "smc",
+        "seed": 42,
+        "config_echo": {"smc": {"n_steps": 10}},
+        "prior_pass_rate": 0.3,
+        "posterior_pass_rate": 0.897,
+        "oracle_calls": 20,
+        "diagnostics": {"ess_final": 5.5},
+        **overrides,
+    }
 
 
 def _read_back(path):
-    return RunReport.from_dict(json.loads(path.read_text(encoding="utf-8")))
+    return json.loads(path.read_text(encoding="utf-8"))
 
 
-class TestRunReport:
+def _without_timestamp(text: str) -> str:
+    return "".join(line for line in text.splitlines(keepends=True)
+                   if not line.startswith('  "timestamp": '))
+
+
+class TestWriteReport:
     def test_write_read_round_trip(self, tmp_path):
-        report = _report()
         path = tmp_path / "report.json"
-        write_report(report, path)
-        assert _read_back(path) == report
+        write_report(_payload(), path)
+        data = _read_back(path)
+        assert data.pop("engine_version") == ENGINE_VERSION
+        stamp = datetime.fromisoformat(data.pop("timestamp"))
+        assert stamp.utcoffset() == timedelta(0)
+        assert data == _payload()
 
     def test_posterior_rate_survives_at_full_precision(self, tmp_path):
         path = tmp_path / "report.json"
-        write_report(_report(posterior_pass_rate=0.897), path)
-        assert _read_back(path).posterior_pass_rate == 0.897
+        write_report(_payload(posterior_pass_rate=0.897), path)
+        assert _read_back(path)["posterior_pass_rate"] == 0.897
 
     def test_same_content_differs_only_in_timestamp(self, tmp_path):
-        a = _report().to_dict()
-        b = _report().to_dict()
-        a.pop("timestamp"), b.pop("timestamp")
-        assert a == b
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        write_report(_payload(), a)
+        write_report(_payload(), b)
+        assert _without_timestamp(a.read_text()) == _without_timestamp(b.read_text())
+        assert a.read_text() != _without_timestamp(a.read_text())
 
     def test_stable_key_order(self, tmp_path):
         path = tmp_path / "report.json"
-        write_report(_report(timestamp="2026-01-01T00:00:00+00:00"), path)
-        first = path.read_bytes()
-        write_report(_report(timestamp="2026-01-01T00:00:00+00:00"), path)
-        assert path.read_bytes() == first
-        keys = list(json.loads(first).keys())
+        write_report(_payload(), path)
+        first = _without_timestamp(path.read_text())
+        write_report(_payload(), path)
+        assert _without_timestamp(path.read_text()) == first
+        keys = list(_read_back(path).keys())
         assert keys == sorted(keys)
-
-    def test_sampler_and_rates_validated(self):
-        with pytest.raises(ConfigError):
-            _report(sampler="other")
-        with pytest.raises(ConfigError):
-            _report(prior_pass_rate=1.5)
-        with pytest.raises(ConfigError):
-            _report(posterior_pass_rate=-0.1)
 
     def test_files_end_with_newline(self, tmp_path):
         path = tmp_path / "report.json"
-        write_report(_report(), path)
+        write_report(_payload(), path)
         assert path.read_bytes().endswith(b"\n")
 
 
@@ -358,6 +361,63 @@ class TestPoolWriter:
         err = capfd.readouterr().err
         assert err == "abc-fuzz: interrupted\n"
         assert multiprocessing.active_children() == []
+
+
+# Runs the command in argv[2:] in a child whose forced two-worker writer pool
+# logs each worker's pid to argv[1] and holds each chunk for 0.5 s before
+# formatting it, so the parent can be killed while a worker holds a task.
+_HOLDING_WORKERS = """
+import os, sys, time
+from abcfuzz import report
+from abcfuzz.cli import main
+report.CHUNK_CELLS, report.POOL_MIN_CELLS = 6, 0
+report._pool_workers = lambda: 2
+format_rows, parent = report._format_rows, os.getpid()
+
+def held(rows):
+    if os.getpid() != parent:
+        with open(sys.argv[1], "a", encoding="ascii") as fh:
+            fh.write(f"{os.getpid()}\\n")
+        time.sleep(0.5)
+    return format_rows(rows)
+
+report._format_rows = held
+sys.exit(main(sys.argv[2:]))
+"""
+
+
+def _logged_pids(log) -> set:
+    return {int(pid) for pid in log.read_text().split()} if log.exists() else set()
+
+
+def _running(pid: int) -> bool:
+    """Whether process ``pid`` runs; a zombie waiting to be reaped does not."""
+    try:
+        with open(f"/proc/{pid}/stat", encoding="ascii") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+class TestKilledParent:
+    def test_workers_end_without_traceback(self, tmp_path):
+        log = tmp_path / "worker-pids.txt"
+        proc = subprocess.Popen(
+            [sys.executable, "-c", _HOLDING_WORKERS, str(log),
+             "gen-prior", "--n", "40", "--dims", "10", "--out", str(tmp_path / "run")],
+            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
+        deadline = time.monotonic() + 10
+        while len(_logged_pids(log)) < 2 and time.monotonic() < deadline:
+            time.sleep(0.01)
+        proc.kill()
+        # stderr ends once the workers, which share it, have exited too
+        _, err = proc.communicate(timeout=10)
+        workers = _logged_pids(log)
+        assert proc.returncode == -signal.SIGKILL
+        assert len(workers) == 2
+        assert "Traceback" not in err, err
+        time.sleep(2)
+        assert not [pid for pid in workers if _running(pid)]
 
 
 def _per_row_text(matrix) -> str:
