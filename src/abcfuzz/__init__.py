@@ -8,11 +8,8 @@ reproducible.
 """
 
 from .core import (
-    AbcFuzzError,
     ConfigError,
     DegeneracyError,
-    DegenerateStateError,
-    DegenerateWeightsError,
     ENGINE_VERSION,
     LikelihoodConfig,
     McmcConfig,
@@ -48,11 +45,8 @@ from .smc import SmcResult, normalize_log_weights, run_smc, systematic_resample
 __version__ = ENGINE_VERSION
 
 __all__ = [
-    "AbcFuzzError",
     "ConfigError",
     "DegeneracyError",
-    "DegenerateStateError",
-    "DegenerateWeightsError",
     "ENGINE_VERSION",
     "ExternalOracle",
     "LikelihoodConfig",

@@ -5,7 +5,7 @@ section <- flags that were given, and built by its own ``from_dict``; the
 fully resolved configuration is echoed into every report.json so each
 printed number can be reproduced. Exit codes are a stable contract:
 0 success, 2 usage/config error, 3 IO or environment failure, 4 numerical
-degeneracy, 130 interrupted (Ctrl-C).
+degeneracy, 130 interrupted (Ctrl-C), 143 and 129 terminated (SIGTERM, SIGHUP).
 """
 
 import argparse
@@ -71,7 +71,10 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_ENVIRONMENT = 3
 EXIT_DEGENERACY = 4
-EXIT_INTERRUPTED = 130  # 128 + SIGINT, as a shell reports it
+# The signals main turns into an interrupt and then an exit of 128 + signum,
+# as a shell reports it, each only while its handler is this default.
+_STOP_SIGNALS = {signal.SIGINT: signal.default_int_handler, signal.SIGTERM: signal.SIG_DFL,
+                 **({signal.SIGHUP: signal.SIG_DFL} if hasattr(signal, "SIGHUP") else {})}
 
 _SEED_MODULUS = 2**64
 # Bytes a config or target file may hold: each is a few values, never a corpus.
@@ -164,7 +167,7 @@ def _load_file_config(path) -> dict:
     with open(_input_file(path, "--config"), "r", encoding="utf-8") as fh:
         try:
             file_cfg = json.load(fh)
-        except ValueError as exc:  # JSONDecodeError, or an int past the digit limit
+        except (ValueError, RecursionError) as exc:  # JSONDecodeError, a huge int, deep nesting
             raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
     _require(isinstance(file_cfg, dict), f"config file {path} must hold a JSON object")
     _reject_unknown_keys("file", file_cfg, _FILE_KEYS)
@@ -572,11 +575,13 @@ def cmd_compare(args) -> int:
 
 
 def _interrupt_once(signum, frame):
-    """SIGINT handler while a command runs: the first Ctrl-C interrupts it and
-    every later one is ignored, so the writer workers are reaped, the exit
-    message printed and 130 returned whatever more Ctrl-Cs arrive."""
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-    raise KeyboardInterrupt
+    """Stop-signal handler while a command runs: the first signal interrupts
+    it and every later one is ignored, so the writer workers are reaped, the
+    exit message printed and 128 + signum returned whatever more arrive."""
+    for sig in _STOP_SIGNALS:
+        if signal.getsignal(sig) == _interrupt_once:
+            signal.signal(sig, signal.SIG_IGN)
+    raise KeyboardInterrupt(signum)
 
 
 def main(argv=None) -> int:
@@ -585,13 +590,14 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
-    # Take SIGINT over only where it raises KeyboardInterrupt as Python's
-    # default does (never where it is ignored), and give it back on return.
-    caller_handler = signal.getsignal(signal.SIGINT)
-    owned = (caller_handler is signal.default_int_handler
-             and threading.current_thread() is threading.main_thread())
-    if owned:
-        signal.signal(signal.SIGINT, _interrupt_once)
+    # Take each stop signal over only where its handler is the default (never
+    # where it is ignored or the caller's own), and give it back on return.
+    caller_handlers = {sig: signal.getsignal(sig) for sig in _STOP_SIGNALS}
+    in_main_thread = threading.current_thread() is threading.main_thread()
+    owned = [sig for sig, default in _STOP_SIGNALS.items()
+             if in_main_thread and caller_handlers[sig] == default]
+    for sig in owned:
+        signal.signal(sig, _interrupt_once)
     try:
         return args.func(args)
     except ConfigError as exc:
@@ -607,12 +613,15 @@ def main(argv=None) -> int:
         step = f" (step {exc.step})" if exc.step is not None else ""
         print(f"abc-fuzz: degeneracy{step}: {exc}", file=sys.stderr)
         return EXIT_DEGENERACY
-    except KeyboardInterrupt:
-        print("abc-fuzz: interrupted", file=sys.stderr)
-        return EXIT_INTERRUPTED
+    except KeyboardInterrupt as exc:
+        # _interrupt_once names its signal; Python's own Ctrl-C handler does not
+        signum = exc.args[0] if exc.args else signal.SIGINT
+        print(f"abc-fuzz: {'interrupted' if signum == signal.SIGINT else 'terminated'}",
+              file=sys.stderr)
+        return 128 + signum
     finally:
-        if owned:
-            signal.signal(signal.SIGINT, caller_handler)
+        for sig in owned:
+            signal.signal(sig, caller_handlers[sig])
 
 
 if __name__ == "__main__":

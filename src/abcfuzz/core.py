@@ -17,15 +17,11 @@ ENGINE_VERSION = "0.1.0"
 MAX_SEED = 2**64 - 1
 
 
-class AbcFuzzError(Exception):
-    """Base class for every error this package raises on purpose."""
-
-
-class ConfigError(AbcFuzzError, ValueError):
+class ConfigError(ValueError):
     """Invalid configuration value or misuse of an operation."""
 
 
-class DegeneracyError(AbcFuzzError, ArithmeticError):
+class DegeneracyError(ArithmeticError):
     """Numerical degeneracy that prevents a sampler from continuing.
 
     ``step`` carries the failing sampler step when known.
@@ -34,14 +30,6 @@ class DegeneracyError(AbcFuzzError, ArithmeticError):
     def __init__(self, message: str, step: Optional[int] = None):
         super().__init__(message)
         self.step = step
-
-
-class DegenerateWeightsError(DegeneracyError):
-    """Every particle weight collapsed (all log-weights are -inf)."""
-
-
-class DegenerateStateError(DegeneracyError):
-    """Chain state and proposal both have -inf log-likelihood."""
 
 
 def _require(condition: bool, message: str) -> None:

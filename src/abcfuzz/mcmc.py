@@ -14,7 +14,7 @@ import numpy as np
 
 from .core import (
     ConfigError,
-    DegenerateStateError,
+    DegeneracyError,
     McmcConfig,
     ParticleSet,
     RandomSource,
@@ -46,13 +46,13 @@ def accept_probability(log_likelihood_current: float, log_likelihood_proposed: f
     """Metropolis acceptance for a symmetric proposal: min(1, exp(delta)).
 
     A proposal of -inf is rejected with probability 1; if the current state
-    is also at -inf there is no valid move and a DegenerateStateError is
+    is also at -inf there is no valid move and a DegeneracyError is
     raised.
     """
     if math.isnan(log_likelihood_current) or math.isnan(log_likelihood_proposed):
         raise ConfigError("log-likelihoods must not be NaN")
     if log_likelihood_current == -math.inf and log_likelihood_proposed == -math.inf:
-        raise DegenerateStateError("current state and proposal both have -inf log-likelihood")
+        raise DegeneracyError("current state and proposal both have -inf log-likelihood")
     delta = log_likelihood_proposed - log_likelihood_current
     if delta >= 0:
         return 1.0
@@ -113,8 +113,8 @@ def run_mcmc(prior: ParticleSet, config: McmcConfig,
                 log_l_proposal = _log_likelihood_row(proposal, target, scale, alpha)
                 try:
                     prob = accept_probability(log_l, log_l_proposal)
-                except DegenerateStateError as exc:
-                    raise DegenerateStateError(
+                except DegeneracyError as exc:
+                    raise DegeneracyError(
                         f"chain degenerated (state and proposal at -inf) at step {step}",
                         step=step) from exc
                 except ConfigError as exc:  # the proposal's score is NaN

@@ -14,7 +14,6 @@ from typing import Callable
 import numpy as np
 
 from .core import (
-    AbcFuzzError,
     ConfigError,
     ParticleSet,
     _Record,
@@ -24,11 +23,11 @@ from .core import (
 )
 
 
-class OracleSpawnError(AbcFuzzError, RuntimeError):
+class OracleSpawnError(RuntimeError):
     """The external oracle command could not be started."""
 
 
-class OracleTimeoutError(AbcFuzzError, RuntimeError):
+class OracleTimeoutError(RuntimeError):
     """The external oracle ran past its timeout and was killed."""
 
 
@@ -85,6 +84,7 @@ class ExternalOracle(_Record):
         command = self.command
         _require(isinstance(command, str),
                  f"exec oracle command must be a nonempty string, got {command!r}")
+        _require("\0" not in command, f"exec oracle command must not hold a NUL, got {command!r}")
         try:
             argv = shlex.split(command)
         except ValueError as exc:
@@ -97,12 +97,6 @@ class ExternalOracle(_Record):
 
     def __call__(self, values: np.ndarray) -> OracleVerdict:
         payload = "".join(f"{v!r}\n" for v in values.tolist()).encode("ascii")
-        try:
-            proc = subprocess.Popen(self._argv, stdin=subprocess.PIPE,
-                                    stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
-        except OSError as exc:
-            raise OracleSpawnError(
-                f"could not run oracle command {self._argv[0]!r}: {exc}") from exc
         # The wait blocks in the kernel until the child exits; a watchdog
         # thread kills a child that outlives the timeout, which also
         # unblocks a payload write the child never reads.
@@ -113,9 +107,17 @@ class ExternalOracle(_Record):
             proc.kill()
 
         watchdog = threading.Timer(self.timeout, kill)
+        try:
+            proc = subprocess.Popen(self._argv, stdin=subprocess.PIPE,
+                                    stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+        except OSError as exc:
+            raise OracleSpawnError(
+                f"could not run oracle command {self._argv[0]!r}: {exc}") from exc
         with proc:
-            watchdog.start()
+            # an interrupt from here on, even one that cuts the watchdog's
+            # start short, kills the child
             try:
+                watchdog.start()
                 proc.communicate(payload)
             except BaseException:
                 proc.kill()
@@ -125,7 +127,8 @@ class ExternalOracle(_Record):
                 # the CSV writer forks its pool only from a single-threaded
                 # process.
                 watchdog.cancel()
-                watchdog.join()
+                if watchdog.is_alive():  # not when an interrupt cut its start short
+                    watchdog.join()
         if killed.is_set():
             raise OracleTimeoutError(
                 f"oracle command {self._argv[0]!r} exceeded {self.timeout} s")

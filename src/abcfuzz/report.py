@@ -117,19 +117,24 @@ def _pool_worker(conn, parent_ends, handle) -> None:
 
     The worker inherits what ``handle`` reads (a matrix, a shared mapping)
     through fork, so a task carries only bounds. Ctrl-C is left to the
-    parent. The worker closes its inherited copies of the parent's pipe
-    ends, so it ends when the parent closes its end or dies, silently even
-    when the parent dies while it holds a task.
+    parent. SIGTERM and SIGHUP get their default action back from the
+    parent's handler, which raises, so one sent to the whole process group
+    ends a worker silently. The worker closes its inherited copies of the
+    parent's pipe ends, so it ends when the parent closes its end or dies,
+    silently even when the parent dies while it holds a task or before it
+    reads a result.
     """
     import signal
 
     signal.signal(signal.SIGINT, signal.SIG_IGN)
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    signal.signal(signal.SIGHUP, signal.SIG_DFL)  # a forked worker runs where SIGHUP exists
     for end in parent_ends:
         end.close()
     while True:
         try:
             task = conn.recv()
-        except EOFError:
+        except (EOFError, ConnectionResetError):  # the parent closed its end, or died
             return
         result = handle(task)
         with contextlib.suppress(BrokenPipeError, ConnectionResetError):  # the parent died
@@ -169,9 +174,10 @@ def _fork_pool(pool: list, workers: int, handle) -> None:
 
 
 def _reap(pool: list) -> None:
-    """Terminate and join every worker of ``pool``, and empty it."""
+    """Kill and join every worker of ``pool``, and empty it. SIGKILL ends even
+    a worker just forked, which still runs its parent's signal handlers."""
     for proc, conn in pool:
-        proc.terminate()
+        proc.kill()
         conn.close()
     for proc, _ in pool:
         proc.join()
@@ -197,7 +203,7 @@ class CsvSink:
     Use it as a context manager. The file appears under its own name only
     when the block ends cleanly; until then it is written under the same
     name plus ``.tmp``. On any error or interrupt the workers are
-    terminated and reaped and the temporary file is deleted before the
+    killed and reaped and the temporary file is deleted before the
     exception leaves. A worker that dies raises OSError.
     """
 

@@ -14,7 +14,7 @@ import numpy as np
 
 from .core import (
     ConfigError,
-    DegenerateWeightsError,
+    DegeneracyError,
     ParticleSet,
     RandomSource,
     SmcConfig,
@@ -60,7 +60,7 @@ def normalize_log_weights(log_weights) -> np.ndarray:
     Uses max-subtraction, so inputs as low as -1e6 stay representable. The
     output sums to 1 within 1e-12. Entries of -inf map to weight 0; if
     every entry is -inf there is nothing to normalize and a
-    DegenerateWeightsError is raised.
+    DegeneracyError is raised.
     """
     arr = np.asarray(log_weights, dtype=np.float64)
     _require(arr.ndim == 1 and arr.size >= 1, "log-weights must be a nonempty flat sequence")
@@ -68,7 +68,7 @@ def normalize_log_weights(log_weights) -> np.ndarray:
     _require(not bool(np.isposinf(arr).any()), "log-weights must not contain +inf")
     peak = arr.max()
     if peak == -np.inf:
-        raise DegenerateWeightsError("all log-weights are -inf")
+        raise DegeneracyError("all log-weights are -inf")
     return _weights(arr, peak)[0]
 
 
@@ -119,7 +119,7 @@ def run_smc(prior: ParticleSet, config: SmcConfig, sink=None) -> SmcResult:
     so it can write them while the loop runs. The caller's ``with`` block
     completes or discards the file.
 
-    Raises DegenerateWeightsError, naming the step, if every particle
+    Raises DegeneracyError, naming the step, if every particle
     weight collapses.
     """
     if prior.dim != config.likelihood.target.size:
@@ -155,7 +155,7 @@ def run_smc(prior: ParticleSet, config: SmcConfig, sink=None) -> SmcResult:
                 log_w = log_likelihood_values(population, config.likelihood)
                 peak = log_w.max()
                 if peak == -np.inf:
-                    raise DegenerateWeightsError(
+                    raise DegeneracyError(
                         f"all particle weights collapsed to zero at step {step}", step=step)
                 # NaN propagates through max; scores are never +inf
                 if not peak < np.inf:

@@ -386,18 +386,23 @@ class TestConfigFileMerging:
         assert f"unknown {section} config keys: ['bogus']" in capsys.readouterr().err
 
 
+# A config file whose one value nests deeper than the JSON decoder recurses.
+_NESTED_MEAN = b'{"prior": {"mean": ' + b"[" * 2000 + b"0" + b"]" * 2000 + b"}}"
+
+
 class TestConfigFile:
     """Faults of the file itself: each exits 2 with one line, before any output."""
 
-    def _run(self, tmp_path, content: bytes):
+    def _run(self, tmp_path, content: bytes, command=("run", "smc")):
         path = tmp_path / "config.json"
         path.write_bytes(content)
         out = tmp_path / "run"
-        code = main(["run", "smc", "--config", str(path), "--out", str(out)])
+        code = main([*command, "--config", str(path), "--out", str(out)])
         return code, out
 
-    def _assert_fault(self, tmp_path, capsys, content: bytes, message: str):
-        code, out = self._run(tmp_path, content)
+    def _assert_fault(self, tmp_path, capsys, content: bytes, message: str,
+                      command=("run", "smc")):
+        code, out = self._run(tmp_path, content, command)
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("abc-fuzz: error: ") and len(err.splitlines()) == 1, err
@@ -423,6 +428,13 @@ class TestConfigFile:
                              ids=["not-utf-8", "int-past-the-digit-limit"])
     def test_undecodable_json_is_an_error(self, tmp_path, capsys, content):
         self._assert_fault(tmp_path, capsys, content, "config.json is not valid JSON: ")
+
+    @pytest.mark.parametrize("command", [["run", "smc"], ["gen-prior"]], ids=["run", "gen-prior"])
+    @pytest.mark.parametrize("content", [b"[" * 2000, _NESTED_MEAN],
+                             ids=["nested-file", "nested-value"])
+    def test_json_nested_past_the_recursion_limit_is_an_error(self, tmp_path, capsys, content,
+                                                              command):
+        self._assert_fault(tmp_path, capsys, content, "config.json is not valid JSON: ", command)
 
     def test_non_object_sections_are_errors(self, tmp_path, capsys):
         self._assert_fault(tmp_path, capsys, json.dumps({"prior": [1, 2]}).encode(),
@@ -580,28 +592,50 @@ class TestExitCodes:
     def test_missing_subcommand_exits_2(self, capsys):
         assert main([]) == 2
 
-    def test_second_interrupt_while_the_first_is_reported_still_exits_130(
-            self, tmp_path, monkeypatch):
-        class InterruptedStderr(io.StringIO):
+    @pytest.mark.parametrize("first, second, code", [
+        (signal.SIGINT, signal.SIGINT, 130),
+        (signal.SIGTERM, signal.SIGTERM, 143),
+        (signal.SIGHUP, signal.SIGINT, 129),
+        (signal.SIGINT, signal.SIGTERM, 130),
+    ], ids=["sigint", "sigterm", "sighup-then-sigint", "sigint-then-sigterm"])
+    def test_a_second_stop_signal_while_the_first_is_reported_is_ignored(
+            self, tmp_path, monkeypatch, first, second, code):
+        class SignalledStderr(io.StringIO):
             def write(self, text):
-                signal.raise_signal(signal.SIGINT)  # a second Ctrl-C, mid-message
+                signal.raise_signal(second)  # a second signal, mid-message
                 return super().write(text)
 
-        def first_interrupt(cfg):
-            signal.raise_signal(signal.SIGINT)
+        def first_signal(cfg):
+            signal.raise_signal(first)
 
-        caller_handler = signal.getsignal(signal.SIGINT)
-        assert caller_handler is signal.default_int_handler
-        stderr = InterruptedStderr()
-        monkeypatch.setattr(cli, "generate_prior", first_interrupt)
+        callers = {sig: signal.getsignal(sig) for sig in cli._STOP_SIGNALS}
+        assert callers[signal.SIGINT] is signal.default_int_handler
+        stderr = SignalledStderr()
+        monkeypatch.setattr(cli, "generate_prior", first_signal)
         monkeypatch.setattr(sys, "stderr", stderr)
         try:
-            code = main(["gen-prior", "--out", str(tmp_path / "run")])
+            got = main(["gen-prior", "--out", str(tmp_path / "run")])
         except KeyboardInterrupt:
-            pytest.fail("the second Ctrl-C escaped main")
-        assert code == 130
-        assert stderr.getvalue() == "abc-fuzz: interrupted\n"
-        assert signal.getsignal(signal.SIGINT) is caller_handler
+            pytest.fail("the second signal escaped main")
+        assert got == code
+        word = "interrupted" if first == signal.SIGINT else "terminated"
+        assert stderr.getvalue() == f"abc-fuzz: {word}\n"
+        assert {sig: signal.getsignal(sig) for sig in cli._STOP_SIGNALS} == callers
+
+    def test_a_stop_signal_the_caller_handles_is_left_to_it(self, tmp_path, monkeypatch):
+        received, generate = [], cli.generate_prior
+
+        def signalled(cfg):
+            signal.raise_signal(signal.SIGTERM)
+            return generate(cfg)
+
+        monkeypatch.setattr(cli, "generate_prior", signalled)
+        previous = signal.signal(signal.SIGTERM, lambda signum, frame: received.append(signum))
+        try:
+            assert main(["gen-prior", "--out", str(tmp_path / "run")]) == 0
+            assert received == [signal.SIGTERM]
+        finally:
+            signal.signal(signal.SIGTERM, previous)
 
     @pytest.mark.parametrize("flag", ["--prior", "--target"])
     def test_ragged_particle_csv_exits_2_without_traceback(self, tmp_path, flag):
@@ -823,11 +857,15 @@ class TestLazyScipy:
         assert "Traceback" not in proc.stderr
         assert not out.exists()
 
-    @pytest.mark.parametrize("config", [{"prior": [1]}, {"likelihood": {"target": ""}}],
-                             ids=["section-not-an-object", "empty-target"])
+    @pytest.mark.parametrize("config", [
+        json.dumps({"prior": [1]}).encode(),
+        json.dumps({"likelihood": {"target": ""}}).encode(),
+        _NESTED_MEAN,
+        json.dumps({"oracle": {"kind": "exec", "command": "true a\0b"}}).encode(),
+    ], ids=["section-not-an-object", "empty-target", "nested-value", "nul-in-exec-command"])
     def test_config_file_fault_exits_2_before_loading_scipy(self, tmp_path, config):
         path = tmp_path / "F.json"
-        path.write_text(json.dumps(config))
+        path.write_bytes(config)
         out = tmp_path / "run"
         proc = _child(_MAIN_LISTING_SCIPY, ["run", "smc", "--config", str(path),
                                             "--out", str(out)])

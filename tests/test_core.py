@@ -300,8 +300,7 @@ class TestConfigSerialization:
 
 # The package's public names. A name added or removed is a deliberate edit here.
 PUBLIC_NAMES = [
-    "AbcFuzzError", "ConfigError", "DegeneracyError", "DegenerateStateError",
-    "DegenerateWeightsError", "ENGINE_VERSION", "ExternalOracle", "LikelihoodConfig",
+    "ConfigError", "DegeneracyError", "ENGINE_VERSION", "ExternalOracle", "LikelihoodConfig",
     "McmcConfig", "McmcResult", "OracleSpawnError", "OracleTimeoutError", "OracleVerdict",
     "ParticleSet", "PriorConfig", "RandomSource", "RangeOracle", "SmcConfig",
     "SmcResult", "accept_probability", "emit_plot_data", "generate_prior",
@@ -315,8 +314,18 @@ PUBLIC_NAMES = [
 def test_public_names_are_pinned():
     import abcfuzz
 
-    assert len(PUBLIC_NAMES) == 35
+    assert len(PUBLIC_NAMES) == 32
     assert sorted(abcfuzz.__all__) == PUBLIC_NAMES
     assert len(set(abcfuzz.__all__)) == len(abcfuzz.__all__)
     for name in abcfuzz.__all__:
         assert getattr(abcfuzz, name) is not None, name
+
+
+def test_public_errors_are_the_ones_main_maps_to_exit_codes():
+    import abcfuzz
+
+    classes = [getattr(abcfuzz, name) for name in abcfuzz.__all__]
+    errors = {cls.__name__: cls.__bases__ for cls in classes
+              if isinstance(cls, type) and issubclass(cls, BaseException)}
+    assert errors == {"ConfigError": (ValueError,), "DegeneracyError": (ArithmeticError,),
+                      "OracleSpawnError": (RuntimeError,), "OracleTimeoutError": (RuntimeError,)}

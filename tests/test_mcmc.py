@@ -7,7 +7,7 @@ import pytest
 
 from abcfuzz import (
     ConfigError,
-    DegenerateStateError,
+    DegeneracyError,
     LikelihoodConfig,
     McmcConfig,
     ParticleSet,
@@ -34,7 +34,7 @@ class TestAcceptProbability:
         assert accept_probability(-1.0, -math.inf) == 0.0
 
     def test_both_minus_inf_is_degenerate(self):
-        with pytest.raises(DegenerateStateError):
+        with pytest.raises(DegeneracyError):
             accept_probability(-math.inf, -math.inf)
 
     def test_nan_rejected(self):
@@ -148,6 +148,6 @@ class TestRunMcmc:
         prior = ParticleSet(np.full((2, 3), 1e200))
         cfg = McmcConfig(likelihood=LikelihoodConfig.for_prior(3, 1.0),
                          n_steps=5, burn_in=0, step_std=0.001, initial_index=0, seed=1)
-        with pytest.raises(DegenerateStateError) as excinfo:
+        with pytest.raises(DegeneracyError) as excinfo:
             run_mcmc(prior, cfg)
         assert excinfo.value.step == 0

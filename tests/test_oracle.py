@@ -171,7 +171,8 @@ class TestExternalOracle:
         assert not ExternalOracle("sh -c 'exit 1'")(np.array([1.0])).passed
 
     def test_config_validation(self):
-        for command in ("", "   ", '"" -x', 7, None, ("true",), '"unterminated'):
+        # a NUL would reach Popen, which cannot pass it to exec
+        for command in ("", "   ", '"" -x', 7, None, ("true",), '"unterminated', "true a\0b"):
             with pytest.raises(ConfigError, match="command"):
                 ExternalOracle(command)
         with pytest.raises(ConfigError):

@@ -399,16 +399,23 @@ def _running(pid: int) -> bool:
         return False
 
 
+def _holding_gen_prior(tmp_path, log):
+    """gen-prior in a _HOLDING_WORKERS child, in a session of its own, once
+    both its workers hold a chunk."""
+    proc = subprocess.Popen(
+        [sys.executable, "-c", _HOLDING_WORKERS, str(log),
+         "gen-prior", "--n", "40", "--dims", "10", "--out", str(tmp_path / "run")],
+        stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True, start_new_session=True)
+    deadline = time.monotonic() + 10
+    while len(_logged_pids(log)) < 2 and time.monotonic() < deadline:
+        time.sleep(0.01)
+    return proc
+
+
 class TestKilledParent:
     def test_workers_end_without_traceback(self, tmp_path):
         log = tmp_path / "worker-pids.txt"
-        proc = subprocess.Popen(
-            [sys.executable, "-c", _HOLDING_WORKERS, str(log),
-             "gen-prior", "--n", "40", "--dims", "10", "--out", str(tmp_path / "run")],
-            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
-        deadline = time.monotonic() + 10
-        while len(_logged_pids(log)) < 2 and time.monotonic() < deadline:
-            time.sleep(0.01)
+        proc = _holding_gen_prior(tmp_path, log)
         proc.kill()
         # stderr ends once the workers, which share it, have exited too
         _, err = proc.communicate(timeout=10)
@@ -418,6 +425,110 @@ class TestKilledParent:
         assert "Traceback" not in err, err
         time.sleep(2)
         assert not [pid for pid in workers if _running(pid)]
+
+    def test_worker_ends_without_traceback_when_its_result_is_unread(self, tmp_path):
+        # a parent that dies with a result unread in its socket resets the
+        # worker's next recv, whether or not it already waits in it
+        proc = subprocess.run([sys.executable, "-c", _KILLED_WITH_RESULT_UNREAD],
+                              capture_output=True, text=True, timeout=10)
+        assert proc.returncode == -signal.SIGKILL
+        (worker,) = map(int, proc.stdout.split())
+        deadline = time.monotonic() + 2
+        while _running(worker) and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert not _running(worker)
+        assert "Traceback" not in proc.stderr, proc.stderr
+
+
+# Forks one pool worker, prints its pid, and once the worker's result is
+# readable kills itself without reading it.
+_KILLED_WITH_RESULT_UNREAD = """
+import os, signal
+from abcfuzz import report
+pool = []
+report._fork_pool(pool, 1, lambda task: task)
+proc, conn = pool[0]
+print(proc.pid, flush=True)
+conn.send(0)
+assert conn.poll(10)
+os.kill(os.getpid(), signal.SIGKILL)
+"""
+
+
+# Holds SIGTERM as main does while a command runs, and reaps pools of
+# workers the moment they are forked.
+_REAPED_AT_ONCE = """
+import signal
+from abcfuzz import cli, report
+signal.signal(signal.SIGTERM, cli._interrupt_once)
+for _ in range(20):
+    pool = []
+    report._fork_pool(pool, 2, lambda task: task)
+    report._reap(pool)
+"""
+
+
+class TestStopSignals:
+    """SIGTERM and SIGHUP exit like Ctrl-C: 128 + signum, one line on
+    stderr, and no temporary file, writer worker or oracle child left."""
+
+    @pytest.mark.parametrize("group", [False, True], ids=["to-parent", "to-group"])
+    @pytest.mark.parametrize("signum, code", [(signal.SIGTERM, 143), (signal.SIGHUP, 129)],
+                             ids=["sigterm", "sighup"])
+    def test_signal_while_the_pool_writes_leaves_no_tmp_or_worker(self, tmp_path, signum,
+                                                                  code, group):
+        # a hangup or a process manager may signal the workers too
+        log = tmp_path / "worker-pids.txt"
+        proc = _holding_gen_prior(tmp_path, log)
+        if group:
+            os.killpg(proc.pid, signum)
+        else:
+            proc.send_signal(signum)
+        _, err = proc.communicate(timeout=10)
+        workers = _logged_pids(log)
+        assert proc.returncode == code, err
+        assert err == "abc-fuzz: terminated\n"
+        assert len(workers) == 2
+        assert not [pid for pid in workers if _running(pid)]
+        assert not list((tmp_path / "run").glob("*.tmp"))
+
+    def test_workers_reaped_as_they_start_print_nothing(self):
+        # a worker not yet past its signal setup still runs the parent's handler
+        proc = subprocess.run([sys.executable, "-c", _REAPED_AT_ONCE],
+                              capture_output=True, text=True, timeout=30)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
+
+    @pytest.mark.parametrize("signum, code", [(signal.SIGTERM, 143), (signal.SIGHUP, 129)],
+                             ids=["sigterm", "sighup"])
+    def test_signal_during_a_verdict_kills_the_oracle_child(self, tmp_path, signum, code):
+        # the child reads a payload line first, so once its pid is written
+        # the parent is inside the verdict, past the spawn
+        pid_file = tmp_path / "child.pid"
+        command = f"sh -c 'read x; echo $$ > {pid_file}; exec sleep 30'"
+        with subprocess.Popen(
+                [sys.executable, "-m", "abcfuzz.cli", "run", "smc", "--oracle",
+                 f"exec:{command}", "--oracle-timeout", "60", "--out", str(tmp_path / "run")],
+                stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True) as proc:
+            try:
+                deadline = time.monotonic() + 10
+                while not (pid_file.exists() and pid_file.read_text().strip()):
+                    assert time.monotonic() < deadline, "the oracle child never started"
+                    time.sleep(0.01)
+                child = int(pid_file.read_text())
+                proc.send_signal(signum)
+                signalled = time.monotonic()
+                _, err = proc.communicate(timeout=10)
+                while _running(child) and time.monotonic() - signalled < 1:
+                    time.sleep(0.01)
+                assert not _running(child)
+            except BaseException:  # leave neither process running
+                proc.kill()
+                with contextlib.suppress(OSError, ValueError):
+                    os.kill(int(pid_file.read_text()), signal.SIGKILL)
+                raise
+        assert proc.returncode == code, err
+        assert err == "abc-fuzz: terminated\n"
 
 
 def _per_row_text(matrix) -> str:

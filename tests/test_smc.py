@@ -8,7 +8,7 @@ from scipy.special import logsumexp as scipy_logsumexp
 
 from abcfuzz import (
     ConfigError,
-    DegenerateWeightsError,
+    DegeneracyError,
     LikelihoodConfig,
     ParticleSet,
     PriorConfig,
@@ -66,7 +66,7 @@ class TestNormalizeLogWeights:
             assert abs(w.sum() - 1.0) <= 1e-12
 
     def test_all_minus_inf_is_degenerate(self):
-        with pytest.raises(DegenerateWeightsError):
+        with pytest.raises(DegeneracyError):
             normalize_log_weights([-math.inf, -math.inf])
 
     def test_nan_and_plus_inf_rejected(self):
@@ -196,7 +196,7 @@ class TestRunSmc:
         # every log-weight to -inf on the first step
         prior = ParticleSet(np.full((4, 3), 1e200))
         cfg = SmcConfig(likelihood=LikelihoodConfig.for_prior(3, 1.0), n_steps=5, seed=8)
-        with pytest.raises(DegenerateWeightsError, match="step 0") as excinfo:
+        with pytest.raises(DegeneracyError, match="step 0") as excinfo:
             run_smc(prior, cfg)
         assert excinfo.value.step == 0
 
