@@ -593,9 +593,8 @@ def main(argv=None) -> int:
     # Take each stop signal over only where its handler is the default (never
     # where it is ignored or the caller's own), and give it back on return.
     caller_handlers = {sig: signal.getsignal(sig) for sig in _STOP_SIGNALS}
-    in_main_thread = threading.current_thread() is threading.main_thread()
-    owned = [sig for sig, default in _STOP_SIGNALS.items()
-             if in_main_thread and caller_handlers[sig] == default]
+    owned = [sig for sig, default in _STOP_SIGNALS.items() if caller_handlers[sig] == default
+             and threading.current_thread() is threading.main_thread()]
     for sig in owned:
         signal.signal(sig, _interrupt_once)
     try:

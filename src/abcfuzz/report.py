@@ -11,6 +11,7 @@ import contextlib
 import io
 import json
 import os
+import signal
 import warnings
 from datetime import datetime, timezone
 from functools import partial
@@ -111,24 +112,21 @@ def _format_chunk(matrix: np.ndarray, slots, task) -> int:
     return len(text)
 
 
-def _pool_worker(conn, parent_ends, handle) -> None:
+def _pool_worker(conn, parent_ends, handle, mask) -> None:
     """A forked pool worker: answer each task the parent sends with
     ``handle(task)`` until the parent closes its end.
 
     The worker inherits what ``handle`` reads (a matrix, a shared mapping)
-    through fork, so a task carries only bounds. Ctrl-C is left to the
-    parent. SIGTERM and SIGHUP get their default action back from the
-    parent's handler, which raises, so one sent to the whole process group
-    ends a worker silently. The worker closes its inherited copies of the
-    parent's pipe ends, so it ends when the parent closes its end or dies,
-    silently even when the parent dies while it holds a task or before it
-    reads a result.
+    through fork, so a task carries only bounds. It leaves Ctrl-C to the
+    parent, gives SIGTERM and SIGHUP, unless ignored, their default action
+    and only then restores the parent's signal ``mask``. It closes its copies
+    of the parent's pipe ends, so it ends silently when the parent closes its end or dies.
     """
-    import signal
-
     signal.signal(signal.SIGINT, signal.SIG_IGN)
-    signal.signal(signal.SIGTERM, signal.SIG_DFL)
-    signal.signal(signal.SIGHUP, signal.SIG_DFL)  # a forked worker runs where SIGHUP exists
+    for sig in (signal.SIGTERM, signal.SIGHUP):  # a forked worker runs where SIGHUP exists
+        if signal.getsignal(sig) != signal.SIG_IGN:
+            signal.signal(sig, signal.SIG_DFL)
+    signal.pthread_sigmask(signal.SIG_SETMASK, mask)
     for end in parent_ends:
         end.close()
     while True:
@@ -159,23 +157,27 @@ def _pool_workers() -> int:
 def _fork_pool(pool: list, workers: int, handle) -> None:
     """Fork ``workers`` pool workers serving ``handle``, appending each
     (process, connection) to ``pool`` as it starts, so that ``_reap(pool)``
-    in the caller's ``finally`` also ends the ones started before a failure."""
+    in the caller's ``finally`` also ends the ones started before a failure.
+    Stop signals wait until the forks are done and in ``pool``."""
     import multiprocessing
 
     context = multiprocessing.get_context("fork")
-    for _ in range(workers):
-        conn, child_conn = context.Pipe()
-        parent_ends = [end for _, end in pool] + [conn]
-        proc = context.Process(target=_pool_worker, args=(child_conn, parent_ends, handle),
-                               daemon=True)
-        proc.start()
-        child_conn.close()
-        pool.append((proc, conn))
+    mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT, signal.SIGTERM, signal.SIGHUP})
+    try:
+        for _ in range(workers):
+            conn, child_conn = context.Pipe()
+            parent_ends = [end for _, end in pool] + [conn]
+            proc = context.Process(target=_pool_worker, daemon=True,
+                                   args=(child_conn, parent_ends, handle, mask))
+            proc.start()
+            child_conn.close()
+            pool.append((proc, conn))
+    finally:
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
 
 
 def _reap(pool: list) -> None:
-    """Kill and join every worker of ``pool``, and empty it. SIGKILL ends even
-    a worker just forked, which still runs its parent's signal handlers."""
+    """Kill and join every worker of ``pool``, and empty it."""
     for proc, conn in pool:
         proc.kill()
         conn.close()
@@ -270,9 +272,8 @@ class CsvSink:
         _fork_pool(self._pool, workers, partial(_format_chunk, self._matrix, self._slots))
 
     def _slot(self, chunk: int) -> int:
-        """Offset of the slot that chunk ``chunk`` uses; a slot is reused only
-        after its previous chunk is written, since at most as many chunks
-        are in flight as there are slots."""
+        """Offset of chunk ``chunk``'s slot, reused only once its previous chunk
+        is written: no more chunks are in flight than there are slots."""
         return chunk % (2 * len(self._pool)) * self._slot_bytes
 
     def _pump(self, window: int, wait: bool) -> None:

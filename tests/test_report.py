@@ -399,13 +399,14 @@ def _running(pid: int) -> bool:
         return False
 
 
-def _holding_gen_prior(tmp_path, log):
-    """gen-prior in a _HOLDING_WORKERS child, in a session of its own, once
-    both its workers hold a chunk."""
+def _holding_gen_prior(tmp_path, log, n=40, preexec_fn=None):
+    """gen-prior of ``n`` rows in a _HOLDING_WORKERS child, in a session of
+    its own, once both its workers hold a chunk."""
     proc = subprocess.Popen(
         [sys.executable, "-c", _HOLDING_WORKERS, str(log),
-         "gen-prior", "--n", "40", "--dims", "10", "--out", str(tmp_path / "run")],
-        stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True, start_new_session=True)
+         "gen-prior", "--n", str(n), "--dims", "10", "--out", str(tmp_path / "run")],
+        stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True, start_new_session=True,
+        preexec_fn=preexec_fn)
     deadline = time.monotonic() + 10
     while len(_logged_pids(log)) < 2 and time.monotonic() < deadline:
         time.sleep(0.01)
@@ -467,6 +468,28 @@ for _ in range(20):
     report._reap(pool)
 """
 
+# Forks two pool workers that each send themselves SIGTERM before their own
+# signal setup, as a signal to the whole process group can reach a worker
+# just forked, then waits for them.
+_SIGNALLED_AS_THEY_START = """
+import os, signal
+from abcfuzz import cli, report
+signal.signal(signal.SIGTERM, cli._interrupt_once)
+pool_worker = report._pool_worker
+
+def signalled(*args):
+    os.kill(os.getpid(), signal.SIGTERM)
+    pool_worker(*args)
+
+report._pool_worker = signalled
+pool = []
+report._fork_pool(pool, 2, lambda task: task)
+for proc, _ in pool:
+    proc.join(10)
+print(*(proc.exitcode for proc, _ in pool))
+report._reap(pool)
+"""
+
 
 class TestStopSignals:
     """SIGTERM and SIGHUP exit like Ctrl-C: 128 + signum, one line on
@@ -492,11 +515,34 @@ class TestStopSignals:
         assert not [pid for pid in workers if _running(pid)]
         assert not list((tmp_path / "run").glob("*.tmp"))
 
+    @pytest.mark.parametrize("signum", [signal.SIGTERM, signal.SIGHUP],
+                             ids=["sigterm", "sighup"])
+    def test_a_signal_the_caller_ignores_stays_ignored_in_the_workers(self, tmp_path, signum):
+        # as under nohup: the run, its workers included, outlives a hangup
+        log = tmp_path / "worker-pids.txt"
+        proc = _holding_gen_prior(tmp_path, log, n=4,
+                                  preexec_fn=lambda: signal.signal(signum, signal.SIG_IGN))
+        os.killpg(proc.pid, signum)
+        _, err = proc.communicate(timeout=10)
+        assert proc.returncode == 0, err
+        assert err == ""
+        assert len(_logged_pids(log)) >= 2  # each pooled file forks two
+        assert len((tmp_path / "run" / "prior.csv").read_text().splitlines()) == 5
+        assert (tmp_path / "run" / "report.json").exists()
+        assert not list((tmp_path / "run").glob("*.tmp"))
+
     def test_workers_reaped_as_they_start_print_nothing(self):
         # a worker not yet past its signal setup still runs the parent's handler
         proc = subprocess.run([sys.executable, "-c", _REAPED_AT_ONCE],
                               capture_output=True, text=True, timeout=30)
         assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
+
+    def test_a_signal_before_a_worker_resets_its_handlers_ends_it_silently(self):
+        proc = subprocess.run([sys.executable, "-c", _SIGNALLED_AS_THEY_START],
+                              capture_output=True, text=True, timeout=30)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == [str(-signal.SIGTERM)] * 2
         assert proc.stderr == ""
 
     @pytest.mark.parametrize("signum, code", [(signal.SIGTERM, 143), (signal.SIGHUP, 129)],
