@@ -49,6 +49,9 @@ RUNS = {
     # compare derives its prior seed from --seed and rejects prior.seed
     "config-compare": ["compare", "--budget", "60", "--config", "compare-keys.json"],
     "config-gen-prior": ["gen-prior", "--config", "all-keys.json", "--seed", "21"],
+    # alpha 0 scores by distance alone, toward a nonzero target read from a CSV
+    "smc-alpha0-target": ["run", "smc", "--n", "9", "--dims", "3", "--alpha", "0",
+                          "--target", "target.csv", "--steps", "200"],
 }
 
 # Int-valued reals ("mean": 0, "alpha": 1, "timeout": 5) must be echoed as
@@ -65,6 +68,8 @@ CONFIG_FILE = {
 # Every key compare reads: CONFIG_FILE without prior.seed.
 COMPARE_CONFIG_FILE = {**CONFIG_FILE, "prior": {
     key: value for key, value in CONFIG_FILE["prior"].items() if key != "seed"}}
+# The one particle smc-alpha0-target scores against.
+TARGET_CSV = "x0,x1,x2\n0.5,-1.25,2.0\n"
 
 GOLDEN = {
     "gen-prior": {
@@ -225,6 +230,16 @@ GOLDEN = {
         "slice-indices.csv":
             "119bffa102f35b4135a3a06b431f5925f488ec62beff12e31c31561946b8f8b3",
     },
+    "smc-alpha0-target": {
+        "diagnostics.csv":
+            "842f254aa4141b370d17c4ed6d73e2496cebf9c9e6c5430d6be5d59d96a59d19",
+        "plot-smc-weights.dat":
+            "495c84faa7ccde44c819f7a469afb30c7caaef0bef6e971ca8fa073fec6f618b",
+        "posterior.csv":
+            "d3036b24d75a2887e7c334dcaafa82708bc815aee8d635f079718f6db4e2e914",
+        "report.json":
+            "4fae627e5e87e3b2f2ec33a7c8c64429e6a1d28103a35a2f22a24c78b773519e",
+    },
 }
 
 _TIMESTAMP_LINE = re.compile(rb'^  "timestamp": "[^"]*",?\n', re.MULTILINE)
@@ -249,6 +264,7 @@ def outputs(tmp_path_factory):
         patch.chdir(root)
         (root / "all-keys.json").write_text(json.dumps(CONFIG_FILE))
         (root / "compare-keys.json").write_text(json.dumps(COMPARE_CONFIG_FILE))
+        (root / "target.csv").write_text(TARGET_CSV)
         for name, argv in RUNS.items():
             assert main([*argv, "--out", name]) == 0, name
             results[name] = _digests(root / name)
