@@ -26,8 +26,20 @@ def log_likelihood_values(values: np.ndarray, config: LikelihoodConfig) -> np.nd
     # downstream as weight degeneracy. An infinite x[0] times alpha 0 is
     # NaN, which the samplers report with _nan_score_error.
     with np.errstate(over="ignore", invalid="ignore"):
-        distances = np.linalg.norm(values - config.target, axis=1)
-        return -(distances / config.scale) - config.alpha * np.abs(values[:, 0])
+        return _score_rows(values, config.target, config.scale, config.alpha,
+                           np.empty_like(values, dtype=np.float64), np.empty(values.shape[0]))
+
+
+def _score_rows(values, target, scale: float, alpha: float, diff, out) -> np.ndarray:
+    """The score of each row into ``out``, ufunc for ufunc as np.linalg.norm
+    computes it, using scratch ``diff`` of ``values``' shape; ``target`` may
+    be tiled to that shape. The caller sets the errstate."""
+    np.subtract(values, target, out=diff)
+    np.multiply(diff, diff, out=diff)
+    np.sqrt(np.add.reduce(diff, axis=1, out=out), out=out)
+    np.negative(np.divide(out, scale, out=out), out=out)
+    penalty = np.abs(values[:, 0], out=diff[:, 0])
+    return np.subtract(out, np.multiply(alpha, penalty, out=penalty), out=out)
 
 
 def _log_likelihood_row(x: np.ndarray, target: np.ndarray, scale: float, alpha: float) -> float:

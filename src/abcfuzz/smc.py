@@ -23,8 +23,9 @@ from .core import (
     _require,
     _uniforms_to_normals,
 )
-from .likelihood import _nan_score_error, log_likelihood_values
-# re-exported only for bench/tracing.py, which wraps smc.pass_rate by name
+from .likelihood import _nan_score_error, _score_rows
+# re-exported only for bench/tracing.py, which wraps both by name
+from .likelihood import log_likelihood_values  # noqa: F401
 from .oracle import pass_rate  # noqa: F401
 
 
@@ -43,17 +44,6 @@ class SmcResult:
     ess_series: np.ndarray
 
 
-def _weights(log_weights: np.ndarray, peak) -> tuple:
-    """Normalized weights and the log of the raw weight sum, given the max.
-
-    Max-subtraction keeps both stable for log-weights as low as -1e6;
-    -inf entries get weight 0.
-    """
-    scaled = np.exp(log_weights - peak)
-    total = scaled.sum()
-    return scaled / total, peak + np.log(total)
-
-
 def normalize_log_weights(log_weights) -> np.ndarray:
     """Turn log-weights into normalized weights, stably.
 
@@ -69,13 +59,8 @@ def normalize_log_weights(log_weights) -> np.ndarray:
     peak = arr.max()
     if peak == -np.inf:
         raise DegeneracyError("all log-weights are -inf")
-    return _weights(arr, peak)[0]
-
-
-def _select(cumulative: np.ndarray, points) -> np.ndarray:
-    """Index of the cumulative-weight interval each point falls in."""
-    return np.minimum(np.searchsorted(cumulative, points, side="right"),
-                      cumulative.size - 1)
+    scaled = np.exp(arr - peak)
+    return scaled / scaled.sum()
 
 
 def systematic_resample(weights, rng: RandomSource) -> np.ndarray:
@@ -94,7 +79,7 @@ def systematic_resample(weights, rng: RandomSource) -> np.ndarray:
              f"weights must be normalized, got sum {w.sum()!r}")
     n = w.size
     grid = rng.uniform() / n + np.arange(n) / n
-    return _select(np.cumsum(w), grid).astype(np.int64)
+    return np.minimum(np.searchsorted(np.cumsum(w), grid, side="right"), n - 1).astype(np.int64)
 
 
 def run_smc(prior: ParticleSet, config: SmcConfig, sink=None) -> SmcResult:
@@ -134,14 +119,19 @@ def run_smc(prior: ParticleSet, config: SmcConfig, sink=None) -> SmcResult:
     population = prior.to_array()
     posterior = np.empty((steps, d)) if sink is None else sink.buffer(steps, d)
     weight_sums = np.empty(steps)
-    ess = np.empty(steps)
+    ess = np.empty(steps)  # each step's sum of squared weights until the loop ends
     grid = np.arange(n) / n
     rows = _block_rows(nd + 2, steps)
+    likelihood = config.likelihood
+    # per-step scratch, allocated once: the scorer's, the scores, the weights
+    # and their running sum
+    target, diff = np.tile(likelihood.target, (n, 1)), np.empty((n, d))
+    log_w, w, cumulative = np.empty(n), np.empty(n), np.empty(n)
 
     # a huge step std or a coordinate near the float ceiling overflows the
     # moved particles to inf, and the weights then collapse, reported as
-    # degeneracy
-    with np.errstate(over="ignore"):
+    # degeneracy; alpha 0 times an infinite x[0] scores NaN, reported below
+    with np.errstate(over="ignore", invalid="ignore"):
         for first in range(0, steps, rows):
             block = rng.uniform_block(min(rows, steps - first), nd + 2)
             noise = _uniforms_to_normals(block[:, :nd])
@@ -152,24 +142,30 @@ def run_smc(prior: ParticleSet, config: SmcConfig, sink=None) -> SmcResult:
             for j in range(block.shape[0]):
                 step = first + j
                 population += noise[j].reshape(n, d)
-                log_w = log_likelihood_values(population, config.likelihood)
+                _score_rows(population, target, likelihood.scale, likelihood.alpha, diff, log_w)
                 peak = log_w.max()
                 if peak == -np.inf:
                     raise DegeneracyError(
                         f"all particle weights collapsed to zero at step {step}", step=step)
                 # NaN propagates through max; scores are never +inf
                 if not peak < np.inf:
-                    raise _nan_score_error(step, config.likelihood.alpha)
-                w, weight_sums[step] = _weights(log_w, peak)
-                # float round-off can push 1/sum(w^2) past N by ~1e-15; keep the
-                # recorded series inside its documented [1, N] range
-                ess[step] = min(max(1.0 / float(np.sum(w * w)), 1.0), float(n))
-                selected = _select(np.cumsum(w), points[j])
+                    raise _nan_score_error(step, likelihood.alpha)
+                # normalize_log_weights in place, and the log of the raw sum
+                total = np.exp(np.subtract(log_w, peak, out=w), out=w).sum()
+                weight_sums[step] = peak + np.log(total)
+                np.divide(w, total, out=w)
+                ess[step] = np.multiply(w, w, out=log_w).sum()
+                # an infinite last bound does systematic_resample's clamp to N - 1
+                np.cumsum(w, out=cumulative)[-1] = np.inf
+                selected = np.searchsorted(cumulative, points[j], side="right")
                 posterior[step] = population[selected[n]]
                 population = population[selected[:n]]
             if sink is not None:
                 sink.advance(first + block.shape[0])
 
+    # float round-off can push 1/sum(w^2) past N by ~1e-15; keep the
+    # recorded series inside its documented [1, N] range
+    np.clip(np.divide(1.0, ess, out=ess), 1.0, float(n), out=ess)
     weight_sums.setflags(write=False)
     ess.setflags(write=False)
     return SmcResult(

@@ -91,6 +91,39 @@ class TestBatch:
         np.testing.assert_array_equal(permuted, direct[perm])
 
 
+def _literal_formula(values, cfg):
+    """The score as the module docstring writes it, through np.linalg.norm."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return (-(np.linalg.norm(values - cfg.target, axis=1) / cfg.scale)
+                - cfg.alpha * np.abs(values[:, 0]))
+
+
+class TestLiteralFormula:
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 200), d=st.integers(1, 300),
+           magnitude=st.integers(-3, 160), alpha=st.just(0.0) | st.floats(0.0, 10.0),
+           scale=st.floats(1e-3, 1e150))
+    def test_matrix_score_equals_the_literal_formula_bitwise(self, seed, n, d, magnitude,
+                                                             alpha, scale):
+        # magnitudes near 1e155 and past overflow rows to -inf
+        source = np.random.default_rng(seed)
+        values = source.standard_normal((n, d)) * 10.0 ** magnitude
+        cfg = LikelihoodConfig(target=source.standard_normal(d), alpha=alpha, scale=scale)
+        expected = _literal_formula(values, cfg)
+        assert log_likelihood_values(values, cfg).tobytes() == expected.tobytes()
+
+    def test_overflowing_and_nan_rows_match_the_literal_formula(self):
+        values = np.array([[1e300, 1e300, 0.0], [math.inf, 0.0, 1.0], [0.0, -math.inf, 1.0],
+                           [0.5, -0.5, 2.0]])
+        for alpha in (0.0, 1.5):
+            cfg = LikelihoodConfig(target=[0.25, -1.0, 3.0], alpha=alpha, scale=2.0)
+            scores = log_likelihood_values(values, cfg)
+            assert scores.tobytes() == _literal_formula(values, cfg).tobytes()
+            assert scores[0] == scores[2] == -math.inf
+            # alpha 0 times an infinite x0 is NaN; any other alpha scores it -inf
+            assert math.isnan(scores[1]) if alpha == 0.0 else scores[1] == -math.inf
+
+
 class TestProperties:
     @given(st.floats(min_value=0.01, max_value=50.0),
            st.floats(min_value=1.01, max_value=4.0))

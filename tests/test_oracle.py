@@ -94,7 +94,7 @@ def test_misfit_oracle_fails_before_the_sampler_loop(monkeypatch, tmp_path, caps
     def never_scored(*args, **kwargs):
         raise AssertionError("the sampler scored a particle before checking its oracle")
 
-    for name in ("abcfuzz.smc.log_likelihood_values", "abcfuzz.mcmc.log_likelihood_values",
+    for name in ("abcfuzz.smc._score_rows", "abcfuzz.mcmc.log_likelihood_values",
                  "abcfuzz.mcmc._log_likelihood_row"):
         monkeypatch.setattr(name, never_scored)
     config = tmp_path / "config.json"

@@ -680,22 +680,23 @@ def _stream_inputs(steps):
 
 
 def _watch_loop(monkeypatch, at, wait_for, fail=False):
-    """Wrap the SMC likelihood. At call ``at`` it waits up to 10 s for
+    """Wrap the SMC loop's scorer. At call ``at`` it waits up to 10 s for
     ``wait_for()``; with ``fail`` it scores every particle -inf from that
     call on. Returns the list that records one entry per call."""
-    calls, score = [], smc.log_likelihood_values
+    calls, score = [], smc._score_rows
 
-    def watched(values, config):
+    def watched(values, target, scale, alpha, diff, out):
         calls.append(len(calls))
         if len(calls) == at:
             deadline = time.monotonic() + 10
             while not wait_for() and time.monotonic() < deadline:
                 time.sleep(0.01)
         if fail and len(calls) >= at:
-            return np.full(values.shape[0], -np.inf)
-        return score(values, config)
+            out.fill(-np.inf)
+            return out
+        return score(values, target, scale, alpha, diff, out)
 
-    monkeypatch.setattr(smc, "log_likelihood_values", watched)
+    monkeypatch.setattr(smc, "_score_rows", watched)
     return calls
 
 

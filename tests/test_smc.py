@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.special import logsumexp as scipy_logsumexp
 
 from abcfuzz import (
@@ -19,7 +20,7 @@ from abcfuzz import (
     run_smc,
     systematic_resample,
 )
-from abcfuzz import report
+from abcfuzz import core, report, smc
 from support import assert_read_only, replay_smc
 
 
@@ -31,6 +32,16 @@ class FixedUniformSource:
 
     def uniform(self, n=None):
         return self.value
+
+
+class TopUniformSource:
+    """Random-source stand-in whose every uniform is the largest double below 1."""
+
+    def __init__(self, seed):
+        pass
+
+    def uniform_block(self, rows, width):
+        return np.full((rows, width), np.nextafter(1.0, 0.0))
 
 
 class TestNormalizeLogWeights:
@@ -190,6 +201,50 @@ class TestRunSmc:
         assert result.posterior.values.tobytes() == posterior.tobytes()
         assert result.weight_sum_series.tobytes() == weight_sums.tobytes()
         assert result.ess_series.tobytes() == ess.tobytes()
+
+    @settings(max_examples=50, deadline=None)
+    @given(data=st.data(),
+           n=st.integers(1, 200) | st.sampled_from([8, 9, 128, 129]),
+           d=st.integers(1, 300),
+           steps_per_block=st.integers(1, 4),
+           alpha=st.just(0.0) | st.floats(0.0, 5.0),
+           scale=st.floats(0.1, 100.0),
+           step_std=st.just(0.0) | st.floats(0.01, 3.0))
+    def test_run_equals_the_per_step_replay_bitwise(self, data, n, d, steps_per_block,
+                                                    alpha, scale, step_std):
+        # a small block size makes a few steps span several draw blocks
+        # (numpy's pairwise sum changes course at 8 and 128 elements)
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        steps = data.draw(st.integers(steps_per_block + 1, 3 * steps_per_block + 1),
+                          label="steps")
+        source = np.random.default_rng(seed)
+        prior = ParticleSet(source.standard_normal((n, d)) * 3.0)
+        target = source.standard_normal(d)
+        cfg = SmcConfig(likelihood=LikelihoodConfig(target=target, alpha=alpha, scale=scale),
+                        n_steps=steps, step_std=step_std, seed=seed)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(core, "BLOCK_DOUBLES", steps_per_block * (n * d + 2))
+            result = run_smc(prior, cfg)
+        posterior, weight_sums, ess = replay_smc(prior, cfg)
+        assert result.posterior.values.tobytes() == posterior.tobytes()
+        assert result.weight_sum_series.tobytes() == weight_sums.tobytes()
+        assert result.ess_series.tobytes() == ess.tobytes()
+
+    def test_points_past_the_last_cumulative_weight_pick_the_last_particle(self, monkeypatch):
+        # ten equal weights of 0.1 sum to 0.9999999999999999, below the top
+        # uniform: the posterior pick and the last grid point fall past the
+        # cumulative weights, and select particle 9, as systematic_resample does
+        monkeypatch.setattr(smc, "RandomSource", TopUniformSource)
+        signs = (np.arange(10)[:, np.newaxis] >> np.arange(4)) & 1
+        prior = ParticleSet(1.0 - 2.0 * signs)  # ten distinct rows, all equally scored
+        cfg = SmcConfig(likelihood=LikelihoodConfig.for_prior(4, 1.0), n_steps=2,
+                        step_std=0.0, seed=1)
+        w = normalize_log_weights(np.zeros(10))
+        indices = systematic_resample(w, FixedUniformSource(np.nextafter(1.0, 0.0)))
+        assert np.cumsum(w)[-1] < 1.0 and indices[-1] == 9
+        result = run_smc(prior, cfg)
+        assert (result.posterior.values[0] == prior.values[9]).all()
+        assert (result.posterior.values[1] == prior.values[indices[9]]).all()
 
     def test_weight_collapse_aborts_and_names_the_step(self):
         # coordinates near 1e200 overflow the distance norm to inf, sending
