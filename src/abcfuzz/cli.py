@@ -57,6 +57,7 @@ from .report import (
     PLOT_KINDS,
     CsvSink,
     _write_mcmc_trace,
+    _write_smc_weights,
     emit_plot_data,
     read_particles_csv,
     write_csv,
@@ -467,9 +468,8 @@ def cmd_run(args) -> int:
             output = result.posterior
             posterior_rate = pass_rate(output, oracle)
 
-        write_csv(outdir / "diagnostics.csv", ["step", "log_weight_sum", "ess"],
-                  columns=[range(n_steps), result.weight_sum_series, result.ess_series])
-        emit_plot_data(result, "smc-weights-data", outdir / PLOT_KINDS["smc-weights-data"])
+        _write_smc_weights(result, outdir / PLOT_KINDS["smc-weights-data"],
+                           outdir / "diagnostics.csv")
         diagnostics = {
             "n_steps": n_steps,
             "n_particles": particles.n,

@@ -516,19 +516,39 @@ def read_particles_csv(path) -> ParticleSet:
         raise ConfigError(f"particle CSV {path}: {exc}") from exc
 
 
+def _write_lines(path, header: str, lines, tails=None) -> None:
+    """A text file of ``header`` and ``lines``, each line followed by a comma
+    and the repr of its entry in ``tails``, if given."""
+    if tails is not None:
+        lines = [f"{line},{tail!r}" for line, tail in zip(lines, tails)]
+    with _create(path) as fh:
+        fh.write(header + "\n")
+        fh.write("".join([line + "\n" for line in lines]))
+
+
 def _write_mcmc_trace(result: McmcResult, plot_path, diagnostics_path=None) -> None:
     """A chain's ``mcmc-trace-data`` file (step, x0) and, given its path,
     its diagnostics CSV (step, x0, accepted_flag): each step's x0 is
     formatted once for both, as ``write_csv`` formats it."""
     lines = [f"{step},{x0!r}" for step, x0 in enumerate(result.trace_dim0.tolist())]
     if diagnostics_path is not None:
-        flags = result.accepted.astype(int).tolist()
-        with _create(diagnostics_path) as fh:
-            fh.write("step,x0,accepted_flag\n")
-            fh.write("".join([f"{line},{flag}\n" for line, flag in zip(lines, flags)]))
-    with _create(plot_path) as fh:
-        fh.write("step,x0\n")
-        fh.write("".join([line + "\n" for line in lines]))
+        _write_lines(diagnostics_path, "step,x0,accepted_flag", lines,
+                     result.accepted.astype(int).tolist())
+    _write_lines(plot_path, "step,x0", lines)
+
+
+def _write_smc_weights(result: SmcResult, plot_path, diagnostics_path=None) -> None:
+    """A run's ``smc-weights-data`` file (step, log_weight_sum, ess, delta)
+    and, given its path, its diagnostics CSV (step, log_weight_sum, ess):
+    each step's weight sum and ESS are formatted once for both, as
+    ``write_csv`` formats them."""
+    sums = result.weight_sum_series
+    lines = [f"{step},{total!r},{ess!r}" for step, (total, ess)
+             in enumerate(zip(sums.tolist(), result.ess_series.tolist()))]
+    if diagnostics_path is not None:
+        _write_lines(diagnostics_path, "step,log_weight_sum,ess", lines)
+    _write_lines(plot_path, "step,log_weight_sum,ess,delta", lines,
+                 np.concatenate([[np.nan], np.abs(np.diff(sums))]).tolist())
 
 
 def emit_plot_data(result: Union[SmcResult, McmcResult, ParticleSet], kind: str,
@@ -569,7 +589,4 @@ def emit_plot_data(result: Union[SmcResult, McmcResult, ParticleSet], kind: str,
     else:  # smc-weights-data
         if not isinstance(result, SmcResult):
             raise ConfigError(f"plot kind {kind!r} needs an SmcResult")
-        sums = result.weight_sum_series
-        deltas = np.concatenate([[np.nan], np.abs(np.diff(sums))])
-        write_csv(path, ["step", "log_weight_sum", "ess", "delta"],
-                  columns=[range(sums.size), sums, result.ess_series, deltas])
+        _write_smc_weights(result, path)
