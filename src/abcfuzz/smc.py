@@ -134,16 +134,16 @@ def run_smc(prior: ParticleSet, config: SmcConfig, sink=None) -> SmcResult:
     with np.errstate(over="ignore", invalid="ignore"):
         for first in range(0, steps, rows):
             block = rng.uniform_block(min(rows, steps - first), nd + 2)
-            noise = _uniforms_to_normals(block[:, :nd])
+            noise = _uniforms_to_normals(block[:, :nd]).reshape(-1, n, d)
             noise *= config.step_std
             # per step: the n resampling grid points, then the posterior pick
             points = np.hstack([block[:, nd, np.newaxis] / n + grid, block[:, nd + 1:]])
 
             for j in range(block.shape[0]):
                 step = first + j
-                population += noise[j].reshape(n, d)
+                population += noise[j]
                 _score_rows(population, target, likelihood.scale, likelihood.alpha, diff, log_w)
-                peak = log_w.max()
+                peak = np.maximum.reduce(log_w)
                 if peak == -np.inf:
                     raise DegeneracyError(
                         f"all particle weights collapsed to zero at step {step}", step=step)
@@ -151,15 +151,15 @@ def run_smc(prior: ParticleSet, config: SmcConfig, sink=None) -> SmcResult:
                 if not peak < np.inf:
                     raise _nan_score_error(step, likelihood.alpha)
                 # normalize_log_weights in place, and the log of the raw sum
-                total = np.exp(np.subtract(log_w, peak, out=w), out=w).sum()
+                total = np.add.reduce(np.exp(np.subtract(log_w, peak, out=w), out=w))
                 weight_sums[step] = peak + np.log(total)
                 np.divide(w, total, out=w)
-                ess[step] = np.multiply(w, w, out=log_w).sum()
+                ess[step] = np.add.reduce(np.multiply(w, w, out=log_w))
                 # an infinite last bound does systematic_resample's clamp to N - 1
-                np.cumsum(w, out=cumulative)[-1] = np.inf
-                selected = np.searchsorted(cumulative, points[j], side="right")
+                np.add.accumulate(w, out=cumulative)[-1] = np.inf
+                selected = cumulative.searchsorted(points[j], "right")
                 posterior[step] = population[selected[n]]
-                population = population[selected[:n]]
+                population = population.take(selected[:n], axis=0)
             if sink is not None:
                 sink.advance(first + block.shape[0])
 
