@@ -522,8 +522,7 @@ def _write_lines(path, header: str, lines, tails=None) -> None:
     if tails is not None:
         lines = [f"{line},{tail!r}" for line, tail in zip(lines, tails)]
     with _create(path) as fh:
-        fh.write(header + "\n")
-        fh.write("".join([line + "\n" for line in lines]))
+        fh.write("\n".join([header, *lines, ""]))
 
 
 def _write_mcmc_trace(result: McmcResult, plot_path, diagnostics_path=None) -> None:
