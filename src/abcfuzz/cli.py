@@ -460,13 +460,18 @@ def cmd_run(args) -> int:
     outdir = _output_dir(args.out, f"{sampler}-seed{seed}")
 
     if sampler == "smc":
-        # posterior.csv is formatted while the loop runs, and judged before
-        # the file is completed, so a failing oracle leaves none
+        # posterior.csv is judged and formatted chunk by chunk while the loop
+        # runs, so a failing oracle leaves none
+        passing = 0
+
+        def judge(rows):
+            nonlocal passing
+            passing += count_passing(ParticleSet._adopt(rows), oracle)
+
         header = [f"x{i}" for i in range(particles.dim)]
-        with CsvSink(outdir / "posterior.csv", header) as sink:
+        with CsvSink(outdir / "posterior.csv", header, judge) as sink:
             result = run_smc(particles, cfg, sink=sink)
-            output = result.posterior
-            posterior_rate = pass_rate(output, oracle)
+        judged, posterior_rate = n_steps, passing / n_steps
 
         _write_smc_weights(result, outdir / PLOT_KINDS["smc-weights-data"],
                            outdir / "diagnostics.csv")
@@ -485,8 +490,7 @@ def cmd_run(args) -> int:
         config_echo = {"prior": prior_echo, "smc": cfg.to_dict(), "oracle": oracle_echo}
     else:
         result = run_mcmc(particles, cfg, trace_all_dims=bool(args.trace_all))
-        output = result.chain
-        posterior_rate = pass_rate(output, oracle)
+        judged, posterior_rate = result.chain.n, pass_rate(result.chain, oracle)
 
         _write_mcmc_trace(result, outdir / PLOT_KINDS["mcmc-trace-data"],
                           outdir / "diagnostics.csv")
@@ -504,7 +508,7 @@ def cmd_run(args) -> int:
         config_echo = {"prior": prior_echo, "mcmc": cfg.to_dict(), "oracle": oracle_echo}
         write_particles_csv(result.chain, outdir / "posterior.csv")
 
-    oracle_calls = particles.n + output.n
+    oracle_calls = particles.n + judged
     write_report({
         "sampler": sampler,
         "seed": seed,

@@ -198,23 +198,27 @@ class CsvSink:
     workers, is formatted by a pool of forked workers: chunk k goes to
     worker k mod W, which leaves its text in a shared slot, and the parent
     writes the texts in input order, so the bytes equal the serial path's.
-    ``buffer`` allocates a large matrix in an anonymous shared mapping, so
-    workers forked before its last rows are filled still read them.
+    ``buffer`` gives the caller a ring of whole chunks, two per worker plus
+    two, in an anonymous shared mapping for a matrix the pool may format,
+    so workers forked before its rows are filled still read them. Each
+    chunk, once final, is passed to ``judge``, if given, in row order.
     Nothing is created and nothing forked before the first ``advance``.
 
     Use it as a context manager. The file appears under its own name only
     when the block ends cleanly; until then it is written under the same
-    name plus ``.tmp``. On any error or interrupt the workers are
-    killed and reaped and the temporary file is deleted before the
-    exception leaves. A worker that dies raises OSError.
+    name plus ``.tmp``. On any error or interrupt, a judge's included, the
+    workers are killed and reaped and the temporary file is deleted before
+    the exception leaves. A worker that dies raises OSError.
     """
 
-    def __init__(self, path, header: Sequence[str]):
+    def __init__(self, path, header: Sequence[str], judge=None):
         self._path = Path(path)
         self._temp = self._path.with_name(self._path.name + ".tmp")
         self._header = header
-        self._matrix = None
-        self._bounds = []
+        self._judge = judge
+        self._ring = None  # the matrix's rows, row r at ring row r mod len(ring)
+        self._rows = 0     # rows of the matrix
+        self._chunk = 1    # rows per chunk
         self._final = 0    # leading chunks whose rows are all final
         self._sent = 0     # leading chunks handed to a worker
         self._written = 0  # leading chunks written to the file
@@ -225,24 +229,35 @@ class CsvSink:
         self._release = None  # madvise option that unmaps a written slot
 
     def buffer(self, rows: int, cols: int) -> np.ndarray:
-        """A writable (rows, cols) float matrix for the caller to fill front to back."""
+        """A writable ring for a (rows, cols) float matrix that the caller
+        fills front to back, at most half the ring between two ``advance``
+        calls: row r goes to ring row r mod len(ring)."""
+        chunk = max(1, CHUNK_CELLS // max(1, cols))
         if rows * cols < POOL_MIN_CELLS:
-            return self._attach(np.empty((rows, cols)))
-        shared = _shared(rows * cols * 8, f"a ({rows}, {cols}) matrix")
-        return self._attach(np.frombuffer(shared).reshape(rows, cols))
+            return self._attach(np.empty((min(rows, 2 * chunk), cols)), rows)
+        workers = _pool_workers()
+        size = min(rows, (2 * workers + 2 if workers >= 2 else 2) * chunk)
+        shared = _shared(size * cols * 8, f"a ({size}, {cols}) ring")
+        return self._attach(np.frombuffer(shared).reshape(size, cols), rows)
 
-    def _attach(self, matrix: np.ndarray) -> np.ndarray:
+    def _attach(self, ring: np.ndarray, rows: Optional[int] = None) -> np.ndarray:
         # CELL_BYTES bounds a float64 cell's text, so each chunk's text fits its slot
-        _require(matrix.dtype == np.float64,
-                 f"CSV matrix must hold float64 values, got {matrix.dtype}")
-        step = max(1, CHUNK_CELLS // max(1, matrix.shape[1]))
-        self._matrix = matrix
-        self._bounds = [(start, min(start + step, matrix.shape[0]))
-                        for start in range(0, matrix.shape[0], step)]
-        return matrix
+        _require(ring.dtype == np.float64,
+                 f"CSV matrix must hold float64 values, got {ring.dtype}")
+        self._ring, self._rows = ring, ring.shape[0] if rows is None else rows
+        self._chunk = max(1, CHUNK_CELLS // max(1, ring.shape[1]))
+        return ring
+
+    def _span(self, chunk: int):
+        """Ring rows [start, stop) of chunk ``chunk``, which a ring of whole chunks never wraps."""
+        first = chunk * self._chunk
+        start = first % len(self._ring)
+        return start, start + min(self._chunk, self._rows - first)
 
     def advance(self, stop: int) -> None:
-        """Rows [0, stop) are final: format every chunk they complete.
+        """Rows [0, stop) are final: judge and format every chunk they
+        complete, and return once the ring rows that the next half ring of
+        rows takes over are written.
 
         Pooled, each completed chunk goes to a worker, at most one in flight
         per worker, and the texts already done are written without waiting
@@ -250,51 +265,57 @@ class CsvSink:
         """
         if self._fh is None:
             self._start()
-        while self._final < len(self._bounds) and self._bounds[self._final][1] <= stop:
-            self._final += 1
-        self._pump(len(self._pool), wait=False)
+        final = -(-self._rows // self._chunk) if stop >= self._rows else stop // self._chunk
+        if self._judge is not None:
+            for chunk in range(self._final, final):
+                self._judge(self._ring[slice(*self._span(chunk))])
+        self._final = final
+        # the leading chunks whose ring rows the next half ring of rows takes over
+        taken = min(self._rows, stop + len(self._ring) // 2) - len(self._ring)
+        self._pump(len(self._pool), -(-taken // self._chunk))
 
     def _start(self) -> None:
         self._fh = _create(self._temp, binary=True)
         self._fh.write((",".join(self._header) + "\n").encode("utf-8"))
-        if self._matrix.size < POOL_MIN_CELLS or (workers := _pool_workers()) < 2:
+        if self._rows * self._ring.shape[1] < POOL_MIN_CELLS or (workers := _pool_workers()) < 2:
             return
 
         import mmap
 
         # a slot per chunk in flight, at most two per worker, in whole pages;
         # the first chunk is the largest
-        cells = (self._bounds[0][1] if self._bounds else 0) * self._matrix.shape[1]
+        cells = min(self._chunk, self._rows) * self._ring.shape[1]
         self._slot_bytes = max(1, -(-cells * CELL_BYTES // mmap.PAGESIZE)) * mmap.PAGESIZE
         self._release = mmap.MADV_DONTNEED
         self._slots = _shared(2 * workers * self._slot_bytes, "CSV text")
         self._fh.flush()  # a forked worker must not inherit unwritten buffered output
-        _fork_pool(self._pool, workers, partial(_format_chunk, self._matrix, self._slots))
+        _fork_pool(self._pool, workers, partial(_format_chunk, self._ring, self._slots))
 
     def _slot(self, chunk: int) -> int:
         """Offset of chunk ``chunk``'s slot, reused only once its previous chunk
         is written: no more chunks are in flight than there are slots."""
         return chunk % (2 * len(self._pool)) * self._slot_bytes
 
-    def _pump(self, window: int, wait: bool) -> None:
+    def _pump(self, window: int, need: int) -> None:
         """Hand final chunks to workers, ``window`` at most in flight, and
-        write finished texts in order; wait for them only when ``wait``."""
-        pool, bounds, fh = self._pool, self._bounds, self._fh
+        write finished texts in order, waiting for them only until the
+        first ``need`` chunks are written."""
+        pool, fh = self._pool, self._fh
         if not pool:
-            for start, stop in bounds[self._written:self._final]:
-                fh.write(_format_rows(self._matrix[start:stop]).encode("ascii"))
+            for chunk in range(self._written, self._final):
+                fh.write(_format_rows(self._ring[slice(*self._span(chunk))]).encode("ascii"))
             self._sent = self._written = self._final
             return
         try:
             while True:
                 while self._sent < self._final and self._sent - self._written < window:
                     pool[self._sent % len(pool)][1].send(
-                        (*bounds[self._sent], self._slot(self._sent)))
+                        (*self._span(self._sent), self._slot(self._sent)))
                     self._sent += 1
                 if self._written == self._sent:
                     return
                 conn = pool[self._written % len(pool)][1]
-                if not wait and not conn.poll():
+                if self._written >= need and not conn.poll():
                     return
                 size, offset = conn.recv(), self._slot(self._written)
                 fh.write(memoryview(self._slots)[offset:offset + size])
@@ -312,15 +333,15 @@ class CsvSink:
         try:
             if exc_type is None:
                 # the last chunks go to all workers, two in flight per worker
-                self.advance(self._matrix.shape[0])
-                self._pump(2 * len(self._pool), wait=True)
+                self.advance(self._rows)
+                self._pump(2 * len(self._pool), self._final)
                 self._fh.close()
                 os.replace(self._temp, self._path)
                 self._fh = None
         finally:
             _reap(self._pool)
             self._slots = None
-            self._matrix = None  # unmaps a shared buffer once its caller drops it too
+            self._ring = None  # unmaps a shared ring once its caller drops it too
             if self._fh is not None:
                 fh, self._fh = self._fh, None
                 try:
@@ -516,24 +537,37 @@ def read_particles_csv(path) -> ParticleSet:
         raise ConfigError(f"particle CSV {path}: {exc}") from exc
 
 
-def _write_lines(path, header: str, lines, tails=None) -> None:
-    """A text file of ``header`` and ``lines``, each line followed by a comma
-    and the repr of its entry in ``tails``, if given."""
-    if tails is not None:
-        lines = [f"{line},{tail!r}" for line, tail in zip(lines, tails)]
-    with _create(path) as fh:
-        fh.write("\n".join([header, *lines, ""]))
+# Steps whose series lines are formatted and written at a time.
+LINE_BATCH = 4096
+
+
+def _write_lines(columns, outputs) -> None:
+    """Text files of one line per step: the step and the repr of its entry
+    in each of ``columns``, formatted LINE_BATCH steps at a time, once for
+    all ``outputs``, (path, header, tail) each; a ``tail`` array adds a
+    comma and the repr of the step's entry in it to that file's lines."""
+    form = "%d" + ",%r" * len(columns)
+    with contextlib.ExitStack() as stack:
+        files = [(stack.enter_context(_create(path)), tail) for path, _, tail in outputs]
+        for (fh, _), (_, header, _) in zip(files, outputs):
+            fh.write(header + "\n")
+        for start in range(0, columns[0].size, LINE_BATCH):
+            part = slice(start, start + LINE_BATCH)
+            cells = [column[part].tolist() for column in columns]
+            lines = [form % row for row in zip(range(start, part.stop), *cells)]
+            for fh, tail in files:
+                fh.write("\n".join([*lines, ""]) if tail is None else "".join(
+                    [f"{line},{each!r}\n" for line, each in zip(lines, tail[part].tolist())]))
 
 
 def _write_mcmc_trace(result: McmcResult, plot_path, diagnostics_path=None) -> None:
     """A chain's ``mcmc-trace-data`` file (step, x0) and, given its path,
     its diagnostics CSV (step, x0, accepted_flag): each step's x0 is
     formatted once for both, as ``write_csv`` formats it."""
-    lines = [f"{step},{x0!r}" for step, x0 in enumerate(result.trace_dim0.tolist())]
+    outputs = [(plot_path, "step,x0", None)]
     if diagnostics_path is not None:
-        _write_lines(diagnostics_path, "step,x0,accepted_flag", lines,
-                     result.accepted.astype(int).tolist())
-    _write_lines(plot_path, "step,x0", lines)
+        outputs.append((diagnostics_path, "step,x0,accepted_flag", result.accepted.astype(int)))
+    _write_lines([result.trace_dim0], outputs)
 
 
 def _write_smc_weights(result: SmcResult, plot_path, diagnostics_path=None) -> None:
@@ -542,12 +576,11 @@ def _write_smc_weights(result: SmcResult, plot_path, diagnostics_path=None) -> N
     each step's weight sum and ESS are formatted once for both, as
     ``write_csv`` formats them."""
     sums = result.weight_sum_series
-    lines = [f"{step},{total!r},{ess!r}" for step, (total, ess)
-             in enumerate(zip(sums.tolist(), result.ess_series.tolist()))]
+    outputs = [(plot_path, "step,log_weight_sum,ess,delta",
+                np.concatenate([[np.nan], np.abs(np.diff(sums))]))]
     if diagnostics_path is not None:
-        _write_lines(diagnostics_path, "step,log_weight_sum,ess", lines)
-    _write_lines(plot_path, "step,log_weight_sum,ess,delta", lines,
-                 np.concatenate([[np.nan], np.abs(np.diff(sums))]).tolist())
+        outputs.append((diagnostics_path, "step,log_weight_sum,ess", None))
+    _write_lines([sums, result.ess_series], outputs)
 
 
 def emit_plot_data(result: Union[SmcResult, McmcResult, ParticleSet], kind: str,

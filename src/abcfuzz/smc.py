@@ -5,7 +5,8 @@ with a Gaussian random walk, reweights them by the directed likelihood,
 records one posterior particle drawn by weight (pre-resampling
 coordinates), then resamples the population systematically. Running T
 steps therefore yields exactly T posterior particles regardless of the
-population size.
+population size. A run given a CSV sink streams them through the sink's
+ring of rows instead of holding them.
 """
 
 from dataclasses import dataclass
@@ -37,9 +38,10 @@ class SmcResult:
     each step (raw sums underflow at high dimension, so the log is the
     stored quantity). ``ess_series`` holds the effective sample size
     1 / sum(w_i^2) of the normalized weights, always in [1, N].
+    ``posterior`` is None for a run that streamed it through a sink.
     """
 
-    posterior: ParticleSet
+    posterior: ParticleSet | None
     weight_sum_series: np.ndarray
     ess_series: np.ndarray
 
@@ -98,11 +100,11 @@ def run_smc(prior: ParticleSet, config: SmcConfig, sink=None) -> SmcResult:
     them one step at a time. Identical (prior, config) pairs produce
     bitwise-identical results.
 
-    When a sink is given (an entered ``report.CsvSink``), the posterior is
-    held in the sink's buffer, which the result's posterior then holds, and
-    the sink is told after each draw block which leading rows are final,
-    so it can write them while the loop runs. The caller's ``with`` block
-    completes or discards the file.
+    When a sink is given (an entered ``report.CsvSink``), step s writes its
+    posterior particle to row s mod len(ring) of the sink's ring, and the
+    sink is told after each draw block which rows are final, so it judges
+    and writes them while the loop runs. The result's posterior is then
+    None. The caller's ``with`` block completes or discards the file.
 
     Raises DegeneracyError, naming the step, if every particle
     weight collapses.
@@ -117,11 +119,12 @@ def run_smc(prior: ParticleSet, config: SmcConfig, sink=None) -> SmcResult:
     rng = RandomSource(config.seed)
 
     population = prior.to_array()
-    posterior = np.empty((steps, d)) if sink is None else sink.buffer(steps, d)
+    ring = np.empty((steps, d)) if sink is None else sink.buffer(steps, d)
+    # a sink's ring takes at most half its rows between two advances
+    rows = _block_rows(nd + 2, steps if sink is None else max(1, len(ring) // 2))
     weight_sums = np.empty(steps)
     ess = np.empty(steps)  # each step's sum of squared weights until the loop ends
     grid = np.arange(n) / n
-    rows = _block_rows(nd + 2, steps)
     likelihood = config.likelihood
     # per-step scratch, allocated once: the scorer's, the scores, the weights
     # and their running sum
@@ -158,7 +161,7 @@ def run_smc(prior: ParticleSet, config: SmcConfig, sink=None) -> SmcResult:
                 # an infinite last bound does systematic_resample's clamp to N - 1
                 np.add.accumulate(w, out=cumulative)[-1] = np.inf
                 selected = cumulative.searchsorted(points[j], "right")
-                posterior[step] = population[selected[n]]
+                ring[step % len(ring)] = population[selected[n]]
                 population = population.take(selected[:n], axis=0)
             if sink is not None:
                 sink.advance(first + block.shape[0])
@@ -169,7 +172,7 @@ def run_smc(prior: ParticleSet, config: SmcConfig, sink=None) -> SmcResult:
     weight_sums.setflags(write=False)
     ess.setflags(write=False)
     return SmcResult(
-        posterior=ParticleSet._adopt(posterior),
+        posterior=ParticleSet._adopt(ring) if sink is None else None,
         weight_sum_series=weight_sums,
         ess_series=ess,
     )

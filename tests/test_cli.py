@@ -712,11 +712,15 @@ class TestSizeLimits:
         assert code == 3
         assert "out of memory" in capsys.readouterr().err
 
-    def test_posterior_that_cannot_be_mapped_exits_3(self, tmp_path, capsys):
-        # 10**12 steps x 100 dims: a 728 TiB posterior buffer
+    def test_steps_whose_series_cannot_be_allocated_exit_3(self, tmp_path):
+        # 10**12 steps: the posterior ring stays a few chunks, and the 8 TB
+        # weight-sum series fails at once, in a child with 1 GiB of address
+        # space and 10 s to run
         out = tmp_path / "run"
-        assert main(["run", "smc", "--steps", str(10**12), "--out", str(out)]) == 3
-        assert "out of memory: Unable to map" in capsys.readouterr().err
+        proc = _limited_child(["run", "smc", "--steps", str(10**12), "--out", str(out)])
+        assert proc.returncode == 3, proc.stderr
+        (line,) = proc.stderr.splitlines()
+        assert line.startswith("abc-fuzz: environment error: out of memory: Unable to allocate")
         assert not out.exists()
 
     @pytest.mark.parametrize("args, code, shown", [
@@ -731,6 +735,33 @@ class TestSizeLimits:
         assert proc.returncode == code
         assert len(proc.stderr.splitlines()) == 1, proc.stderr
         assert shown in proc.stderr
+
+
+# Runs the command in argv[1:] and prints its exit code and peak resident
+# set in KiB, as os.wait4 reports it. A child forked straight from pytest
+# would report pytest's own high-water mark, which hides the CLI's.
+_PEAK_RSS = """
+import os, subprocess, sys
+proc = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL)
+_, status, usage = os.wait4(proc.pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
+
+
+class TestFlatMemory:
+    def test_smc_peak_memory_does_not_grow_with_steps(self, tmp_path):
+        # the posterior streams through the sink's ring: ten times the steps
+        # adds only the 16-byte-a-step weight-sum and ESS series (0.3 MB)
+        peaks = {}
+        for steps in (2000, 20000):
+            proc = subprocess.run(
+                [sys.executable, "-c", _PEAK_RSS, sys.executable, "-m", "abcfuzz.cli",
+                 "run", "smc", "--steps", str(steps), "--out", str(tmp_path / str(steps))],
+                capture_output=True, text=True, timeout=120)
+            code, peak = map(int, proc.stdout.split())
+            assert code == 0, proc.stderr
+            peaks[steps] = peak / 1024
+        assert abs(peaks[20000] - peaks[2000]) <= 4, peaks
 
 
 class TestUsageErrorsBeforeOutput:

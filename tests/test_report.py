@@ -721,10 +721,10 @@ class TestStreamingSink:
         assert pool_writer() - {os.getpid()}, "no chunk was formatted by a worker"
         assert multiprocessing.active_children() == []
         assert not (tmp_path / "posterior.csv.tmp").exists()
-        assert result.posterior == run_smc(prior, cfg).posterior
+        assert result.posterior is None
         assert path.read_bytes() == _serial_bytes(tmp_path / "serial.csv",
-                                                  result.posterior.values, monkeypatch,
-                                                  ["x0", "x1"])
+                                                  run_smc(prior, cfg).posterior.values,
+                                                  monkeypatch, ["x0", "x1"])
 
     def test_chunks_are_formatted_while_the_loop_runs(self, tmp_path, monkeypatch, streaming):
         log = tmp_path / "formatter-pids.txt"
@@ -796,9 +796,96 @@ class TestStreamingSink:
             thread.join(timeout=10)
         assert streaming() == {os.getpid()}
         assert multiprocessing.active_children() == []
+        assert result.posterior is None
         assert path.read_bytes() == _serial_bytes(tmp_path / "serial.csv",
-                                                  result.posterior.values, monkeypatch,
-                                                  ["x0", "x1"])
+                                                  run_smc(prior, cfg).posterior.values,
+                                                  monkeypatch, ["x0", "x1"])
+
+
+# The range oracle's default band on x0, judged by a child per particle.
+EXEC_RANGE = "exec:awk 'NR==1{exit !($1>=-0.5 && $1<=0.5)}'"
+
+
+@pytest.fixture(params=["pooled", "serial"])
+def ring(request, monkeypatch, pool_writer):
+    """A ring of 3-row chunks that a 300-step run of STREAM_ARGS wraps many
+    times, formatted by two workers or in process. Returns the pids that
+    formatted chunks."""
+    if request.param == "serial":
+        monkeypatch.setattr(report, "_pool_workers", lambda: 0)
+    return pool_writer
+
+
+class TestRing:
+    """``CsvSink.buffer`` is a ring of whole chunks, two per worker plus two,
+    which the SMC loop fills row by row: the file, the rows judged and the
+    verdicts equal those of a run that holds its whole posterior."""
+
+    @pytest.mark.parametrize("block_doubles", [16, 24, 40],
+                             ids=["2-step-blocks", "blocks-of-a-chunk", "5-step-blocks"])
+    def test_judge_sees_every_row_once_in_order(self, tmp_path, monkeypatch, ring,
+                                                block_doubles):
+        monkeypatch.setattr(core, "BLOCK_DOUBLES", block_doubles)
+        prior, cfg = _stream_inputs(300)
+        judged, buffers = [], []
+        path = tmp_path / "posterior.csv"
+        with report.CsvSink(path, ["x0", "x1"], lambda rows: judged.append(rows.copy())) as sink:
+            allocate = sink.buffer
+
+            def recorded(*args):
+                buffers.append(allocate(*args))
+                return buffers[-1]
+
+            sink.buffer = recorded
+            result = run_smc(prior, cfg, sink=sink)
+        (buffer,) = buffers
+        workers = len(ring() - {os.getpid()})
+        # a 5-step block is cut to half the ring where the ring is shorter
+        assert buffer.shape == (3 * (2 * workers + 2), 2)
+        assert result.posterior is None
+        assert [len(rows) for rows in judged] == [3] * 100
+        expected = run_smc(prior, cfg).posterior.values
+        assert np.concatenate(judged).tobytes() == expected.tobytes()
+        assert path.read_bytes() == _serial_bytes(tmp_path / "serial.csv", expected,
+                                                  monkeypatch, ["x0", "x1"])
+        assert multiprocessing.active_children() == []
+
+    def test_exec_verdicts_equal_the_range_oracles(self, tmp_path, monkeypatch, ring):
+        monkeypatch.setattr(core, "BLOCK_DOUBLES", 40)
+        runs = {}
+        for name, oracle in [("range", "range"), ("exec", EXEC_RANGE)]:
+            out = tmp_path / name
+            assert main([*STREAM_ARGS, "--oracle", oracle, "--out", str(out)]) == 0
+            runs[name] = out
+        reports = [_read_back(out / "report.json") for out in runs.values()]
+        for key in ("prior_pass_rate", "posterior_pass_rate", "oracle_calls", "diagnostics"):
+            assert reports[0][key] == reports[1][key]
+        assert reports[0]["oracle_calls"] == 303
+        posterior = np.loadtxt(runs["range"] / "posterior.csv", delimiter=",", skiprows=1)
+        passing = int(((posterior[:, 0] >= -0.5) & (posterior[:, 0] <= 0.5)).sum())
+        assert reports[0]["posterior_pass_rate"] == passing / 300
+        assert 0 < passing < 300
+        assert ((runs["range"] / "posterior.csv").read_bytes()
+                == (runs["exec"] / "posterior.csv").read_bytes())
+        assert multiprocessing.active_children() == []
+
+    def test_a_judge_that_raises_leaves_no_tmp_or_worker(self, tmp_path, monkeypatch, ring):
+        monkeypatch.setattr(core, "BLOCK_DOUBLES", 40)
+        prior, cfg = _stream_inputs(300)
+        judged = []
+
+        def judge(rows):
+            judged.append(len(rows))
+            if len(judged) == 20:  # well after the ring has wrapped
+                raise ConfigError("judge failed")
+
+        out = tmp_path / "run"
+        out.mkdir()
+        with pytest.raises(ConfigError, match="judge failed"):
+            with report.CsvSink(out / "posterior.csv", ["x0", "x1"], judge) as sink:
+                run_smc(prior, cfg, sink=sink)
+        assert len(judged) == 20
+        _assert_cleaned_up(out)
 
 
 @contextlib.contextmanager

@@ -131,23 +131,34 @@ class TestRunSmc:
         prior = generate_prior(PriorConfig(n_particles=5, n_dims=100, seed=1))
         assert_read_only(run_smc(prior, _reference_smc_config(seed=2, n_steps=4)).posterior)
 
-    @pytest.mark.parametrize("min_cells", [0, None], ids=["shared-buffer", "private-buffer"])
-    def test_posterior_is_the_sinks_buffer_read_only(self, tmp_path, monkeypatch, min_cells):
-        if min_cells is not None:  # a shared mapping, as a large posterior gets
-            monkeypatch.setattr(report, "POOL_MIN_CELLS", min_cells)
+    @pytest.mark.parametrize("steps", [4, 1000, 5000])
+    @pytest.mark.parametrize("workers", [2, 0], ids=["shared-buffer", "private-buffer"])
+    def test_sink_buffer_holds_at_most_two_chunks_per_worker_plus_two(self, tmp_path,
+                                                                      monkeypatch, workers,
+                                                                      steps):
+        # two pool workers, or a matrix too small for the pool
+        monkeypatch.setattr(report, "POOL_MIN_CELLS", 0 if workers else 10**9)
+        monkeypatch.setattr(report, "_pool_workers", lambda: 2)
         prior = generate_prior(PriorConfig(n_particles=5, n_dims=100, seed=1))
         buffers = []
-        with report.CsvSink(tmp_path / "posterior.csv", [f"x{i}" for i in range(100)]) as sink:
+        path = tmp_path / "posterior.csv"
+        with report.CsvSink(path, [f"x{i}" for i in range(100)]) as sink:
             allocate = sink.buffer
 
-            def recorded(rows, cols):
-                buffers.append(allocate(rows, cols))
+            def recorded(*args):
+                buffers.append(allocate(*args))
                 return buffers[-1]
 
             sink.buffer = recorded
-            result = run_smc(prior, _reference_smc_config(seed=2, n_steps=4), sink=sink)
-        assert result.posterior.values is buffers[0]
-        assert_read_only(result.posterior)
+            result = run_smc(prior, _reference_smc_config(seed=2, n_steps=steps), sink=sink)
+        (buffer,) = buffers
+        chunk = report.CHUNK_CELLS // 100
+        assert buffer.shape == (min(steps, (2 * workers + 2) * chunk), 100)
+        # a ring the pool may format lives in a shared mapping, which workers
+        # forked before its rows are filled still read; any other is private
+        assert buffer.flags.owndata != bool(workers)
+        assert result.posterior is None
+        assert len(path.read_text().splitlines()) == steps + 1
 
     def test_posterior_has_one_particle_per_step(self):
         prior = generate_prior(PriorConfig(seed=1))
