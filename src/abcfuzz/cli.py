@@ -54,7 +54,6 @@ from .oracle import (
 )
 from .prior import generate_prior, slice_count
 from .report import (
-    PLOT_KINDS,
     CsvSink,
     _write_mcmc_trace,
     _write_smc_weights,
@@ -396,11 +395,10 @@ def cmd_gen_prior(args) -> int:
     outdir = _output_dir(args.out, f"gen-prior-seed{cfg.seed}")
     write_particles_csv(particles, outdir / "prior.csv")
     write_csv(outdir / "slice-indices.csv", ["index"], columns=[range(zeroed)])
-    emit_plot_data(particles, "prior-histogram-data",
-                   outdir / PLOT_KINDS["prior-histogram-data"], zeroed=zeroed)
+    emit_plot_data(particles, "prior-histogram-data", outdir / "plot-prior-histogram.dat",
+                   zeroed=zeroed)
     if particles.dim >= 4:
-        emit_plot_data(particles, "dims-1-3-surface-data",
-                       outdir / PLOT_KINDS["dims-1-3-surface-data"])
+        emit_plot_data(particles, "dims-1-3-surface-data", outdir / "plot-prior-surface.dat")
 
     write_report({
         "kind": "prior",
@@ -473,8 +471,8 @@ def cmd_run(args) -> int:
             result = run_smc(particles, cfg, sink=sink)
         judged, posterior_rate = n_steps, passing / n_steps
 
-        _write_smc_weights(result, outdir / PLOT_KINDS["smc-weights-data"],
-                           outdir / "diagnostics.csv")
+        _write_smc_weights(result.weight_sum_series, result.ess_series,
+                           outdir / "plot-smc-weights.dat", outdir / "diagnostics.csv")
         diagnostics = {
             "n_steps": n_steps,
             "n_particles": particles.n,
@@ -492,7 +490,7 @@ def cmd_run(args) -> int:
         result = run_mcmc(particles, cfg, trace_all_dims=bool(args.trace_all))
         judged, posterior_rate = result.chain.n, pass_rate(result.chain, oracle)
 
-        _write_mcmc_trace(result, outdir / PLOT_KINDS["mcmc-trace-data"],
+        _write_mcmc_trace(result.trace_dim0, result.accepted, outdir / "plot-mcmc-trace.dat",
                           outdir / "diagnostics.csv")
         if result.trace_full is not None:
             write_particles_csv(ParticleSet._adopt(result.trace_full),

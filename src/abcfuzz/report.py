@@ -16,20 +16,11 @@ import warnings
 from datetime import datetime, timezone
 from functools import partial
 from pathlib import Path
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .core import ConfigError, ENGINE_VERSION, ParticleSet, _load_ndtri, _require
-from .mcmc import McmcResult
-from .smc import SmcResult
-
-PLOT_KINDS = {
-    "prior-histogram-data": "plot-prior-histogram.dat",
-    "dims-1-3-surface-data": "plot-prior-surface.dat",
-    "mcmc-trace-data": "plot-mcmc-trace.dat",
-    "smc-weights-data": "plot-smc-weights.dat",
-}
 
 
 def _create(path, binary: bool = False):
@@ -560,65 +551,41 @@ def _write_lines(columns, outputs) -> None:
                     [f"{line},{each!r}\n" for line, each in zip(lines, tail[part].tolist())]))
 
 
-def _write_mcmc_trace(result: McmcResult, plot_path, diagnostics_path=None) -> None:
-    """A chain's ``mcmc-trace-data`` file (step, x0) and, given its path,
-    its diagnostics CSV (step, x0, accepted_flag): each step's x0 is
-    formatted once for both, as ``write_csv`` formats it."""
-    outputs = [(plot_path, "step,x0", None)]
-    if diagnostics_path is not None:
-        outputs.append((diagnostics_path, "step,x0,accepted_flag", result.accepted.astype(int)))
-    _write_lines([result.trace_dim0], outputs)
+def _write_mcmc_trace(trace, accepted, plot_path, diagnostics_path) -> None:
+    """A chain's plot trace (step, x0) and diagnostics CSV (step, x0,
+    accepted_flag): each step's x0 is formatted once for both, as
+    ``write_csv`` formats it."""
+    _write_lines([trace], [(plot_path, "step,x0", None),
+                           (diagnostics_path, "step,x0,accepted_flag", accepted.astype(int))])
 
 
-def _write_smc_weights(result: SmcResult, plot_path, diagnostics_path=None) -> None:
-    """A run's ``smc-weights-data`` file (step, log_weight_sum, ess, delta)
-    and, given its path, its diagnostics CSV (step, log_weight_sum, ess):
-    each step's weight sum and ESS are formatted once for both, as
-    ``write_csv`` formats them."""
-    sums = result.weight_sum_series
-    outputs = [(plot_path, "step,log_weight_sum,ess,delta",
-                np.concatenate([[np.nan], np.abs(np.diff(sums))]))]
-    if diagnostics_path is not None:
-        outputs.append((diagnostics_path, "step,log_weight_sum,ess", None))
-    _write_lines([sums, result.ess_series], outputs)
+def _write_smc_weights(sums, ess, plot_path, diagnostics_path) -> None:
+    """A run's plot series (step, log_weight_sum, ess, delta), where delta is
+    the absolute change in log_weight_sum from the previous step (nan on
+    step 0), and diagnostics CSV (step, log_weight_sum, ess): each step's
+    weight sum and ESS are formatted once for both, as ``write_csv`` formats
+    them."""
+    delta = np.concatenate([[np.nan], np.abs(np.diff(sums))])
+    _write_lines([sums, ess], [(plot_path, "step,log_weight_sum,ess,delta", delta),
+                               (diagnostics_path, "step,log_weight_sum,ess", None)])
 
 
-def emit_plot_data(result: Union[SmcResult, McmcResult, ParticleSet], kind: str,
-                   path, zeroed: int = 0) -> None:
-    """Write one figure's underlying data as a columnar text file.
+def emit_plot_data(particles: ParticleSet, kind: str, path, zeroed: int = 0) -> None:
+    """Write one prior figure's underlying data as a columnar text file.
 
-    Kinds and the result type they need:
-
-    - ``prior-histogram-data`` (ParticleSet): dimension-0 value of every
-      particle with a 0/1 flag marking membership in the forced-zero slice,
-      the first ``zeroed`` particles (default none).
-    - ``dims-1-3-surface-data`` (ParticleSet, D >= 4): coordinates 1..3 of
-      every particle, verbatim.
-    - ``mcmc-trace-data`` (McmcResult): (step, x0) for every step.
-    - ``smc-weights-data`` (SmcResult): (step, log_weight_sum, ess, delta)
-      where delta is the absolute change in log_weight_sum from the
-      previous step (nan on step 0).
+    - ``prior-histogram-data``: dimension-0 value of every particle with a
+      0/1 flag marking membership in the forced-zero slice, the first
+      ``zeroed`` particles (default none).
+    - ``dims-1-3-surface-data`` (D >= 4): coordinates 1..3 of every
+      particle, verbatim.
     """
-    if kind not in PLOT_KINDS:
-        raise ConfigError(f"unknown plot kind {kind!r}; expected one of {sorted(PLOT_KINDS)}")
-
+    kinds = ("dims-1-3-surface-data", "prior-histogram-data")
+    _require(kind in kinds, f"unknown plot kind {kind!r}; expected one of {list(kinds)}")
+    _require(isinstance(particles, ParticleSet), f"plot kind {kind!r} needs a ParticleSet")
     if kind == "prior-histogram-data":
-        if not isinstance(result, ParticleSet):
-            raise ConfigError(f"plot kind {kind!r} needs a ParticleSet")
-        flags = [int(i < zeroed) for i in range(result.n)]
-        write_csv(path, ["x0", "in_slice"], columns=[result.values[:, 0], flags])
-    elif kind == "dims-1-3-surface-data":
-        if not isinstance(result, ParticleSet):
-            raise ConfigError(f"plot kind {kind!r} needs a ParticleSet")
-        if result.dim < 4:
-            raise ConfigError(
-                f"plot kind {kind!r} needs particles with at least 4 dims, got {result.dim}")
-        write_csv(path, ["x1", "x2", "x3"], result.values[:, 1:4])
-    elif kind == "mcmc-trace-data":
-        if not isinstance(result, McmcResult):
-            raise ConfigError(f"plot kind {kind!r} needs an McmcResult")
-        _write_mcmc_trace(result, path)
-    else:  # smc-weights-data
-        if not isinstance(result, SmcResult):
-            raise ConfigError(f"plot kind {kind!r} needs an SmcResult")
-        _write_smc_weights(result, path)
+        flags = [int(i < zeroed) for i in range(particles.n)]
+        write_csv(path, ["x0", "in_slice"], columns=[particles.values[:, 0], flags])
+    else:
+        _require(particles.dim >= 4,
+                 f"plot kind {kind!r} needs particles with at least 4 dims, got {particles.dim}")
+        write_csv(path, ["x1", "x2", "x3"], particles.values[:, 1:4])

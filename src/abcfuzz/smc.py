@@ -120,8 +120,8 @@ def run_smc(prior: ParticleSet, config: SmcConfig, sink=None) -> SmcResult:
 
     population = prior.to_array()
     ring = np.empty((steps, d)) if sink is None else sink.buffer(steps, d)
-    # a sink's ring takes at most half its rows between two advances
-    rows = _block_rows(nd + 2, steps if sink is None else max(1, len(ring) // 2))
+    # at most half the ring between two advances; a block's size never moves a draw
+    rows = _block_rows(nd + 2, max(1, len(ring) // 2))
     weight_sums = np.empty(steps)
     ess = np.empty(steps)  # each step's sum of squared weights until the loop ends
     grid = np.arange(n) / n

@@ -1,5 +1,6 @@
 """Report persistence: JSON round-trips, CSV dumps, plot-data files."""
 
+import ast
 import contextlib
 import json
 import mmap
@@ -11,6 +12,7 @@ import sys
 import threading
 import time
 from datetime import datetime, timedelta
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,7 +23,6 @@ from abcfuzz import (
     ConfigError,
     LikelihoodConfig,
     McmcConfig,
-    McmcResult,
     ParticleSet,
     PriorConfig,
     SmcConfig,
@@ -186,7 +187,8 @@ class TestPlotData:
 
     def test_trace_rows_match_step_count(self, tmp_path, mcmc_result):
         path = tmp_path / "trace.dat"
-        emit_plot_data(mcmc_result, "mcmc-trace-data", path)
+        report._write_mcmc_trace(mcmc_result.trace_dim0, mcmc_result.accepted, path,
+                                 tmp_path / "diagnostics.csv")
         lines = path.read_text().splitlines()
         assert lines[0] == "step,x0"
         assert len(lines) == 1 + 15
@@ -194,7 +196,8 @@ class TestPlotData:
 
     def test_weights_file_has_delta_column(self, tmp_path, smc_result):
         path = tmp_path / "weights.dat"
-        emit_plot_data(smc_result, "smc-weights-data", path)
+        report._write_smc_weights(smc_result.weight_sum_series, smc_result.ess_series, path,
+                                  tmp_path / "diagnostics.csv")
         lines = path.read_text().splitlines()
         assert lines[0] == "step,log_weight_sum,ess,delta"
         assert len(lines) == 1 + 12
@@ -211,6 +214,16 @@ class TestPlotData:
             emit_plot_data(small_prior, "smc-weights-data", tmp_path / "x.dat")
         with pytest.raises(ConfigError):
             emit_plot_data(small_prior, "no-such-kind", tmp_path / "x.dat")
+        with pytest.raises(ConfigError, match="needs a ParticleSet"):
+            emit_plot_data(smc_result, "prior-histogram-data", tmp_path / "x.dat")
+
+
+def test_report_imports_only_core():
+    # the file layer knows no sampler: each series writer takes plain arrays
+    tree = ast.parse(Path(report.__file__).read_text(encoding="utf-8"))
+    relative = [node.module for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.level]
+    assert relative and set(relative) == {"core"}
 
 
 def test_write_json_rejects_nan(tmp_path):
@@ -647,19 +660,13 @@ class TestMcmcTraceFiles:
         out = tmp_path_factory.mktemp("trace")
         trace = np.array([x0 for x0, _ in cells])
         accepted = np.array([flag for _, flag in cells])
-        result = McmcResult(chain=ParticleSet([[0.0]]), trace_dim0=trace,
-                            accepted=accepted, acceptance_rate=float(accepted.mean()))
-        report._write_mcmc_trace(result, out / "trace.dat", out / "diagnostics.csv")
+        report._write_mcmc_trace(trace, accepted, out / "trace.dat", out / "diagnostics.csv")
         write_csv(out / "trace-ref.dat", ["step", "x0"], columns=[range(trace.size), trace])
         write_csv(out / "diagnostics-ref.csv", ["step", "x0", "accepted_flag"],
                   columns=[range(trace.size), trace, accepted.astype(int)])
         assert (out / "trace.dat").read_bytes() == (out / "trace-ref.dat").read_bytes()
         assert ((out / "diagnostics.csv").read_bytes()
                 == (out / "diagnostics-ref.csv").read_bytes())
-
-    def test_plot_kind_writes_only_the_trace(self, tmp_path, mcmc_result):
-        emit_plot_data(mcmc_result, "mcmc-trace-data", tmp_path / "trace.dat")
-        assert [p.name for p in tmp_path.iterdir()] == ["trace.dat"]
 
 
 # A 3x2 population: 6-cell chunks hold 3 posterior rows. With 40 doubles a
