@@ -489,12 +489,7 @@ def cmd_run(args) -> int:
     else:
         result = run_mcmc(particles, cfg, trace_all_dims=bool(args.trace_all))
         judged, posterior_rate = result.chain.n, pass_rate(result.chain, oracle)
-
-        _write_mcmc_trace(result.trace_dim0, result.accepted, outdir / "plot-mcmc-trace.dat",
-                          outdir / "diagnostics.csv")
-        if result.trace_full is not None:
-            write_particles_csv(ParticleSet._adopt(result.trace_full),
-                                outdir / "trace-full.csv")
+        # a summary that overflows fails here, before the first artifact
         diagnostics = {
             "n_steps": n_steps,
             "burn_in": cfg.burn_in,
@@ -504,6 +499,12 @@ def cmd_run(args) -> int:
         if result.chain.n >= 2:
             diagnostics["trace_dim0_summary"] = trace_summary(result.trace_dim0, cfg.burn_in)
         config_echo = {"prior": prior_echo, "mcmc": cfg.to_dict(), "oracle": oracle_echo}
+
+        _write_mcmc_trace(result.trace_dim0, result.accepted, outdir / "plot-mcmc-trace.dat",
+                          outdir / "diagnostics.csv")
+        if result.trace_full is not None:
+            write_particles_csv(ParticleSet._adopt(result.trace_full),
+                                outdir / "trace-full.csv")
         write_particles_csv(result.chain, outdir / "posterior.csv")
 
     oracle_calls = particles.n + judged

@@ -5,7 +5,7 @@ All functions here are pure: same input, same output, no hidden state.
 
 import numpy as np
 
-from .core import _require
+from .core import DegeneracyError, _require
 
 CONVERGENCE_NOTE = ("heuristic: tail 10% of weight-update magnitudes averages "
                     "below 10% of the head 10%'s average; advisory only")
@@ -13,7 +13,8 @@ CONVERGENCE_NOTE = ("heuristic: tail 10% of weight-update magnitudes averages "
 
 def trace_summary(trace, burn_in: int) -> dict:
     """Moments of the trace after discarding the first burn_in entries:
-    mean, std (divisor n-1), min, max and count."""
+    mean, std (divisor n-1), min, max and count. A moment that overflows
+    raises DegeneracyError naming it."""
     arr = np.asarray(trace, dtype=np.float64)
     _require(arr.ndim == 1, "trace must be a flat sequence")
     _require(0 <= burn_in < arr.size,
@@ -21,8 +22,14 @@ def trace_summary(trace, burn_in: int) -> dict:
     segment = arr[burn_in:]
     _require(segment.size >= 2,
              "post-burn-in segment needs at least 2 points for a sample std")
-    return {"mean": float(segment.mean()), "std": float(segment.std(ddof=1)),
-            "min": float(segment.min()), "max": float(segment.max()), "count": int(segment.size)}
+    with np.errstate(over="ignore", invalid="ignore"):
+        moments = {"mean": float(segment.mean()), "std": float(segment.std(ddof=1)),
+                   "min": float(segment.min()), "max": float(segment.max())}
+    overflowed = [name for name, value in moments.items() if not np.isfinite(value)]
+    if overflowed:
+        raise DegeneracyError(
+            f"trace summary overflows the float range in {' and '.join(overflowed)}")
+    return {**moments, "count": int(segment.size)}
 
 
 def weight_sum_delta_series(log_weight_sums) -> np.ndarray:

@@ -33,10 +33,11 @@ def _create(path, binary: bool = False):
 
 
 def write_json(payload: dict, path) -> None:
-    """Write a JSON document with sorted keys and a trailing newline."""
+    """Write a JSON document with sorted keys and a trailing newline; a
+    payload that cannot be encoded raises before the file is opened."""
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
     with _create(path) as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def write_report(payload: dict, path) -> None:

@@ -1185,6 +1185,25 @@ class TestNumericExtremes:
                        "likelihood.scale\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("args, moments", [
+        (["--std", "0", "--step-std", "3e153", "--scale", "1e160", "--initial-index", "0",
+          "--steps", "400"], "std"),
+        (["--mean", "1.5e308", "--std", "0", "--target", "TARGET", "--scale", "1",
+          "--steps", "50"], "mean and std"),
+    ], ids=["squares-overflow", "sum-overflows"])
+    def test_overflowing_trace_summary_leaves_no_artifact(self, tmp_path, capsys, args,
+                                                           moments):
+        # every state is finite, but the summary's sums of them overflow
+        target = tmp_path / "target.csv"
+        target.write_text("x0\n1.5e308\n")
+        args = [str(target) if word == "TARGET" else word for word in args]
+        out = tmp_path / "run"
+        assert main(["run", "mcmc", "--dims", "1", "--alpha", "0", "--burn-in", "2", *args,
+                     "--out", str(out)]) == 4
+        assert capsys.readouterr().err == (
+            f"abc-fuzz: degeneracy: trace summary overflows the float range in {moments}\n")
+        assert not out.exists()
+
     def test_derived_scale_overflow_names_the_prior_file(self, tmp_path, capsys):
         prior = _small_prior_file(tmp_path, "x0,x1\n1e308,1e308\n1e308,1e308\n")
         out = tmp_path / "run"
@@ -1196,7 +1215,8 @@ class TestNumericExtremes:
         assert not out.exists()
 
 
-_LIMITS = (0.0, 5e-324, 1e-300, 1e300, 1e307, 1e308, sys.float_info.max)
+# 1e154 is about sqrt(max): its square overflows while the value stays finite
+_LIMITS = (0.0, 5e-324, 1e-300, 1e154, 1e300, 1e307, 1e308, sys.float_info.max)
 _REAL = st.sampled_from([*_LIMITS, *(-v for v in _LIMITS)])
 # a size between 3 and 10**20 could allocate gigabytes or run for minutes
 _SIZE = st.sampled_from([0, 1, 2, 3, 10**20, 2**64])

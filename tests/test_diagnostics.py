@@ -5,6 +5,7 @@ import pytest
 
 from abcfuzz import (
     ConfigError,
+    DegeneracyError,
     trace_summary,
     weight_sum_delta_series,
     weight_updates_converging,
@@ -33,6 +34,14 @@ class TestTraceSummary:
             trace_summary([1.0, 2.0, 3.0], burn_in=2)
         with pytest.raises(ConfigError):
             trace_summary([1.0, 2.0], burn_in=5)
+
+    @pytest.mark.parametrize("trace, moments", [
+        ([1e154, -1e154, 1e154], "std"),
+        ([1e308, 1e308], "mean and std"),
+    ], ids=["squares-overflow", "sum-overflows"])
+    def test_overflowing_moment_is_named(self, trace, moments):
+        with pytest.raises(DegeneracyError, match=f"overflows the float range in {moments}$"):
+            trace_summary(trace, burn_in=0)
 
 
 class TestWeightSumDeltas:
