@@ -55,16 +55,15 @@ from .oracle import (
 from .prior import generate_prior, slice_count
 from .report import (
     CsvSink,
-    _write_mcmc_trace,
-    _write_smc_weights,
     emit_plot_data,
     read_particles_csv,
-    write_csv,
+    write_lines,
     write_particles_csv,
     write_report,
 )
-# imported only for bench/tracing.py, which wraps cli.write_json by name
-from .report import write_json  # noqa: F401
+# imported only for bench/tracing.py, which wraps cli.write_csv and
+# cli.write_json by name
+from .report import write_csv, write_json  # noqa: F401
 from .smc import run_smc
 
 EXIT_OK = 0
@@ -394,7 +393,7 @@ def cmd_gen_prior(args) -> int:
 
     outdir = _output_dir(args.out, f"gen-prior-seed{cfg.seed}")
     write_particles_csv(particles, outdir / "prior.csv")
-    write_csv(outdir / "slice-indices.csv", ["index"], columns=[range(zeroed)])
+    write_lines([range(zeroed)], [(outdir / "slice-indices.csv", "index", None)])
     emit_plot_data(particles, "prior-histogram-data", outdir / "plot-prior-histogram.dat",
                    zeroed=zeroed)
     if particles.dim >= 4:
@@ -471,8 +470,11 @@ def cmd_run(args) -> int:
             result = run_smc(particles, cfg, sink=sink)
         judged, posterior_rate = n_steps, passing / n_steps
 
-        _write_smc_weights(result.weight_sum_series, result.ess_series,
-                           outdir / "plot-smc-weights.dat", outdir / "diagnostics.csv")
+        sums = result.weight_sum_series
+        write_lines([range(n_steps), sums, result.ess_series], [
+            (outdir / "plot-smc-weights.dat", "step,log_weight_sum,ess,delta",
+             np.abs(np.diff(sums, prepend=np.nan))),
+            (outdir / "diagnostics.csv", "step,log_weight_sum,ess", None)])
         diagnostics = {
             "n_steps": n_steps,
             "n_particles": particles.n,
@@ -500,8 +502,9 @@ def cmd_run(args) -> int:
             diagnostics["trace_dim0_summary"] = trace_summary(result.trace_dim0, cfg.burn_in)
         config_echo = {"prior": prior_echo, "mcmc": cfg.to_dict(), "oracle": oracle_echo}
 
-        _write_mcmc_trace(result.trace_dim0, result.accepted, outdir / "plot-mcmc-trace.dat",
-                          outdir / "diagnostics.csv")
+        write_lines([range(n_steps), result.trace_dim0], [
+            (outdir / "plot-mcmc-trace.dat", "step,x0", None),
+            (outdir / "diagnostics.csv", "step,x0,accepted_flag", result.accepted.astype(int))])
         if result.trace_full is not None:
             write_particles_csv(ParticleSet._adopt(result.trace_full),
                                 outdir / "trace-full.csv")
@@ -557,8 +560,8 @@ def cmd_compare(args) -> int:
         ("smc", budget, smc_found, smc_found / budget),
     ]
     outdir = _output_dir(args.out, f"compare-seed{seed}")
-    write_csv(outdir / "compare-table.csv",
-              ["method", "oracle_calls", "passing", "pass_rate"], columns=list(zip(*rows)))
+    write_lines(list(zip(*rows)), [
+        (outdir / "compare-table.csv", "method,oracle_calls,passing,pass_rate", None)])
     write_report({
         "kind": "compare",
         "seed": seed,

@@ -23,13 +23,11 @@ import numpy as np
 from .core import ConfigError, ENGINE_VERSION, ParticleSet, _load_ndtri, _require
 
 
-def _create(path, binary: bool = False):
-    """Open ``path`` for writing, creating its directory first: an output
-    directory appears only once a run has an artifact to put in it."""
+def _create(path):
+    """Open ``path`` for writing bytes, creating its directory first: an
+    output directory appears only once a run has an artifact to put in it."""
     Path(path).parent.mkdir(parents=True, exist_ok=True)
-    if binary:
-        return open(path, "wb")
-    return open(path, "w", encoding="utf-8", newline="")
+    return open(path, "wb")
 
 
 def write_json(payload: dict, path) -> None:
@@ -37,7 +35,7 @@ def write_json(payload: dict, path) -> None:
     payload that cannot be encoded raises before the file is opened."""
     text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
     with _create(path) as fh:
-        fh.write(text + "\n")
+        fh.write(f"{text}\n".encode())
 
 
 def write_report(payload: dict, path) -> None:
@@ -58,12 +56,6 @@ POOL_MAX_WORKERS = 4
 # Bytes a float64 cell can take as CSV text: the longest repr
 # ("-1.7976931348623157e+308") and its separator.
 CELL_BYTES = 25
-
-
-def _format_lines(rows) -> str:
-    """Rows of Python strings and numbers as CSV lines: a float by its
-    shortest round-trip text, which ``str`` gives as ``repr`` does."""
-    return "".join([",".join(map(str, row)) + "\n" for row in rows])
 
 
 def _format_rows(rows: np.ndarray) -> str:
@@ -267,7 +259,7 @@ class CsvSink:
         self._pump(len(self._pool), -(-taken // self._chunk))
 
     def _start(self) -> None:
-        self._fh = _create(self._temp, binary=True)
+        self._fh = _create(self._temp)
         self._fh.write((",".join(self._header) + "\n").encode("utf-8"))
         if self._rows * self._ring.shape[1] < POOL_MIN_CELLS or (workers := _pool_workers()) < 2:
             return
@@ -342,24 +334,13 @@ class CsvSink:
                     os.unlink(self._temp)
 
 
-def write_csv(path, header: Sequence[str], rows: Optional[np.ndarray] = None,
-              *, columns: Sequence = ()) -> None:
-    """Plain comma-separated writer; floats keep full round-trip precision.
-
-    ``rows`` is a 2-D float64 array, written through a CsvSink, which
-    converts it to Python numbers one chunk of rows at a time (never the
-    whole matrix at once, which would multiply peak memory). ``columns``,
-    given instead of ``rows``, holds equal-length columns: arrays, converted
-    with ``tolist`` once each, or sequences of Python strings and numbers.
-    """
-    if rows is not None:
-        with CsvSink(path, header) as sink:
-            sink._attach(rows)
-        return
-    with _create(path) as fh:
-        fh.write(",".join(header) + "\n")
-        fh.write(_format_lines(zip(*[c.tolist() if isinstance(c, np.ndarray) else c
-                                     for c in columns])))
+def write_csv(path, header: Sequence[str], rows: np.ndarray) -> None:
+    """Plain comma-separated writer of a 2-D float64 array, floats at full
+    round-trip precision, through a CsvSink, which converts it to Python
+    numbers one chunk of rows at a time (never the whole matrix at once,
+    which would multiply peak memory)."""
+    with CsvSink(path, header) as sink:
+        sink._attach(rows)
 
 
 def write_particles_csv(particles: ParticleSet, path) -> None:
@@ -529,46 +510,32 @@ def read_particles_csv(path) -> ParticleSet:
         raise ConfigError(f"particle CSV {path}: {exc}") from exc
 
 
-# Steps whose series lines are formatted and written at a time.
+# Rows whose lines are formatted and written at a time.
 LINE_BATCH = 4096
 
 
-def _write_lines(columns, outputs) -> None:
-    """Text files of one line per step: the step and the repr of its entry
-    in each of ``columns``, formatted LINE_BATCH steps at a time, once for
-    all ``outputs``, (path, header, tail) each; a ``tail`` array adds a
-    comma and the repr of the step's entry in it to that file's lines."""
-    form = "%d" + ",%r" * len(columns)
+def write_lines(columns, outputs) -> None:
+    """Text files of one line per row of ``columns``, equal-length arrays or
+    sequences: the ``%s`` text of each cell (a float's shortest round-trip
+    text, as ``repr`` gives it), comma-separated. ``outputs`` holds
+    (path, header, tail) per file; a ``tail`` column, unless None, adds a
+    cell to that file's lines. Rows are formatted LINE_BATCH at a time, once
+    for all files."""
+    def cells(column, part):
+        return column[part].tolist() if isinstance(column, np.ndarray) else column[part]
+
+    form = ",".join(["%s"] * len(columns))
     with contextlib.ExitStack() as stack:
         files = [(stack.enter_context(_create(path)), tail) for path, _, tail in outputs]
         for (fh, _), (_, header, _) in zip(files, outputs):
-            fh.write(header + "\n")
-        for start in range(0, columns[0].size, LINE_BATCH):
+            fh.write(f"{header}\n".encode())
+        for start in range(0, len(columns[0]), LINE_BATCH):
             part = slice(start, start + LINE_BATCH)
-            cells = [column[part].tolist() for column in columns]
-            lines = [form % row for row in zip(range(start, part.stop), *cells)]
+            lines = [form % row for row in zip(*[cells(column, part) for column in columns])]
             for fh, tail in files:
-                fh.write("\n".join([*lines, ""]) if tail is None else "".join(
-                    [f"{line},{each!r}\n" for line, each in zip(lines, tail[part].tolist())]))
-
-
-def _write_mcmc_trace(trace, accepted, plot_path, diagnostics_path) -> None:
-    """A chain's plot trace (step, x0) and diagnostics CSV (step, x0,
-    accepted_flag): each step's x0 is formatted once for both, as
-    ``write_csv`` formats it."""
-    _write_lines([trace], [(plot_path, "step,x0", None),
-                           (diagnostics_path, "step,x0,accepted_flag", accepted.astype(int))])
-
-
-def _write_smc_weights(sums, ess, plot_path, diagnostics_path) -> None:
-    """A run's plot series (step, log_weight_sum, ess, delta), where delta is
-    the absolute change in log_weight_sum from the previous step (nan on
-    step 0), and diagnostics CSV (step, log_weight_sum, ess): each step's
-    weight sum and ESS are formatted once for both, as ``write_csv`` formats
-    them."""
-    delta = np.concatenate([[np.nan], np.abs(np.diff(sums))])
-    _write_lines([sums, ess], [(plot_path, "step,log_weight_sum,ess,delta", delta),
-                               (diagnostics_path, "step,log_weight_sum,ess", None)])
+                text = "\n".join([*lines, ""]) if tail is None else "".join(
+                    [f"{line},{each}\n" for line, each in zip(lines, cells(tail, part))])
+                fh.write(text.encode())
 
 
 def emit_plot_data(particles: ParticleSet, kind: str, path, zeroed: int = 0) -> None:
@@ -585,7 +552,7 @@ def emit_plot_data(particles: ParticleSet, kind: str, path, zeroed: int = 0) -> 
     _require(isinstance(particles, ParticleSet), f"plot kind {kind!r} needs a ParticleSet")
     if kind == "prior-histogram-data":
         flags = [int(i < zeroed) for i in range(particles.n)]
-        write_csv(path, ["x0", "in_slice"], columns=[particles.values[:, 0], flags])
+        write_lines([particles.values[:, 0], flags], [(path, "x0,in_slice", None)])
     else:
         _require(particles.dim >= 4,
                  f"plot kind {kind!r} needs particles with at least 4 dims, got {particles.dim}")

@@ -36,7 +36,7 @@ from abcfuzz import (
 )
 from abcfuzz import core, report, smc
 from abcfuzz.cli import main
-from abcfuzz.report import write_csv, write_json
+from abcfuzz.report import write_csv, write_json, write_lines
 from support import assert_read_only
 
 
@@ -186,26 +186,29 @@ class TestPlotData:
                            tmp_path / "surface.dat")
 
     def test_trace_rows_match_step_count(self, tmp_path, mcmc_result):
-        path = tmp_path / "trace.dat"
-        report._write_mcmc_trace(mcmc_result.trace_dim0, mcmc_result.accepted, path,
-                                 tmp_path / "diagnostics.csv")
+        path, trace = tmp_path / "trace.dat", mcmc_result.trace_dim0
+        write_lines([range(trace.size), trace], [(path, "step,x0", None)])
         lines = path.read_text().splitlines()
         assert lines[0] == "step,x0"
         assert len(lines) == 1 + 15
-        assert float(lines[1].split(",")[1]) == mcmc_result.trace_dim0[0]
+        assert float(lines[1].split(",")[1]) == trace[0]
+        assert path.read_text() == _joined("step,x0", zip(range(15), trace.tolist()))
 
     def test_weights_file_has_delta_column(self, tmp_path, smc_result):
         path = tmp_path / "weights.dat"
-        report._write_smc_weights(smc_result.weight_sum_series, smc_result.ess_series, path,
-                                  tmp_path / "diagnostics.csv")
+        sums, ess = smc_result.weight_sum_series, smc_result.ess_series
+        delta = np.abs(np.diff(sums, prepend=np.nan))
+        write_lines([range(sums.size), sums, ess],
+                    [(path, "step,log_weight_sum,ess,delta", delta)])
         lines = path.read_text().splitlines()
         assert lines[0] == "step,log_weight_sum,ess,delta"
         assert len(lines) == 1 + 12
         first = lines[1].split(",")
         assert first[3] == "nan"  # no previous step to diff against
         second = lines[2].split(",")
-        expected = abs(smc_result.weight_sum_series[1] - smc_result.weight_sum_series[0])
-        assert float(second[3]) == expected
+        assert float(second[3]) == abs(sums[1] - sums[0])
+        assert path.read_text() == _joined("step,log_weight_sum,ess,delta", zip(
+            range(12), sums.tolist(), ess.tolist(), delta.tolist()))
 
     def test_kind_result_mismatch_rejected(self, tmp_path, smc_result, small_prior):
         with pytest.raises(ConfigError):
@@ -650,23 +653,54 @@ class TestRepeatedRows:
         assert report._format_rows(matrix[:, ::2]) == _per_row_text(matrix[:, ::2])
 
 
-class TestMcmcTraceFiles:
-    """A chain's plot trace and diagnostics CSV, each x0 formatted once for
-    both, hold the bytes ``write_csv`` writes for the same columns."""
+def _joined(header, rows) -> str:
+    """The reference text of a line table: each cell's ``str``, comma-separated."""
+    return "".join(f"{line}\n" for line in [header, *(",".join(map(str, row)) for row in rows)])
+
+
+class TestWriteLines:
+    """Each line of a line table is its row's cells as ``str`` gives them,
+    comma-separated, in every file it is written to and across batches."""
 
     @settings(max_examples=30, deadline=None)
     @given(cells=st.lists(st.tuples(_RUN_CELLS, st.booleans()), min_size=1, max_size=8))
-    def test_trace_files_match_write_csv(self, tmp_path_factory, cells):
+    def test_trace_files_match_joined_text(self, tmp_path_factory, cells):
         out = tmp_path_factory.mktemp("trace")
         trace = np.array([x0 for x0, _ in cells])
-        accepted = np.array([flag for _, flag in cells])
-        report._write_mcmc_trace(trace, accepted, out / "trace.dat", out / "diagnostics.csv")
-        write_csv(out / "trace-ref.dat", ["step", "x0"], columns=[range(trace.size), trace])
-        write_csv(out / "diagnostics-ref.csv", ["step", "x0", "accepted_flag"],
-                  columns=[range(trace.size), trace, accepted.astype(int)])
-        assert (out / "trace.dat").read_bytes() == (out / "trace-ref.dat").read_bytes()
-        assert ((out / "diagnostics.csv").read_bytes()
-                == (out / "diagnostics-ref.csv").read_bytes())
+        accepted = np.array([flag for _, flag in cells]).astype(int)
+        steps = range(trace.size)
+        write_lines([steps, trace], [(out / "trace.dat", "step,x0", None),
+                                     (out / "diagnostics.csv", "step,x0,accepted_flag", accepted)])
+        assert (out / "trace.dat").read_text() == _joined("step,x0", zip(steps, trace.tolist()))
+        assert (out / "diagnostics.csv").read_text() == _joined(
+            "step,x0,accepted_flag", zip(steps, trace.tolist(), accepted.tolist()))
+
+    def test_a_string_column_across_batches(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(report, "LINE_BATCH", 3)
+        names = ("random", "smc", "a", "b", "c", "d", "e")
+        counts, rates = (5, 0, 7, 1, 2, 3, 4), np.linspace(0.0, 1.0, 7)
+        path = tmp_path / "table.csv"
+        write_lines([names, counts, rates], [(path, "method,passing,pass_rate", None)])
+        assert path.read_text() == _joined("method,passing,pass_rate",
+                                           zip(names, counts, rates.tolist()))
+
+    def test_a_tail_of_special_values_across_batches(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(report, "LINE_BATCH", 3)
+        tail = np.array([np.nan, -0.0, 5e-324, 1e16, np.nan, -0.0, 5e-324])
+        values = np.array(SPECIAL_VALUES + [0.5, -2.0])
+        steps = range(values.size)
+        write_lines([steps, values], [(tmp_path / "tail.dat", "step,x,t", tail),
+                                      (tmp_path / "plain.dat", "step,x", None)])
+        assert (tmp_path / "tail.dat").read_text() == _joined(
+            "step,x,t", zip(steps, values.tolist(), tail.tolist()))
+        assert (tmp_path / "plain.dat").read_text() == _joined(
+            "step,x", zip(steps, values.tolist()))
+        assert (tmp_path / "tail.dat").read_text().splitlines()[1:5] == [
+            "0,-0.0,nan", "1,5e-324,-0.0", "2,1e+16,5e-324", "3,1e-05,1e+16"]
+
+    def test_no_rows_leave_the_header_alone(self, tmp_path):
+        write_lines([range(0)], [(tmp_path / "slice-indices.csv", "index", None)])
+        assert (tmp_path / "slice-indices.csv").read_bytes() == b"index\n"
 
 
 # A 3x2 population: 6-cell chunks hold 3 posterior rows. With 40 doubles a
