@@ -192,7 +192,8 @@ class CsvSink:
     when the block ends cleanly; until then it is written under the same
     name plus ``.tmp``. On any error or interrupt, a judge's included, the
     workers are killed and reaped and the temporary file is deleted before
-    the exception leaves. A worker that dies raises OSError.
+    the exception leaves, with every directory made for it that is then
+    empty. A worker that dies raises OSError.
     """
 
     def __init__(self, path, header: Sequence[str], judge=None):
@@ -207,6 +208,7 @@ class CsvSink:
         self._sent = 0     # leading chunks handed to a worker
         self._written = 0  # leading chunks written to the file
         self._fh = None
+        self._made = []    # directories made for the file, deepest first
         self._pool = []    # (process, connection) per worker
         self._slots = None  # shared text slots, one per chunk in flight
         self._slot_bytes = 0
@@ -259,6 +261,8 @@ class CsvSink:
         self._pump(len(self._pool), -(-taken // self._chunk))
 
     def _start(self) -> None:
+        directory = self._temp.parent
+        self._made = [d for d in (directory, *directory.parents) if not d.exists()]
         self._fh = _create(self._temp)
         self._fh.write((",".join(self._header) + "\n").encode("utf-8"))
         if self._rows * self._ring.shape[1] < POOL_MIN_CELLS or (workers := _pool_workers()) < 2:
@@ -332,6 +336,10 @@ class CsvSink:
                     fh.close()
                 finally:
                     os.unlink(self._temp)
+                    # a directory that is not empty stays, and so do its parents
+                    with contextlib.suppress(OSError):
+                        for directory in self._made:
+                            directory.rmdir()
 
 
 def write_csv(path, header: Sequence[str], rows: np.ndarray) -> None:

@@ -682,11 +682,29 @@ class TestOracleTimeoutOnOutput:
         err = capsys.readouterr().err
         assert err == "abc-fuzz: environment error: oracle command 'sh' exceeded 0.5 s\n"
         assert counter.read_text() == "4\n"
-        if sampler == "smc":
-            # the posterior sink made the directory and discarded its .tmp file
-            assert list(out.iterdir()) == []
-        else:
-            assert not out.exists()
+        # the SMC posterior sink discarded its .tmp file and the directory it made
+        assert not out.exists()
+
+
+class TestStreamedRunFailure:
+    """An SMC run that degenerates once its posterior sink has started
+    writing (at step 903 here) removes the directories the sink made, and
+    keeps a --out directory that existed before the run."""
+
+    ARGS = ["run", "smc", "--step-std", "1e152", "--steps", "2000"]
+
+    def test_exit_4_leaves_no_output_directory(self, tmp_path, capsys):
+        assert main([*self.ARGS, "--out", str(tmp_path / "made" / "run")]) == 4
+        assert capsys.readouterr().err.startswith("abc-fuzz: degeneracy (step 903)")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_exit_4_keeps_an_existing_output_directory(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        out.mkdir()
+        assert main([*self.ARGS, "--out", str(out)]) == 4
+        assert capsys.readouterr().err.startswith("abc-fuzz: degeneracy (step 903)")
+        assert list(tmp_path.iterdir()) == [out]
+        assert list(out.iterdir()) == []
 
 
 _HUGE = str(10**20)
