@@ -5,7 +5,10 @@ white-box target), and an external command run once per particle (a
 black-box hook; its protocol is this engine's own extension).
 """
 
+import contextlib
+import os
 import shlex
+import signal
 import subprocess
 import threading
 from dataclasses import dataclass
@@ -71,8 +74,9 @@ class ExternalOracle(_Record):
     here, and run without a shell. Protocol: every coordinate is written to
     the child's stdin as one ASCII float per line (full round-trip
     precision), newline-terminated, then stdin is closed. Exit status 0 is
-    a pass, any nonzero status a fail. A child running past ``timeout``
-    seconds is killed and reported as a timeout error, distinct from a fail.
+    a pass, any nonzero status a fail. Each child leads a session of its
+    own. A child running past ``timeout`` seconds is killed with its whole
+    process group and reported as a timeout error, distinct from a fail.
     """
 
     SECTION = "oracle"
@@ -104,23 +108,23 @@ class ExternalOracle(_Record):
 
         def kill():
             killed.set()
-            proc.kill()
+            _kill_group(proc)
 
         watchdog = threading.Timer(self.timeout, kill)
         try:
-            proc = subprocess.Popen(self._argv, stdin=subprocess.PIPE,
-                                    stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+            proc = subprocess.Popen(self._argv, stdin=subprocess.PIPE, stdout=subprocess.DEVNULL,
+                                    stderr=subprocess.DEVNULL, start_new_session=True)
         except OSError as exc:
             raise OracleSpawnError(
                 f"could not run oracle command {self._argv[0]!r}: {exc}") from exc
         with proc:
             # an interrupt from here on, even one that cuts the watchdog's
-            # start short, kills the child
+            # start short, kills the child and its own children
             try:
                 watchdog.start()
                 proc.communicate(payload)
             except BaseException:
-                proc.kill()
+                _kill_group(proc)
                 raise
             finally:
                 # Joined, not just cancelled, so no thread outlives the call:
@@ -133,6 +137,12 @@ class ExternalOracle(_Record):
             raise OracleTimeoutError(
                 f"oracle command {self._argv[0]!r} exceeded {self.timeout} s")
         return OracleVerdict(proc.returncode == 0)
+
+
+def _kill_group(proc) -> None:
+    """SIGKILL the process group that ``proc`` leads, its own children with it."""
+    with contextlib.suppress(ProcessLookupError):  # the whole group has exited
+        os.killpg(proc.pid, signal.SIGKILL)
 
 
 def count_passing(particles: ParticleSet, oracle: Oracle) -> int:

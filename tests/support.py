@@ -1,6 +1,7 @@
 """Shared test helpers."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -83,3 +84,20 @@ def assert_read_only(particles):
     assert not particles.values.flags.writeable
     with pytest.raises(ValueError, match="read-only"):
         particles.values[0, 0] = 1.0
+
+
+def running(pid: int) -> bool:
+    """Whether process ``pid`` runs; a zombie waiting to be reaped does not."""
+    try:
+        with open(f"/proc/{pid}/stat", encoding="ascii") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+def gone_within(pid: int, seconds: float) -> bool:
+    """Whether process ``pid`` has stopped running, waiting up to ``seconds``."""
+    deadline = time.monotonic() + seconds
+    while running(pid) and time.monotonic() < deadline:
+        time.sleep(0.01)
+    return not running(pid)

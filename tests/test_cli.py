@@ -26,6 +26,7 @@ from abcfuzz import (
 )
 from abcfuzz import cli
 from abcfuzz.cli import main
+from support import gone_within
 
 
 def _read_report(outdir):
@@ -684,6 +685,22 @@ class TestOracleTimeoutOnOutput:
         assert counter.read_text() == "4\n"
         # the SMC posterior sink discarded its .tmp file and the directory it made
         assert not out.exists()
+
+    def test_timeout_kills_the_oracle_childs_own_children(self, tmp_path, capsys):
+        pid_file = tmp_path / "grandchild.pid"
+        script = f"sleep 4.321 & echo $! > {shlex.quote(str(pid_file))}; wait"
+        try:
+            code = main(["run", "smc", "--n", "2", "--dims", "1", "--steps", "1",
+                         "--oracle", "exec:" + shlex.join(["sh", "-c", script]),
+                         "--oracle-timeout", "1", "--out", str(tmp_path / "run")])
+            assert code == 3
+            assert capsys.readouterr().err == (
+                "abc-fuzz: environment error: oracle command 'sh' exceeded 1.0 s\n")
+            assert gone_within(int(pid_file.read_text()), 1)
+        except BaseException:  # a failure leaves no sleep running
+            with contextlib.suppress(OSError, ValueError):
+                os.kill(int(pid_file.read_text()), signal.SIGKILL)
+            raise
 
 
 class TestStreamedRunFailure:

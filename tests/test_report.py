@@ -37,7 +37,7 @@ from abcfuzz import (
 from abcfuzz import core, report, smc
 from abcfuzz.cli import main
 from abcfuzz.report import write_csv, write_json, write_lines
-from support import assert_read_only
+from support import assert_read_only, gone_within, running
 
 
 def _payload(**overrides):
@@ -406,15 +406,6 @@ def _logged_pids(log) -> set:
     return {int(pid) for pid in log.read_text().split()} if log.exists() else set()
 
 
-def _running(pid: int) -> bool:
-    """Whether process ``pid`` runs; a zombie waiting to be reaped does not."""
-    try:
-        with open(f"/proc/{pid}/stat", encoding="ascii") as fh:
-            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
-    except FileNotFoundError:
-        return False
-
-
 def _holding_gen_prior(tmp_path, log, n=40, preexec_fn=None):
     """gen-prior of ``n`` rows in a _HOLDING_WORKERS child, in a session of
     its own, once both its workers hold a chunk."""
@@ -441,7 +432,7 @@ class TestKilledParent:
         assert len(workers) == 2
         assert "Traceback" not in err, err
         time.sleep(2)
-        assert not [pid for pid in workers if _running(pid)]
+        assert not [pid for pid in workers if running(pid)]
 
     def test_worker_ends_without_traceback_when_its_result_is_unread(self, tmp_path):
         # a parent that dies with a result unread in its socket resets the
@@ -450,10 +441,7 @@ class TestKilledParent:
                               capture_output=True, text=True, timeout=10)
         assert proc.returncode == -signal.SIGKILL
         (worker,) = map(int, proc.stdout.split())
-        deadline = time.monotonic() + 2
-        while _running(worker) and time.monotonic() < deadline:
-            time.sleep(0.01)
-        assert not _running(worker)
+        assert gone_within(worker, 2)
         assert "Traceback" not in proc.stderr, proc.stderr
 
 
@@ -528,7 +516,7 @@ class TestStopSignals:
         assert proc.returncode == code, err
         assert err == "abc-fuzz: terminated\n"
         assert len(workers) == 2
-        assert not [pid for pid in workers if _running(pid)]
+        assert not [pid for pid in workers if running(pid)]
         assert not list((tmp_path / "run").glob("*.tmp"))
 
     @pytest.mark.parametrize("signum", [signal.SIGTERM, signal.SIGHUP],
@@ -564,33 +552,53 @@ class TestStopSignals:
     @pytest.mark.parametrize("signum, code", [(signal.SIGTERM, 143), (signal.SIGHUP, 129)],
                              ids=["sigterm", "sighup"])
     def test_signal_during_a_verdict_kills_the_oracle_child(self, tmp_path, signum, code):
-        # the child reads a payload line first, so once its pid is written
-        # the parent is inside the verdict, past the spawn
-        pid_file = tmp_path / "child.pid"
-        command = f"sh -c 'read x; echo $$ > {pid_file}; exec sleep 30'"
-        with subprocess.Popen(
-                [sys.executable, "-m", "abcfuzz.cli", "run", "smc", "--oracle",
-                 f"exec:{command}", "--oracle-timeout", "60", "--out", str(tmp_path / "run")],
-                stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True) as proc:
-            try:
-                deadline = time.monotonic() + 10
-                while not (pid_file.exists() and pid_file.read_text().strip()):
-                    assert time.monotonic() < deadline, "the oracle child never started"
-                    time.sleep(0.01)
-                child = int(pid_file.read_text())
-                proc.send_signal(signum)
-                signalled = time.monotonic()
-                _, err = proc.communicate(timeout=10)
-                while _running(child) and time.monotonic() - signalled < 1:
-                    time.sleep(0.01)
-                assert not _running(child)
-            except BaseException:  # leave neither process running
-                proc.kill()
-                with contextlib.suppress(OSError, ValueError):
-                    os.kill(int(pid_file.read_text()), signal.SIGKILL)
-                raise
-        assert proc.returncode == code, err
+        returncode, err, gone = _signalled_mid_verdict(
+            tmp_path, "echo $$ > {pid_file}; exec sleep 30", signum)
+        assert gone
+        assert returncode == code, err
         assert err == "abc-fuzz: terminated\n"
+
+    def test_signal_during_a_verdict_kills_the_oracle_childs_children(self, tmp_path):
+        returncode, err, gone = _signalled_mid_verdict(
+            tmp_path, "sleep 30 & echo $! > {pid_file}; wait", signal.SIGTERM)
+        assert gone
+        assert returncode == 143, err
+
+
+def _signalled_mid_verdict(tmp_path, script, signum):
+    """``run smc`` with the exec oracle ``sh -c 'read x; SCRIPT'``, where
+    SCRIPT writes the pid to watch to ``{pid_file}``, sent ``signum`` once
+    that pid is written: the CLI's exit code and stderr, and whether the
+    watched process stopped within 1 s of the signal."""
+    # the child reads a payload line first, so once its pid is written
+    # the parent is inside the verdict, past the spawn
+    pid_file = tmp_path / "child.pid"
+    command = f"sh -c 'read x; {script.format(pid_file=pid_file)}'"
+    with subprocess.Popen(
+            [sys.executable, "-m", "abcfuzz.cli", "run", "smc", "--oracle",
+             f"exec:{command}", "--oracle-timeout", "60", "--out", str(tmp_path / "run")],
+            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True) as proc:
+        try:
+            deadline = time.monotonic() + 10
+            while not (pid_file.exists() and pid_file.read_text().strip()):
+                assert time.monotonic() < deadline, "the oracle child never started"
+                time.sleep(0.01)
+            child = int(pid_file.read_text())
+            proc.send_signal(signum)
+            signalled = time.monotonic()
+            _, err = proc.communicate(timeout=10)
+            while running(child) and time.monotonic() - signalled < 1:
+                time.sleep(0.01)
+            gone = not running(child)
+        except BaseException:  # leave neither process running
+            proc.kill()
+            with contextlib.suppress(OSError, ValueError):
+                os.kill(int(pid_file.read_text()), signal.SIGKILL)
+            raise
+    if not gone:  # the caller fails; leave no process running
+        with contextlib.suppress(ProcessLookupError):
+            os.kill(child, signal.SIGKILL)
+    return proc.returncode, err, gone
 
 
 def _per_row_text(matrix) -> str:
