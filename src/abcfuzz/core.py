@@ -5,8 +5,12 @@ threads. Random sources are the one stateful object; each sampler run owns
 exactly one and never shares it.
 """
 
+import importlib
+import importlib.util
 import math
 import sys
+import threading
+import types
 from dataclasses import MISSING, dataclass, fields
 from typing import Iterable, Optional, Sequence, Union
 
@@ -86,20 +90,60 @@ def _block_rows(width: int, steps: int) -> int:
     return max(1, min(steps, BLOCK_DOUBLES // width))
 
 
+# Held around _load_ndtri's check of sys.modules and the load it picks.
+_NDTRI_LOCK = threading.Lock()
+
+
 def _load_ndtri():
-    """``scipy.special.ndtri``, imported at the first call.
+    """scipy's ``ndtri`` ufunc, loaded at the first call.
 
     The one import of scipy: ``_uniforms_to_normals`` calls it at a run's
-    first draw, and the pooled CSV reader while its workers parse. A scipy
-    that cannot be imported raises ImportError naming it; a failed import
-    is tried again at the next call.
+    first draw. Where the ``scipy.special`` package is not yet imported,
+    only its ufunc module is loaded, without the package's ``__init__``
+    (``_ufuncs_alone``); the ufunc is the very object ``scipy.special.ndtri``
+    names once the package is imported. Where the package is imported
+    already, or blocked with None in ``sys.modules``, or the direct load
+    fails (a SciPy that moved ``ndtri``), the package's own import is used.
+    A scipy that cannot be imported raises ImportError naming it; a failed
+    import is tried again at the next call.
     """
+    with _NDTRI_LOCK:
+        if "scipy.special" not in sys.modules:
+            try:
+                return _ufuncs_alone().ndtri
+            except (ImportError, AttributeError):
+                pass  # the package import below loads it or reports why not
+        try:
+            from scipy.special import ndtri
+        except ImportError as exc:
+            raise ImportError(f"normal draws need scipy.special, which cannot be imported: "
+                              f"{exc}") from exc
+        return ndtri
+
+
+def _ufuncs_alone():
+    """``scipy.special._ufuncs``, loaded without running the ``scipy.special``
+    package's ``__init__``, which loads some 280 modules more.
+
+    While the ufunc module loads, a bare placeholder module stands in for
+    the package, carrying only its search path; it is removed again, so a
+    later ``import scipy.special`` runs the package in full and adopts the
+    ufunc module already loaded. Called with ``_NDTRI_LOCK`` held, which
+    only ``_load_ndtri`` takes: another thread's own ``import scipy.special``
+    during this load finds the placeholder and fails.
+    """
+    ufuncs = sys.modules.get("scipy.special._ufuncs")
+    if ufuncs is not None:
+        return ufuncs
+    spec = importlib.util.find_spec("scipy.special")  # imports the light top-level scipy
+    placeholder = types.ModuleType("scipy.special")
+    placeholder.__path__ = spec.submodule_search_locations
+    sys.modules["scipy.special"] = placeholder
     try:
-        from scipy.special import ndtri
-    except ImportError as exc:
-        raise ImportError(f"normal draws need scipy.special, which cannot be imported: "
-                          f"{exc}") from exc
-    return ndtri
+        return importlib.import_module("scipy.special._ufuncs")
+    finally:
+        if sys.modules.get("scipy.special") is placeholder:
+            del sys.modules["scipy.special"]
 
 
 def _uniforms_to_normals(u: np.ndarray) -> np.ndarray:

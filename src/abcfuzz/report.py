@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import ConfigError, ENGINE_VERSION, ParticleSet, _load_ndtri, _require
+from .core import ConfigError, ENGINE_VERSION, ParticleSet, _require
 
 
 def _create(path):
@@ -448,8 +448,7 @@ def _read_pooled(path) -> Optional[np.ndarray]:
     run into its rows of a shared matrix. Anything the serial reader would
     read differently (blank lines, a ragged row, a header that is not one
     UTF-8 line, a missing final newline) shows as a count or shape that
-    disagrees, and returns None. A worker that dies raises OSError. While
-    the workers parse, the parent loads scipy for the run's first draw.
+    disagrees, and returns None. A worker that dies raises OSError.
     """
     try:
         fh = open(path, "rb")
@@ -482,10 +481,6 @@ def _read_pooled(path) -> Optional[np.ndarray]:
         _fork_pool(pool, len(runs), partial(_parse_range, path, matrix))
         for (_, conn), run in zip(pool, runs):
             conn.send(run)
-        # the run's first draw needs scipy: load it while the workers parse,
-        # and leave a scipy that cannot be imported for that draw to report
-        with contextlib.suppress(ImportError):
-            _load_ndtri()
         parsed = [conn.recv() for _, conn in pool]
     except _WORKER_DIED as exc:
         raise OSError(f"a CSV reader process died while reading {path}") from exc
@@ -499,9 +494,7 @@ def read_particles_csv(path) -> ParticleSet:
 
     A large file is parsed by forked workers where the process may fork
     (see ``_read_pooled``), and otherwise, or on any disagreement, in
-    process; both give the same values and errors. While the workers
-    parse, this process imports scipy.special, which a sampler's first
-    normal draw needs; a caller that never draws pays for that import too.
+    process; both give the same values and errors. Neither loads scipy.
     Ragged rows, non-numeric or non-finite cells and a file without rows
     raise ConfigError naming the file.
     """

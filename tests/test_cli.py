@@ -963,6 +963,23 @@ class TestLazyScipy:
         assert not out.exists()
 
 
+class TestNdtriAlone:
+    """A run that draws loads scipy's ufunc module, never the scipy.special
+    package, which would load some 280 modules more."""
+
+    @pytest.mark.parametrize("args", [
+        ["run", "smc", "--steps", "2"],
+        ["run", "mcmc", "--prior", "PRIOR", "--steps", "2", "--burn-in", "0"],
+    ], ids=["smc", "mcmc-prior-file"])
+    def test_run_loads_the_ufunc_module_alone(self, tmp_path, args):
+        prior = _small_prior_file(tmp_path)
+        args = [str(prior) if arg == "PRIOR" else arg for arg in args]
+        proc = _child(_MAIN_LISTING_SCIPY, [*args, "--out", str(tmp_path / "run")])
+        assert proc.returncode == 0, proc.stderr
+        loaded = proc.stdout.splitlines()[-1]
+        assert "'scipy.special._ufuncs'" in loaded and "'scipy.special'" not in loaded
+
+
 def _limited_child(args):
     """_MAIN_LISTING_SCIPY in a child with 1 GiB of address space and 10 s to run."""
     def limit():
@@ -1077,8 +1094,8 @@ sys.exit(code)
 
 
 class TestPooledReadWithoutScipy:
-    """The pooled reader loads scipy while its workers parse; a scipy that
-    cannot be imported is still reported at the first draw, after the file."""
+    """Neither CSV reader loads scipy, so a scipy that cannot be imported is
+    reported at the first draw, after the file is read."""
 
     def test_malformed_file_still_exits_2(self, tmp_path):
         prior = _small_prior_file(tmp_path, "x0,x1\n0.5,1.5\n2.5,3.5\n4.5\n")
@@ -1106,13 +1123,14 @@ class TestPooledReadWithoutScipy:
         assert proc.stdout.splitlines()[-1] == "[]"
 
     @pytest.mark.parametrize("workers", [2, 0], ids=["pooled", "serial"])
-    def test_only_the_pooled_read_loads_scipy(self, tmp_path, workers):
+    def test_neither_read_path_loads_scipy(self, tmp_path, workers):
         code = ("import sys; from abcfuzz import report; report.POOL_MIN_CELLS = 0; "
                 f"report._pool_workers = lambda: {workers}; "
-                "report.read_particles_csv(sys.argv[1]); print('scipy.special' in sys.modules)")
+                "report.read_particles_csv(sys.argv[1]); "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
         proc = _child(code, [str(_small_prior_file(tmp_path))])
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout == f"{workers > 0}\n"
+        assert proc.stdout == "[]\n"
 
 
 class TestPriorFileStd:

@@ -1,6 +1,8 @@
 """Core types: random source, particle sets, configs; the package's public names."""
 
 import json
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from abcfuzz import (
     SmcConfig,
     pass_rate,
 )
+from abcfuzz.core import _load_ndtri
 from support import assert_read_only
 
 
@@ -57,6 +60,101 @@ class TestRandomSource:
             RandomSource(2**64)
         with pytest.raises(ConfigError):
             RandomSource(1.5)
+
+
+def _fresh_child(code):
+    """stdout lines of ``code`` run in a new interpreter, the one place
+    where scipy.special is not imported yet: this module imports it."""
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    return proc.stdout.splitlines()
+
+
+# Draws 10**5 normals of seed 7 after ``patch`` and prints whether the
+# scipy.special package was imported, then the SHA-256 digest of the draws.
+_DRAW_DIGEST = """
+import hashlib, sys, types
+from abcfuzz import core
+{patch}
+ndtri = core._load_ndtri()
+print("scipy.special" in sys.modules)
+draws = core.RandomSource(7).standard_normal(10**5)
+import scipy.special
+assert ndtri is scipy.special.ndtri
+print(hashlib.sha256(draws.tobytes()).hexdigest())
+"""
+
+
+class TestNdtriLoad:
+    """Where scipy.special is not imported yet, the first draw loads scipy's
+    ufunc module alone; the ufunc is the one the package names."""
+
+    def test_in_process_it_is_the_package_ufunc(self):
+        assert _load_ndtri() is ndtri
+
+    def test_fresh_process_loads_the_ufunc_module_alone(self):
+        lines = _fresh_child(
+            "import sys; from abcfuzz.core import _load_ndtri; loaded = _load_ndtri(); "
+            "print('scipy.special' in sys.modules, 'scipy.special._ufuncs' in sys.modules); "
+            "import scipy.special; print(scipy.special.ndtri is loaded, _load_ndtri() is loaded)")
+        assert lines == ["False True", "True True"]
+
+    def test_failed_import_is_tried_again(self):
+        lines = _fresh_child("""
+import sys
+from abcfuzz.core import _load_ndtri
+sys.modules["scipy.special"] = None
+try:
+    _load_ndtri()
+except ImportError as exc:
+    print(str(exc).startswith("normal draws need scipy.special"))
+del sys.modules["scipy.special"]
+print(_load_ndtri().__name__, "scipy.special" in sys.modules)
+""")
+        assert lines == ["True", "ndtri False"]
+
+    # a SciPy whose ufunc module cannot be loaded alone, or holds no ndtri
+    @pytest.mark.parametrize("patch", [
+        "def moved():\n    raise ImportError('moved')\ncore._ufuncs_alone = moved",
+        "core._ufuncs_alone = lambda: types.ModuleType('scipy.special._ufuncs')",
+    ], ids=["import-error", "no-ndtri-attribute"])
+    def test_failed_direct_load_falls_back_to_the_package(self, patch):
+        direct = _fresh_child(_DRAW_DIGEST.format(patch=""))
+        fallback = _fresh_child(_DRAW_DIGEST.format(patch=patch))
+        assert direct[0] == "False" and fallback[0] == "True"
+        assert fallback[1] == direct[1]
+
+    def test_concurrent_first_loads_agree(self):
+        # The threads start 3 ms apart, so some arrive while the first one
+        # loads: without the lock, such a thread finds the placeholder
+        # package, or a half-loaded ufunc module, and its load fails.
+        lines = _fresh_child("""
+import sys, threading, time
+from abcfuzz.core import _load_ndtri
+barrier = threading.Barrier(8)
+loaded = []
+
+def load(index):
+    barrier.wait(timeout=30)
+    time.sleep(index * 0.003)
+    loaded.append(_load_ndtri())
+
+interval = sys.getswitchinterval()
+sys.setswitchinterval(1e-6)
+try:
+    threads = [threading.Thread(target=load, args=(index,)) for index in range(8)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=30)
+finally:
+    sys.setswitchinterval(interval)
+print(sum(thread.is_alive() for thread in threads), len(loaded), len(set(map(id, loaded))))
+print("scipy.special" in sys.modules)
+""")
+        assert lines == ["0 8 1", "False"]
 
 
 class TestLikelihoodTarget:

@@ -11,10 +11,15 @@ round differently, which the message's digest table shows file by file.
 
 import hashlib
 import json
+import os
 import re
+import shutil
+import subprocess
+import sys
 
 import pytest
 
+import abcfuzz
 from abcfuzz import ENGINE_VERSION
 from abcfuzz.cli import main
 
@@ -256,9 +261,14 @@ def _digests(outdir):
 
 
 @pytest.fixture(scope="module")
-def outputs(tmp_path_factory):
+def root(tmp_path_factory):
+    """The one working directory every run of ``outputs`` writes into."""
+    return tmp_path_factory.mktemp("golden")
+
+
+@pytest.fixture(scope="module")
+def outputs(root):
     """Digests of every run, executed in RUNS order inside one directory."""
-    root = tmp_path_factory.mktemp("golden")
     results = {}
     with pytest.MonkeyPatch.context() as patch:
         patch.chdir(root)
@@ -278,3 +288,21 @@ def test_engine_version_is_the_pinned_one():
 @pytest.mark.parametrize("run", list(RUNS))
 def test_artifacts_match_golden_digests(outputs, run):
     assert outputs[run] == GOLDEN[run]
+
+
+def test_fresh_interpreter_matches_golden_digests(outputs, root, tmp_path):
+    # main runs in-process above, after this suite imported scipy.special;
+    # a new interpreter loads scipy's ufunc module alone, and must draw the
+    # same bits. mcmc-pooled-prior reads smc-pooled's posterior, as above.
+    (tmp_path / "smc-pooled").mkdir()
+    shutil.copy(root / "smc-pooled" / "posterior.csv", tmp_path / "smc-pooled")
+    # the child imports the package this suite tests, from any directory
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [os.path.dirname(os.path.dirname(abcfuzz.__file__)),
+         *filter(None, [os.environ.get("PYTHONPATH")])]))
+    for name in ("smc-default", "mcmc-pooled-prior"):
+        proc = subprocess.run([sys.executable, "-m", "abcfuzz.cli", *RUNS[name], "--out", name],
+                              cwd=tmp_path, env=env, capture_output=True, text=True,
+                              timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert _digests(tmp_path / name) == GOLDEN[name], name
