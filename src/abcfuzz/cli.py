@@ -54,7 +54,9 @@ from .oracle import (
 )
 from .prior import generate_prior, slice_count
 from .report import (
+    CACHE_MIN_BYTES,
     CsvSink,
+    _read_cached,
     emit_plot_data,
     read_particles_csv,
     write_lines,
@@ -413,11 +415,41 @@ def cmd_gen_prior(args) -> int:
     return EXIT_OK
 
 
+def _cache_dir():
+    """The parsed-matrix cache directory, made with mode 0o700 where it is
+    missing: $XDG_CACHE_HOME/abc-fuzz where that is an absolute path, else
+    ~/.cache/abc-fuzz. None where neither is absolute or it cannot be made."""
+    base = os.environ.get("XDG_CACHE_HOME", "")
+    if not os.path.isabs(base):
+        base = os.path.join(os.path.expanduser("~"), ".cache")
+    directory = os.path.join(base, "abc-fuzz")
+    if not os.path.isabs(directory):
+        return None
+    try:
+        os.makedirs(directory, mode=0o700, exist_ok=True)
+    except OSError:
+        return None
+    return directory
+
+
+def _read_prior(path) -> ParticleSet:
+    """A --prior file's particles; a file of CACHE_MIN_BYTES or more is read
+    through the parsed-matrix cache, where there is one."""
+    try:
+        large = os.stat(path).st_size >= CACHE_MIN_BYTES
+    except OSError:  # read_particles_csv reports it
+        large = False
+    directory = _cache_dir() if large else None
+    if directory is None:
+        return read_particles_csv(path)
+    return _read_cached(path, directory, read_particles_csv)
+
+
 def _resolve_run_prior(args, file_cfg: dict, sampler_seed: int):
     """The prior before any draw: (particles, config, echo). A --prior file
     is read, with no config; a generated prior is configured, not drawn."""
     if args.prior is not None:
-        particles = read_particles_csv(_input_file(args.prior, "--prior", capped=False))
+        particles = _read_prior(_input_file(args.prior, "--prior", capped=False))
         echo = {"file": str(args.prior), "n_particles": particles.n,
                 "n_dims": particles.dim}
         return particles, None, echo

@@ -98,17 +98,19 @@ def _load_ndtri():
     """scipy's ``ndtri`` ufunc, loaded at the first call.
 
     The one import of scipy: ``_uniforms_to_normals`` calls it at a run's
-    first draw. Where the ``scipy.special`` package is not yet imported,
-    only its ufunc module is loaded, without the package's ``__init__``
-    (``_ufuncs_alone``); the ufunc is the very object ``scipy.special.ndtri``
-    names once the package is imported. Where the package is imported
-    already, or blocked with None in ``sys.modules``, or the direct load
-    fails (a SciPy that moved ``ndtri``), the package's own import is used.
-    A scipy that cannot be imported raises ImportError naming it; a failed
-    import is tried again at the next call.
+    first draw. Where the ``scipy.special`` package is not yet imported and
+    this is the process's only thread, only its ufunc module is loaded,
+    without the package's ``__init__`` (``_ufuncs_alone``); the ufunc is the
+    very object ``scipy.special.ndtri`` names once the package is imported.
+    Where another thread runs, which could import ``scipy.special`` itself
+    while the direct load's placeholder stands in for it, where the package
+    is imported already, or blocked with None in ``sys.modules``, or where
+    the direct load fails (a SciPy that moved ``ndtri``), the package's own
+    import is used. A scipy that cannot be imported raises ImportError
+    naming it; a failed import is tried again at the next call.
     """
     with _NDTRI_LOCK:
-        if "scipy.special" not in sys.modules:
+        if "scipy.special" not in sys.modules and threading.active_count() == 1:
             try:
                 return _ufuncs_alone().ndtri
             except (ImportError, AttributeError):
@@ -128,9 +130,10 @@ def _ufuncs_alone():
     While the ufunc module loads, a bare placeholder module stands in for
     the package, carrying only its search path; it is removed again, so a
     later ``import scipy.special`` runs the package in full and adopts the
-    ufunc module already loaded. Called with ``_NDTRI_LOCK`` held, which
-    only ``_load_ndtri`` takes: another thread's own ``import scipy.special``
-    during this load finds the placeholder and fails.
+    ufunc module already loaded. Another thread's own ``import scipy.special``
+    during this load would find the placeholder and fail, so ``_load_ndtri``
+    calls it only while its thread is the process's only one, with
+    ``_NDTRI_LOCK`` held.
     """
     ufuncs = sys.modules.get("scipy.special._ufuncs")
     if ufuncs is not None:

@@ -511,6 +511,119 @@ def read_particles_csv(path) -> ParticleSet:
         raise ConfigError(f"particle CSV {path}: {exc}") from exc
 
 
+# A particle CSV of at least this many bytes is read through the parsed-matrix
+# cache; a smaller one parses in about 20 ms or less.
+CACHE_MIN_BYTES = 1 << 20
+# Bytes the cache's entries may take together; a larger matrix is never stored.
+CACHE_MAX_BYTES = 1 << 30
+# An entry that could not be used, or stored, is skipped for any of these.
+_CACHE_ERRORS = (OSError, ValueError, EOFError, MemoryError)
+
+
+def _file_key(path) -> str:
+    """The cache key of ``path``'s bytes: SHA-256 over a tag naming the
+    engine and numpy versions, then the file, streamed in _READ_BLOCK pieces."""
+    import hashlib
+
+    digest = hashlib.sha256(f"abc-fuzz {ENGINE_VERSION} numpy {np.__version__}\n".encode())
+    block = bytearray(_READ_BLOCK)
+    with open(path, "rb", buffering=0) as fh:
+        while size := fh.readinto(block):
+            digest.update(memoryview(block)[:size])
+    return digest.hexdigest()
+
+
+def _load_entry(entry) -> Optional[ParticleSet]:
+    """The particles cached as ``entry``, or None where there is no usable
+    entry. One that cannot be loaded as a 2-D float64 matrix that
+    ``ParticleSet._adopt`` accepts is deleted; a used one is touched, so
+    eviction takes the least recently used."""
+    try:
+        with open(entry, "rb") as fh:
+            matrix = np.load(fh, allow_pickle=False)
+        if (isinstance(matrix, np.ndarray) and matrix.dtype == np.float64
+                and matrix.ndim == 2 and matrix.flags.c_contiguous):
+            particles = ParticleSet._adopt(matrix)
+            with contextlib.suppress(OSError):
+                os.utime(entry)
+            return particles
+    except FileNotFoundError:
+        return None
+    except _CACHE_ERRORS:  # a ConfigError from _adopt too
+        pass
+    with contextlib.suppress(OSError):
+        os.unlink(entry)
+    return None
+
+
+def _store_entry(entry, matrix: np.ndarray) -> None:
+    """Save ``matrix`` as ``entry``, a .npy file: written under a unique
+    temporary name in its directory, synced and renamed into place, so a
+    reader never sees part of one. The temporary file is deleted on any
+    error or interrupt. Then the least recently used entries are evicted."""
+    if matrix.nbytes > CACHE_MAX_BYTES:
+        return
+    temp = f"{entry}.{os.urandom(8).hex()}.tmp"
+    try:
+        with open(temp, "xb") as fh:
+            np.save(fh, matrix, allow_pickle=False)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(temp, entry)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(temp)
+        raise
+    _evict(os.path.dirname(entry), keep=entry)
+
+
+def _evict(directory, keep) -> None:
+    """Delete the oldest .npy entries of ``directory`` by mtime, until they
+    total at most CACHE_MAX_BYTES; ``keep``, the entry just stored, goes
+    last, so it goes only where it alone is over."""
+    entries = []
+    with os.scandir(directory) as found:
+        for each in found:
+            if each.name.endswith(".npy"):
+                with contextlib.suppress(OSError):
+                    info = each.stat(follow_symlinks=False)
+                    entries.append((each.path == keep, info.st_mtime_ns, info.st_size, each.path))
+    total = sum(size for _, _, size, _ in entries)
+    for _, _, size, path in sorted(entries):
+        if total <= CACHE_MAX_BYTES:
+            return
+        with contextlib.suppress(OSError):
+            os.unlink(path)
+        total -= size
+
+
+def _read_cached(path, directory, read) -> ParticleSet:
+    """``read(path)``, the particles of a particle CSV, through the
+    parsed-matrix cache in ``directory``.
+
+    An entry is the parsed float64 matrix saved as ``<key>.npy``, the key
+    being ``_file_key`` of the file. A hit loads it and never calls
+    ``read``. A miss calls ``read``, then hashes the file again and stores
+    the matrix only where both keys agree, so a file rewritten while it
+    was read is never stored. An error on the directory or an entry is
+    silent: it makes a miss, or a store skipped. Errors reading the file
+    itself are raised by ``read``, as without a cache.
+    """
+    try:
+        key = _file_key(path)
+    except OSError:
+        return read(path)  # which reports why the file cannot be read
+    entry = os.path.join(directory, f"{key}.npy")
+    particles = _load_entry(entry)
+    if particles is not None:
+        return particles
+    particles = read(path)
+    with contextlib.suppress(*_CACHE_ERRORS):
+        if _file_key(path) == key:
+            _store_entry(entry, particles.values)
+    return particles
+
+
 # Rows whose lines are formatted and written at a time.
 LINE_BATCH = 4096
 

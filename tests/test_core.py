@@ -129,7 +129,8 @@ print(_load_ndtri().__name__, "scipy.special" in sys.modules)
     def test_concurrent_first_loads_agree(self):
         # The threads start 3 ms apart, so some arrive while the first one
         # loads: without the lock, such a thread finds the placeholder
-        # package, or a half-loaded ufunc module, and its load fails.
+        # package, or a half-loaded ufunc module, and its load fails. With
+        # other threads running, the loads take the package import.
         lines = _fresh_child("""
 import sys, threading, time
 from abcfuzz.core import _load_ndtri
@@ -154,7 +155,44 @@ finally:
 print(sum(thread.is_alive() for thread in threads), len(loaded), len(set(map(id, loaded))))
 print("scipy.special" in sys.modules)
 """)
-        assert lines == ["0 8 1", "False"]
+        assert lines == ["0 8 1", "True"]
+
+    def test_load_beside_a_thread_importing_the_package(self):
+        # 14 threads wait for scipy.special to appear in sys.modules, then
+        # import from it, while another thread takes the first load. A
+        # direct load's placeholder package would fail each thread that
+        # finds it; a package import in progress makes them wait for it.
+        lines = _fresh_child("""
+import sys, threading, time
+from abcfuzz.core import _load_ndtri
+failed = []
+
+def use():
+    deadline = time.monotonic() + 30
+    while "scipy.special" not in sys.modules and time.monotonic() < deadline:
+        time.sleep(0.0005)
+    try:
+        from scipy.special import logsumexp
+    except Exception as exc:
+        failed.append(type(exc).__name__)
+
+interval = sys.getswitchinterval()
+sys.setswitchinterval(1e-6)
+try:
+    threads = []
+    for _ in range(14):
+        threads.append(threading.Thread(target=use))
+        threads[-1].start()
+        time.sleep(0.002)
+    threads.append(threading.Thread(target=_load_ndtri))
+    threads[-1].start()
+    for thread in threads:
+        thread.join(timeout=30)
+finally:
+    sys.setswitchinterval(interval)
+print(sum(thread.is_alive() for thread in threads), failed)
+""")
+        assert lines == ["0 []"]
 
 
 class TestLikelihoodTarget:

@@ -290,19 +290,57 @@ def test_artifacts_match_golden_digests(outputs, run):
     assert outputs[run] == GOLDEN[run]
 
 
+def _child_env():
+    """The environment of a child that imports the package this suite
+    tests, from any directory."""
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [os.path.dirname(os.path.dirname(abcfuzz.__file__)),
+         *filter(None, [os.environ.get("PYTHONPATH")])]))
+
+
+def _copy_pooled_posterior(root, tmp_path):
+    """smc-pooled's posterior, which mcmc-pooled-prior reads, into ``tmp_path``."""
+    (tmp_path / "smc-pooled").mkdir()
+    shutil.copy(root / "smc-pooled" / "posterior.csv", tmp_path / "smc-pooled")
+
+
 def test_fresh_interpreter_matches_golden_digests(outputs, root, tmp_path):
     # main runs in-process above, after this suite imported scipy.special;
     # a new interpreter loads scipy's ufunc module alone, and must draw the
     # same bits. mcmc-pooled-prior reads smc-pooled's posterior, as above.
-    (tmp_path / "smc-pooled").mkdir()
-    shutil.copy(root / "smc-pooled" / "posterior.csv", tmp_path / "smc-pooled")
-    # the child imports the package this suite tests, from any directory
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [os.path.dirname(os.path.dirname(abcfuzz.__file__)),
-         *filter(None, [os.environ.get("PYTHONPATH")])]))
+    _copy_pooled_posterior(root, tmp_path)
     for name in ("smc-default", "mcmc-pooled-prior"):
         proc = subprocess.run([sys.executable, "-m", "abcfuzz.cli", *RUNS[name], "--out", name],
-                              cwd=tmp_path, env=env, capture_output=True, text=True,
+                              cwd=tmp_path, env=_child_env(), capture_output=True, text=True,
                               timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert _digests(tmp_path / name) == GOLDEN[name], name
+
+
+# main in a child that prints how often it called the --prior parser.
+_COUNTING_MAIN = """
+import sys
+from abcfuzz import cli
+calls, read = [], cli.read_particles_csv
+cli.read_particles_csv = lambda path: calls.append(path) or read(path)
+code = cli.main(sys.argv[1:])
+print(len(calls))
+sys.exit(code)
+"""
+
+
+def test_prior_read_through_the_cache_matches_golden_digests(outputs, root, tmp_path):
+    # mcmc-pooled-prior's 3000x100 prior is past report.CACHE_MIN_BYTES: two
+    # new interpreters with one cache directory parse it, then load the
+    # matrix the first one stored, and both must write the pinned bytes
+    _copy_pooled_posterior(root, tmp_path)
+    env = dict(_child_env(), XDG_CACHE_HOME=str(tmp_path / "cache"))
+    for out, parses in (("miss", "1"), ("hit", "0")):
+        proc = subprocess.run([sys.executable, "-c", _COUNTING_MAIN,
+                               *RUNS["mcmc-pooled-prior"], "--out", out],
+                              cwd=tmp_path, env=env, capture_output=True, text=True,
+                              timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == parses, out
+        assert _digests(tmp_path / out) == GOLDEN["mcmc-pooled-prior"], out
+    assert len(os.listdir(tmp_path / "cache" / "abc-fuzz")) == 1
