@@ -8,7 +8,6 @@ target distinct output directories (out/<run-id>/ by convention).
 """
 
 import contextlib
-import io
 import json
 import os
 import signal
@@ -357,153 +356,19 @@ def write_particles_csv(particles: ParticleSet, path) -> None:
     write_csv(path, header, particles.values)
 
 
-# Bytes a reader takes from a CSV file at a time.
-_READ_BLOCK = 1 << 20
-
-
-def _loadtxt(source, skiprows: int = 0) -> np.ndarray:
-    """The one CSV parser: comma-separated float rows, blank lines skipped,
-    as a matrix, which a source without data rows warns about and leaves empty."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)
-        return np.loadtxt(source, delimiter=",", skiprows=skiprows, ndmin=2, comments=None,
-                          encoding="utf-8")
-
-
-class _ByteRange(io.RawIOBase):
-    """Bytes [start, stop) of a file opened unbuffered in binary mode."""
-
-    def __init__(self, raw, start: int, stop: int):
-        raw.seek(start)
-        self._raw, self._left = raw, stop - start
-
-    def readable(self) -> bool:
-        return True
-
-    def readinto(self, buffer) -> int:
-        size = self._raw.readinto(memoryview(buffer)[:min(len(buffer), self._left)])
-        self._left -= size
-        return size
-
-
-def _parse_range(path, matrix: np.ndarray, task) -> bool:
-    """Reader task: parse bytes [start, stop) of ``path``, a run of whole
-    lines, into ``rows`` rows of ``matrix`` from row ``first``.
-
-    The bytes are decoded like the serial reader's whole file (UTF-8,
-    universal newlines), which splitting after a "\n" byte leaves
-    unchanged, and parsed by the same ``_loadtxt``. Any other outcome than
-    exactly (rows, columns) values, an error included, returns False: the
-    caller then parses the file serially, which reports the error.
-    """
-    start, stop, first, rows = task
-    try:
-        with open(path, "rb", buffering=0) as raw, io.TextIOWrapper(
-                io.BufferedReader(_ByteRange(raw, start, stop), _READ_BLOCK),
-                encoding="utf-8") as text:
-            part = _loadtxt(text)
-    except Exception:  # any failure is a disagreement, settled by the serial reader
-        return False
-    if part.shape != (rows, matrix.shape[1]):
-        return False
-    matrix[first:first + rows] = part
-    return True
-
-
-def _split_lines(fh, start: int, end: int, parts: int):
-    """Cut bytes [start, end) of ``fh`` into at most ``parts`` runs of whole
-    lines of near-equal size, streaming them in _READ_BLOCK pieces:
-    [(start, stop, first row, rows)], where a row is a "\n"-ended line, plus
-    whether the last byte read is "\n"."""
-    targets = [start + (end - start) * k // parts for k in range(1, parts)]
-    runs, begin, first, rows, pos, last = [], start, 0, 0, start, b""
-    fh.seek(start)
-    while block := fh.read(_READ_BLOCK):
-        done = 0  # bytes of the block whose lines are counted
-        while targets and targets[0] < pos + len(block):
-            cut = block.find(b"\n", max(targets[0] - pos, done))
-            if cut < 0:  # the run ends in a later block
-                break
-            cut += 1
-            rows += block.count(b"\n", done, cut)
-            runs.append((begin, pos + cut, first, rows))
-            begin, first, rows, done = pos + cut, first + rows, 0, cut
-            targets = [t for t in targets if t >= begin]
-        rows += block.count(b"\n", done)
-        pos += len(block)
-        last = block[-1:]
-    if begin < pos:
-        runs.append((begin, pos, first, rows))
-    return runs, last == b"\n"
-
-
-def _read_pooled(path) -> Optional[np.ndarray]:
-    """The data rows of a large particle CSV, parsed by forked workers, or
-    None where the serial reader must run.
-
-    A file whose data has an estimated POOL_MIN_CELLS cells or more, in a
-    process that may fork two or more workers, is cut into one run of whole
-    lines per worker. The parent counts each run's "\n"-ended lines and
-    takes the column count from the first data row; each worker parses its
-    run into its rows of a shared matrix. Anything the serial reader would
-    read differently (blank lines, a ragged row, a header that is not one
-    UTF-8 line, a missing final newline) shows as a count or shape that
-    disagrees, and returns None. A worker that dies raises OSError.
-    """
-    try:
-        fh = open(path, "rb")
-    except OSError:  # the serial reader reports it
-        return None
-    with fh:
-        header, row = fh.readline(_READ_BLOCK), fh.readline(_READ_BLOCK)
-        if not (header.endswith(b"\n") and row.endswith(b"\n")):
-            return None
-        try:
-            header.decode("utf-8")
-        except UnicodeDecodeError:
-            return None
-        if b"\r" in header.removesuffix(b"\n").removesuffix(b"\r"):
-            return None  # universal newlines end the header before its "\n"
-        cols = row.count(b",") + 1
-        size = os.fstat(fh.fileno()).st_size
-        data = size - len(header)
-        if data // len(row) * cols < POOL_MIN_CELLS or (workers := _pool_workers()) < 2:
-            return None
-        runs, newline_ended = _split_lines(fh, len(header), size, workers)
-    rows = sum(run[3] for run in runs)
-    # a well-formed row takes two bytes a cell, so this also bounds the matrix
-    if not newline_ended or 2 * rows * cols > data:
-        return None
-    matrix = np.frombuffer(_shared(rows * cols * 8, f"a ({rows}, {cols}) matrix"))
-    matrix = matrix.reshape(rows, cols)
-    pool = []
-    try:
-        _fork_pool(pool, len(runs), partial(_parse_range, path, matrix))
-        for (_, conn), run in zip(pool, runs):
-            conn.send(run)
-        parsed = [conn.recv() for _, conn in pool]
-    except _WORKER_DIED as exc:
-        raise OSError(f"a CSV reader process died while reading {path}") from exc
-    finally:
-        _reap(pool)
-    return matrix if all(parsed) else None
-
-
 def read_particles_csv(path) -> ParticleSet:
-    """Load a particle CSV: one header line, then one particle per row.
-
-    A large file is parsed by forked workers where the process may fork
-    (see ``_read_pooled``), and otherwise, or on any disagreement, in
-    process; both give the same values and errors. Neither loads scipy.
+    """Load a particle CSV: one header line, then one particle per row,
+    blank lines skipped, parsed in process without loading scipy.
     Ragged rows, non-numeric or non-finite cells and a file without rows
     raise ConfigError naming the file.
     """
-    values = _read_pooled(path)
-    if values is None:
-        try:
-            values = _loadtxt(path, skiprows=1)
-        except ValueError as exc:
-            raise ConfigError(f"particle CSV {path} is malformed: {exc}") from exc
+    try:
+        with warnings.catch_warnings():  # a file without rows is reported below
+            warnings.simplefilter("ignore", UserWarning)
+            values = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2, comments=None,
+                                encoding="utf-8")
+    except ValueError as exc:
+        raise ConfigError(f"particle CSV {path} is malformed: {exc}") from exc
     _require(values.shape[0] >= 1, f"particle CSV {path} needs a header and at least one row")
     try:
         return ParticleSet._adopt(values)
@@ -518,6 +383,8 @@ CACHE_MIN_BYTES = 1 << 20
 CACHE_MAX_BYTES = 1 << 30
 # An entry that could not be used, or stored, is skipped for any of these.
 _CACHE_ERRORS = (OSError, ValueError, EOFError, MemoryError)
+# Bytes the cache key takes from a particle CSV at a time.
+_READ_BLOCK = 1 << 20
 
 
 def _file_key(path) -> str:

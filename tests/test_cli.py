@@ -1068,23 +1068,11 @@ class TestInputFiles:
         assert not out.exists()
 
 
-# Runs main in a child whose scipy.special cannot be imported and whose CSV
-# reader takes the pool on any file, and prints whether the pooled read
-# kept its values, then which of scipy, mmap and multiprocessing it loaded.
-_POOLED_MAIN_WITHOUT_SCIPY = """
+# Runs main in a child whose scipy.special cannot be imported, then prints
+# which of scipy, mmap and multiprocessing it loaded.
+_MAIN_WITHOUT_SCIPY_LISTING = """
 import sys
 sys.modules["scipy.special"] = None
-from abcfuzz import report
-report.POOL_MIN_CELLS = 0
-report._pool_workers = lambda: 2
-read_pooled = report._read_pooled
-
-def logged(path):
-    values = read_pooled(path)
-    print("pooled" if values is not None else "serial")
-    return values
-
-report._read_pooled = logged
 from abcfuzz.cli import main
 code = main(sys.argv[1:]) if sys.argv[1:] else 0
 loaded = {name.split(".")[0] for name, module in sys.modules.items() if module is not None}
@@ -1093,39 +1081,35 @@ sys.exit(code)
 """
 
 
-class TestPooledReadWithoutScipy:
-    """Neither CSV reader loads scipy, so a scipy that cannot be imported is
+class TestPriorReadWithoutScipy:
+    """The CSV reader loads no scipy, so a scipy that cannot be imported is
     reported at the first draw, after the file is read."""
 
     def test_malformed_file_still_exits_2(self, tmp_path):
         prior = _small_prior_file(tmp_path, "x0,x1\n0.5,1.5\n2.5,3.5\n4.5\n")
-        proc = _child(_POOLED_MAIN_WITHOUT_SCIPY,
+        proc = _child(_MAIN_WITHOUT_SCIPY_LISTING,
                       ["run", "mcmc", "--prior", str(prior), "--out", str(tmp_path / "run")])
         assert proc.returncode == 2, proc.stderr
-        assert proc.stdout.splitlines()[0] == "serial"  # the workers disagreed
         assert proc.stderr.startswith(f"abc-fuzz: error: particle CSV {prior} is malformed")
         assert len(proc.stderr.splitlines()) == 1, proc.stderr
 
     def test_clean_file_exits_3_at_the_first_draw(self, tmp_path):
         prior = _small_prior_file(tmp_path)
-        proc = _child(_POOLED_MAIN_WITHOUT_SCIPY,
+        proc = _child(_MAIN_WITHOUT_SCIPY_LISTING,
                       ["run", "mcmc", "--prior", str(prior), "--out", str(tmp_path / "run")])
         assert proc.returncode == 3, proc.stderr
-        assert proc.stdout.splitlines()[0] == "pooled"
         assert proc.stderr.startswith("abc-fuzz: environment error: normal draws need scipy")
         assert len(proc.stderr.splitlines()) == 1, proc.stderr
 
     @pytest.mark.parametrize("args", [[], ["--version"], ["run", "--help"]],
                              ids=["import", "version", "run-help"])
     def test_startup_loads_no_scipy_mmap_or_multiprocessing(self, args):
-        proc = _child(_POOLED_MAIN_WITHOUT_SCIPY, args)
+        proc = _child(_MAIN_WITHOUT_SCIPY_LISTING, args)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1] == "[]"
 
-    @pytest.mark.parametrize("workers", [2, 0], ids=["pooled", "serial"])
-    def test_neither_read_path_loads_scipy(self, tmp_path, workers):
-        code = ("import sys; from abcfuzz import report; report.POOL_MIN_CELLS = 0; "
-                f"report._pool_workers = lambda: {workers}; "
+    def test_read_loads_no_scipy(self, tmp_path):
+        code = ("import sys; from abcfuzz import report; "
                 "report.read_particles_csv(sys.argv[1]); "
                 "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
         proc = _child(code, [str(_small_prior_file(tmp_path))])

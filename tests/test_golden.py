@@ -44,8 +44,8 @@ RUNS = {
     # pooled-size chain repeat the row before them
     "mcmc-pooled-repeats": ["run", "mcmc", "--steps", "3100", "--burn-in", "100",
                             "--step-std", "5"],
-    # reads smc-pooled's 3000x100 posterior.csv: the pooled reader where the
-    # host has two usable CPUs, the serial one otherwise
+    # reads smc-pooled's 3000x100 posterior.csv, parsed in process on any host;
+    # the file is past report.CACHE_MIN_BYTES, so a second read loads the cache
     "mcmc-pooled-prior": ["run", "mcmc", "--prior", "smc-pooled/posterior.csv",
                           "--steps", "300", "--burn-in", "50"],
     # CONFIG_FILE sets every key of every section; one flag overrides it per run
@@ -330,9 +330,9 @@ sys.exit(code)
 
 
 def test_prior_read_through_the_cache_matches_golden_digests(outputs, root, tmp_path):
-    # mcmc-pooled-prior's 3000x100 prior is past report.CACHE_MIN_BYTES: two
-    # new interpreters with one cache directory parse it, then load the
-    # matrix the first one stored, and both must write the pinned bytes
+    # mcmc-pooled-prior's 3000x100 prior is past report.CACHE_MIN_BYTES: of
+    # two new interpreters with one cache directory, the first parses it and
+    # stores the matrix, the second loads it, and both write the pinned bytes
     _copy_pooled_posterior(root, tmp_path)
     env = dict(_child_env(), XDG_CACHE_HOME=str(tmp_path / "cache"))
     for out, parses in (("miss", "1"), ("hit", "0")):

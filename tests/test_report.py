@@ -99,6 +99,29 @@ class TestWriteReport:
         assert path.read_bytes().endswith(b"\n")
 
 
+# Reads the particle CSV named by its argument in a child whose process
+# starts all raise, then prints the matrix shape, the process starts tried
+# and which of mmap and multiprocessing the child loaded.
+_READ_IN_A_CHILD = """
+import os, sys
+tried = []
+
+def refused(name):
+    def start(*args, **kwargs):
+        tried.append(name)
+        raise OSError(f"{name} refused")
+    return start
+
+for name in ("fork", "forkpty", "posix_spawn", "posix_spawnp"):
+    if hasattr(os, name):
+        setattr(os, name, refused(name))
+from abcfuzz import read_particles_csv
+print(read_particles_csv(sys.argv[1]).values.shape)
+print(tried)
+print(sorted({"mmap", "multiprocessing"} & set(sys.modules)))
+"""
+
+
 class TestParticleCsv:
     def test_round_trip_is_bitwise_lossless(self, tmp_path):
         prior = generate_prior(PriorConfig(n_particles=6, n_dims=5, seed=3))
@@ -143,6 +166,24 @@ class TestParticleCsv:
         path = tmp_path / "column.csv"
         path.write_text("x0\n1.5\n\n-2.0\n")
         assert read_particles_csv(path).values.tolist() == [[1.5], [-2.0]]
+
+    def test_read_set_is_read_only(self, tmp_path):
+        path = tmp_path / "prior.csv"
+        write_particles_csv(generate_prior(PriorConfig(n_particles=40, n_dims=10, seed=8)), path)
+        assert_read_only(read_particles_csv(path))
+
+    def test_large_read_starts_no_process(self, tmp_path):
+        # past the size from which the writer forks its pool: the read still
+        # loads neither multiprocessing nor mmap, and forks nothing
+        path = tmp_path / "prior.csv"
+        rows, cols = 3000, 100
+        assert rows * cols >= report.POOL_MIN_CELLS
+        np.savetxt(path, np.random.default_rng(1).normal(size=(rows, cols)), delimiter=",",
+                   header=",".join(f"x{i}" for i in range(cols)), comments="")
+        proc = subprocess.run([sys.executable, "-c", _READ_IN_A_CHILD, str(path)],
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == [f"{(rows, cols)}", "[]", "[]"]
 
 
 @pytest.fixture(scope="module")
@@ -936,152 +977,3 @@ class TestRing:
         assert len(judged) == 20
         assert multiprocessing.active_children() == []
         assert list(out.iterdir()) == []  # made before the sink, so it stays
-
-
-@contextlib.contextmanager
-def _pool_forced(workers):
-    """The reader pool on any file size with ``workers`` (>= 2), or off (0)."""
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(report, "POOL_MIN_CELLS", 0)
-        patch.setattr(report, "_pool_workers", lambda: workers)
-        yield
-
-
-def _read_outcome(path, workers):
-    """read_particles_csv's values, or its ConfigError message."""
-    with _pool_forced(workers):
-        try:
-            values = read_particles_csv(path).values
-        except ConfigError as exc:
-            return "error", str(exc)
-    return values.shape, values.tobytes()
-
-
-_CELLS = st.one_of(st.floats(allow_nan=False, allow_infinity=False, width=64),
-                   st.sampled_from(SPECIAL_VALUES))
-_TABLES = st.integers(1, 3).flatmap(lambda cols: st.lists(
-    st.lists(_CELLS, min_size=cols, max_size=cols), min_size=1, max_size=12))
-# A defect in the last row lies in the last run, whatever the worker count.
-_READ_DEFECTS = ["none", "blank-line", "ragged-row", "inf-cell", "text-cell",
-                 "non-utf8-byte", "no-final-newline"]
-
-
-def _csv_with(data, defect) -> bytes:
-    """A particle CSV drawn from ``data``: CRLF or LF lines, cells with or
-    without surrounding whitespace, and ``defect`` in one row."""
-    table = [[repr(value) for value in row] for row in data.draw(_TABLES, label="table")]
-    pad = data.draw(st.sampled_from(["", " ", "\t "]), label="pad")
-    eol = data.draw(st.sampled_from(["\n", "\r\n"]), label="eol")
-    at = data.draw(st.sampled_from([len(table) - 1, 0]) | st.integers(0, len(table) - 1),
-                   label="row")
-    if defect == "ragged-row":
-        table[at] = table[at][:-1] if len(table[at]) > 1 else table[at] + ["1.0"]
-    elif defect == "inf-cell":
-        table[at][0] = "inf"
-    elif defect == "text-cell":
-        table[at][-1] = "oops"
-    elif defect == "non-utf8-byte":
-        table[at][0] += "\udcff"  # the byte 0xff
-    lines = [pad + f"{pad},{pad}".join(row) + pad for row in table]
-    if defect == "blank-line":
-        lines.insert(at + 1, "")
-    header = ",".join(f"x{i}" for i in range(len(table[0])))
-    text = eol.join([header, *lines]) + ("" if defect == "no-final-newline" else eol)
-    return text.encode("utf-8", "surrogateescape")
-
-
-@pytest.fixture
-def pool_reader(tmp_path, monkeypatch):
-    """Force the reader pool on small files with two workers. Returns the
-    pids that parsed a run."""
-    monkeypatch.setattr(report, "POOL_MIN_CELLS", 0)
-    monkeypatch.setattr(report, "_pool_workers", lambda: 2)
-    log = tmp_path / "parser-pids.txt"
-    parse_range = report._parse_range
-
-    def logged(*args):
-        with open(log, "a", encoding="ascii") as fh:
-            fh.write(f"{os.getpid()}\n")
-        return parse_range(*args)
-
-    monkeypatch.setattr(report, "_parse_range", logged)
-    return lambda: {int(pid) for pid in log.read_text().split()}
-
-
-def _prior_file(tmp_path, rows=40, cols=10):
-    path = tmp_path / "prior.csv"
-    write_particles_csv(generate_prior(PriorConfig(n_particles=rows, n_dims=cols, seed=8)),
-                        path)
-    return path
-
-
-class TestPoolReader:
-    @pytest.mark.parametrize("defect", _READ_DEFECTS)
-    @settings(max_examples=15, deadline=None)
-    @given(data=st.data(), workers=st.sampled_from([2, 3]))
-    def test_pooled_read_equals_the_serial_read(self, tmp_path_factory, defect, data, workers):
-        path = tmp_path_factory.mktemp("read") / "particles.csv"
-        path.write_bytes(_csv_with(data, defect))
-        assert _read_outcome(path, workers) == _read_outcome(path, 0)
-        assert multiprocessing.active_children() == []
-        if defect == "none":  # no disagreement: the workers' values are used
-            with _pool_forced(workers):
-                assert report._read_pooled(path) is not None
-
-    @pytest.mark.parametrize("text", [
-        b"x0\n1.5\n\n2.5\n",                      # blank line in the last run
-        b"x0,x1\n1.5,2.5\n3.5,4.5\n5.5\n",          # ragged last row
-        b"x0\n1.5\n2.5\n3.5",                      # no final newline
-        b"x0\n1.5\n2.5\n\xff3.5\n",                # non-UTF-8 byte in the last run
-        b"x0\r1.5\n2.5\n3.5\n",                    # header ended by a lone CR
-        b"x\xff0\n1.5\n2.5\n",                     # non-UTF-8 header
-    ], ids=["blank-line", "ragged-row", "no-final-newline", "non-utf8-byte", "cr-header",
-            "non-utf8-header"])
-    def test_disagreements_fall_back_to_the_serial_read(self, tmp_path, text):
-        path = tmp_path / "particles.csv"
-        path.write_bytes(text)
-        with _pool_forced(2):
-            assert report._read_pooled(path) is None
-        assert _read_outcome(path, 2) == _read_outcome(path, 0)
-        assert multiprocessing.active_children() == []
-
-    @pytest.mark.parametrize("workers", [2, 0], ids=["pooled", "serial"])
-    def test_read_set_is_read_only(self, tmp_path, workers):
-        path = _prior_file(tmp_path)
-        with _pool_forced(workers):
-            assert (report._read_pooled(path) is not None) == (workers > 0)
-            assert_read_only(read_particles_csv(path))
-        assert multiprocessing.active_children() == []
-
-    def test_workers_parse_the_runs(self, tmp_path, pool_reader):
-        path = _prior_file(tmp_path)
-        pooled = read_particles_csv(path)
-        assert pool_reader() - {os.getpid()}, "no run was parsed by a worker"
-        assert os.getpid() not in pool_reader()
-        assert multiprocessing.active_children() == []
-        assert pooled.values.tobytes() == _read_outcome(path, 0)[1]
-
-    def test_killed_worker_exits_3_without_traceback(self, tmp_path, monkeypatch, capfd,
-                                                    pool_reader):
-        monkeypatch.setattr(report, "_parse_range", _dying_in_worker(report._parse_range))
-        out = tmp_path / "run"
-        args = ["run", "mcmc", "--prior", str(_prior_file(tmp_path)), "--steps", "2",
-                "--burn-in", "0", "--out", str(out)]
-        assert main(args) == 3
-        err = capfd.readouterr().err
-        assert "environment error" in err and "reader process died" in err
-        assert "prior.csv" in err and "Traceback" not in err
-        assert multiprocessing.active_children() == []
-        assert not out.exists()
-
-    def test_interrupt_through_main_exits_130_leaving_no_child(self, tmp_path, monkeypatch,
-                                                               capfd, pool_reader):
-        monkeypatch.setattr(report, "_parse_range",
-                            _interrupting(tmp_path, report._parse_range))
-        out = tmp_path / "run"
-        args = ["run", "mcmc", "--prior", str(_prior_file(tmp_path)), "--steps", "2",
-                "--burn-in", "0", "--out", str(out)]
-        assert main(args) == 130
-        assert capfd.readouterr().err == "abc-fuzz: interrupted\n"
-        assert multiprocessing.active_children() == []
-        assert not out.exists()
