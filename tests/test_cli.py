@@ -1108,11 +1108,13 @@ class TestPriorReadWithoutScipy:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1] == "[]"
 
-    def test_read_loads_no_scipy(self, tmp_path):
+    @pytest.mark.parametrize("rows", [2, 3000], ids=["small", "past-pool-min-cells"])
+    def test_read_loads_no_scipy(self, tmp_path, rows):
+        text = "x0,x1\n" + "0.5,1.5\n" * rows
         code = ("import sys; from abcfuzz import report; "
                 "report.read_particles_csv(sys.argv[1]); "
                 "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-        proc = _child(code, [str(_small_prior_file(tmp_path))])
+        proc = _child(code, [str(_small_prior_file(tmp_path, text))])
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "[]\n"
 

@@ -99,9 +99,10 @@ class TestWriteReport:
         assert path.read_bytes().endswith(b"\n")
 
 
-# Reads the particle CSV named by its argument in a child whose process
-# starts all raise, then prints the matrix shape, the process starts tried
-# and which of mmap and multiprocessing the child loaded.
+# Reads the particle CSV named by its first argument in a child whose process
+# starts all raise, with the writer's pool forced on where the second is
+# "forced", then prints the matrix shape, the process starts tried and which
+# of mmap and multiprocessing the child loaded.
 _READ_IN_A_CHILD = """
 import os, sys
 tried = []
@@ -115,7 +116,10 @@ def refused(name):
 for name in ("fork", "forkpty", "posix_spawn", "posix_spawnp"):
     if hasattr(os, name):
         setattr(os, name, refused(name))
-from abcfuzz import read_particles_csv
+from abcfuzz import read_particles_csv, report
+if sys.argv[2:] == ["forced"]:  # the writer's pool on any size, with two workers
+    report.POOL_MIN_CELLS = 0
+    report._pool_workers = lambda: 2
 print(read_particles_csv(sys.argv[1]).values.shape)
 print(tried)
 print(sorted({"mmap", "multiprocessing"} & set(sys.modules)))
@@ -172,15 +176,17 @@ class TestParticleCsv:
         write_particles_csv(generate_prior(PriorConfig(n_particles=40, n_dims=10, seed=8)), path)
         assert_read_only(read_particles_csv(path))
 
-    def test_large_read_starts_no_process(self, tmp_path):
-        # past the size from which the writer forks its pool: the read still
-        # loads neither multiprocessing nor mmap, and forks nothing
+    @pytest.mark.parametrize("pool", ["host", "forced"])
+    def test_large_read_starts_no_process(self, tmp_path, pool):
+        # past the size from which the writer forks its pool, and with that
+        # pool forced on two workers: the read still loads neither
+        # multiprocessing nor mmap, and forks nothing
         path = tmp_path / "prior.csv"
         rows, cols = 3000, 100
         assert rows * cols >= report.POOL_MIN_CELLS
         np.savetxt(path, np.random.default_rng(1).normal(size=(rows, cols)), delimiter=",",
                    header=",".join(f"x{i}" for i in range(cols)), comments="")
-        proc = subprocess.run([sys.executable, "-c", _READ_IN_A_CHILD, str(path)],
+        proc = subprocess.run([sys.executable, "-c", _READ_IN_A_CHILD, str(path), pool],
                               capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines() == [f"{(rows, cols)}", "[]", "[]"]
@@ -977,3 +983,123 @@ class TestRing:
         assert len(judged) == 20
         assert multiprocessing.active_children() == []
         assert list(out.iterdir()) == []  # made before the sink, so it stays
+
+
+_CELLS = st.one_of(st.floats(allow_nan=False, allow_infinity=False, width=64),
+                   st.sampled_from(SPECIAL_VALUES))
+_TABLES = st.integers(1, 3).flatmap(lambda cols: st.lists(
+    st.lists(_CELLS, min_size=cols, max_size=cols), min_size=1, max_size=12))
+_READ_DEFECTS = ["none", "blank-line", "ragged-row", "inf-cell", "text-cell",
+                 "non-utf8-byte", "no-final-newline"]
+
+
+def _csv_with(data, defect):
+    """A particle CSV drawn from ``data``, with CRLF or LF lines, cells with
+    or without surrounding whitespace and ``defect`` in one row. Returns the
+    file's bytes and its rows of cells as written."""
+    table = [[repr(value) for value in row] for row in data.draw(_TABLES, label="table")]
+    pad = data.draw(st.sampled_from(["", " ", "\t "]), label="pad")
+    eol = data.draw(st.sampled_from(["\n", "\r\n"]), label="eol")
+    at = data.draw(st.sampled_from([len(table) - 1, 0]) | st.integers(0, len(table) - 1),
+                   label="row")
+    if defect == "ragged-row":
+        table[at] = table[at][:-1] if len(table[at]) > 1 else table[at] + ["1.0"]
+    elif defect == "inf-cell":
+        table[at][0] = "inf"
+    elif defect == "text-cell":
+        table[at][-1] = "oops"
+    elif defect == "non-utf8-byte":
+        table[at][0] += "\udcff"  # the byte 0xff
+    lines = [pad + f"{pad},{pad}".join(row) + pad for row in table]
+    if defect == "blank-line":
+        lines.insert(at + 1, "")
+    header = ",".join(f"x{i}" for i in range(len(table[0])))
+    text = eol.join([header, *lines]) + ("" if defect == "no-final-newline" else eol)
+    return text.encode("utf-8", "surrogateescape"), table
+
+
+def _read_outcome(path):
+    """read_particles_csv's values as (shape, bytes), or its ConfigError message."""
+    try:
+        values = read_particles_csv(path).values
+    except ConfigError as exc:
+        return "error", str(exc)
+    return values.shape, values.tobytes()
+
+
+class TestParticleCsvRead:
+    """The one in-process reader on drawn and hand-made files: the values
+    written, bit for bit, or one ConfigError naming the file."""
+
+    @pytest.mark.parametrize("defect", _READ_DEFECTS)
+    @settings(max_examples=15, deadline=None)
+    @given(data=st.data())
+    def test_drawn_file_reads_its_cells_or_names_the_file(self, tmp_path_factory, defect,
+                                                          data):
+        path = tmp_path_factory.mktemp("read") / "particles.csv"
+        text, table = _csv_with(data, defect)
+        path.write_bytes(text)
+        if defect in ("text-cell", "non-utf8-byte") or len({len(row) for row in table}) > 1:
+            expected = ("error", f"particle CSV {path} is malformed")
+        elif defect == "inf-cell":
+            expected = ("error", f"particle CSV {path}: particle values must be finite")
+        else:
+            values = np.array([[float(cell) for cell in row] for row in table])
+            expected = (values.shape, values.tobytes())
+        outcome = _read_outcome(path)
+        if expected[0] == "error":
+            assert outcome[0] == "error" and outcome[1].startswith(expected[1]), outcome
+        else:
+            assert outcome == expected
+
+    @pytest.mark.parametrize("text, rows", [
+        (b"x0\n1.5\n\n2.5\n", [[1.5], [2.5]]),
+        (b"x0,x1\n1.5,2.5\n3.5,4.5\n5.5\n", None),
+        (b"x0\n1.5\n2.5\n3.5", [[1.5], [2.5], [3.5]]),
+        (b"x0\n1.5\n2.5\n\xff3.5\n", None),
+        (b"x0\r1.5\n2.5\n3.5\n", [[1.5], [2.5], [3.5]]),
+        (b"x\xff0\n1.5\n2.5\n", None),
+    ], ids=["blank-line", "ragged-row", "no-final-newline", "non-utf8-byte", "cr-header",
+            "non-utf8-header"])
+    def test_edge_file_reads_its_rows_or_is_malformed(self, tmp_path, text, rows):
+        path = tmp_path / "particles.csv"
+        path.write_bytes(text)
+        if rows is None:
+            with pytest.raises(ConfigError, match="^particle CSV .*particles.csv is malformed"):
+                read_particles_csv(path)
+        else:
+            assert read_particles_csv(path).values.tolist() == rows
+
+    def test_memory_error_in_the_read_exits_3_without_output(self, tmp_path, monkeypatch,
+                                                            capfd):
+        def exhausted(*args, **kwargs):
+            raise MemoryError("the parse could not allocate")
+
+        monkeypatch.setattr(np, "loadtxt", exhausted)
+        path = tmp_path / "prior.csv"
+        write_particles_csv(generate_prior(PriorConfig(n_particles=40, n_dims=10, seed=8)), path)
+        out = tmp_path / "run"
+        args = ["run", "mcmc", "--prior", str(path), "--steps", "2", "--burn-in", "0",
+                "--out", str(out)]
+        assert main(args) == 3
+        assert capfd.readouterr().err == (
+            "abc-fuzz: environment error: out of memory: the parse could not allocate\n")
+        assert not out.exists()
+
+    def test_interrupt_in_the_read_exits_130_without_output(self, tmp_path, monkeypatch,
+                                                           capfd):
+        loadtxt = np.loadtxt
+
+        def interrupted(*args, **kwargs):
+            os.kill(os.getpid(), signal.SIGINT)
+            return loadtxt(*args, **kwargs)
+
+        monkeypatch.setattr(np, "loadtxt", interrupted)
+        path = tmp_path / "prior.csv"
+        write_particles_csv(generate_prior(PriorConfig(n_particles=40, n_dims=10, seed=8)), path)
+        out = tmp_path / "run"
+        args = ["run", "mcmc", "--prior", str(path), "--steps", "2", "--burn-in", "0",
+                "--out", str(out)]
+        assert main(args) == 130
+        assert capfd.readouterr().err == "abc-fuzz: interrupted\n"
+        assert not out.exists()
