@@ -20,6 +20,14 @@ import sys
 import threading
 from pathlib import Path
 
+# The engine makes no BLAS call, so one OpenBLAS thread spares the pools that
+# numpy and scipy would each start at load. Set only where numpy is not yet
+# loaded and the caller set no value. Exec-oracle children get the caller's
+# environment, without it (oracle.PROCESS_ONLY_ENV).
+_SET_BLAS_THREADS = "numpy" not in sys.modules and "OPENBLAS_NUM_THREADS" not in os.environ
+if _SET_BLAS_THREADS:
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+
 import numpy as np
 
 from .core import (
@@ -48,6 +56,7 @@ from .oracle import (
     ExternalOracle,
     OracleSpawnError,
     OracleTimeoutError,
+    PROCESS_ONLY_ENV,
     RangeOracle,
     count_passing,
     pass_rate,
@@ -67,6 +76,9 @@ from .report import (
 # cli.write_json by name
 from .report import write_csv, write_json  # noqa: F401
 from .smc import run_smc
+
+if _SET_BLAS_THREADS:
+    PROCESS_ONLY_ENV.add("OPENBLAS_NUM_THREADS")
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -205,7 +217,7 @@ def _output_dir(out_flag, run_id: str) -> Path:
     so a run that fails before writing leaves none behind."""
     if out_flag is not None:
         return Path(out_flag)
-    return Path(os.environ.get("ABC_FUZZ_OUT", "out")) / run_id
+    return Path(os.environ.get("ABC_FUZZ_OUT") or "out") / run_id
 
 
 def _add_config_flags(parser):
@@ -345,7 +357,7 @@ def _resolve_likelihood(args, file_cfg: dict, n_dims: int, prior_std,
     cfg = LikelihoodConfig.from_dict(data)
     if cfg.target.size != n_dims:
         raise ConfigError(
-            f"--target has {cfg.target.size} dims but the prior has {n_dims}")
+            f"{name} has {cfg.target.size} dims but the prior has {n_dims}")
     return cfg
 
 

@@ -41,6 +41,11 @@ class OracleVerdict:
 
 Oracle = Callable[[np.ndarray], OracleVerdict]
 
+# Environment variables this process set for itself alone (the CLI's
+# one-BLAS-thread default); every exec-oracle child gets the environment
+# without them, as the caller gave it.
+PROCESS_ONLY_ENV = set()
+
 
 @dataclass(frozen=True)
 class RangeOracle(_Record):
@@ -111,9 +116,10 @@ class ExternalOracle(_Record):
             _kill_group(proc)
 
         watchdog = threading.Timer(self.timeout, kill)
+        env = {key: value for key, value in os.environ.items() if key not in PROCESS_ONLY_ENV}
         try:
             proc = subprocess.Popen(self._argv, stdin=subprocess.PIPE, stdout=subprocess.DEVNULL,
-                                    stderr=subprocess.DEVNULL, start_new_session=True)
+                                    stderr=subprocess.DEVNULL, start_new_session=True, env=env)
         except OSError as exc:
             raise OracleSpawnError(
                 f"could not run oracle command {self._argv[0]!r}: {exc}") from exc

@@ -875,6 +875,24 @@ class TestUsageErrorsBeforeOutput:
         assert "n_particles" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("source, name", [("flag", "--target"),
+                                              ("file", "likelihood.target")])
+    def test_target_of_the_wrong_size_exits_2_naming_its_source(self, tmp_path, capsys,
+                                                                source, name):
+        if source == "flag":
+            target = tmp_path / "target.csv"
+            target.write_text("x0,x1\n1.0,2.0\n")
+            given = ["--target", str(target)]
+        else:
+            config = tmp_path / "F.json"
+            config.write_text(json.dumps({"likelihood": {"target": [1, 2]}}))
+            given = ["--config", str(config)]
+        out = tmp_path / "X"
+        assert main(["run", "smc", "--steps", "1", *given, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"abc-fuzz: error: {name} has 2 dims but the prior has 100\n")
+        assert not out.exists()
+
     def test_prior_overflow_names_std_dev_and_mean(self, tmp_path, capsys):
         out = tmp_path / "X"
         assert main(["run", "smc", "--std", "1e308", "--steps", "2", "--out", str(out)]) == 2
@@ -1376,6 +1394,12 @@ class TestEnvironment:
         assert main(["gen-prior", "--seed", "5"]) == 0
         assert (tmp_path / "root" / "gen-prior-seed5" / "report.json").exists()
 
+    def test_empty_out_root_env_var_means_unset(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("ABC_FUZZ_OUT", "")
+        monkeypatch.chdir(tmp_path)
+        assert main(["gen-prior", "--seed", "5"]) == 0
+        assert (tmp_path / "out" / "gen-prior-seed5" / "report.json").exists()
+
     def test_cli_import_loads_no_writer_pool_module(self):
         # scipy loads at the first normal draw, mmap and multiprocessing only
         # when a CSV pool starts
@@ -1395,3 +1419,55 @@ class TestEnvironment:
                               capture_output=True, text=True)
         assert proc.returncode == 0
         assert "abc-fuzz" in proc.stdout
+
+
+def _env_without_blas_threads(**extra):
+    env = {key: value for key, value in os.environ.items() if key != "OPENBLAS_NUM_THREADS"}
+    return {**env, **extra}
+
+
+class TestBlasThreads:
+    """The CLI runs on one OpenBLAS thread unless its caller chose a count, and
+    an exec-oracle child gets the caller's environment either way."""
+
+    @staticmethod
+    def _run_with_oracle(tmp_path, script, env):
+        out = tmp_path / "run"
+        proc = subprocess.run(
+            [sys.executable, "-m", "abcfuzz.cli", "run", "smc", "--n", "3", "--dims", "2",
+             "--steps", "2", "--oracle", "exec:" + shlex.join(["sh", "-c", script]),
+             "--out", str(out)],
+            capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        return _read_report(out)
+
+    @pytest.mark.parametrize("caller, script", [
+        (None, 'test -z "${OPENBLAS_NUM_THREADS+x}"'),
+        ("3", 'test "$OPENBLAS_NUM_THREADS" = 3'),
+    ], ids=["unset", "caller-3"])
+    def test_exec_oracle_child_sees_the_callers_value(self, tmp_path, caller, script):
+        extra = {} if caller is None else {"OPENBLAS_NUM_THREADS": caller}
+        report = self._run_with_oracle(tmp_path, script, _env_without_blas_threads(**extra))
+        assert report["prior_pass_rate"] == report["posterior_pass_rate"] == 1.0
+
+    def test_exec_oracle_child_environment_equals_the_callers(self, tmp_path):
+        dump = tmp_path / "env.json"
+        env = _env_without_blas_threads()
+        self._run_with_oracle(tmp_path, f"{shlex.quote(sys.executable)} -c "
+                              f"'import json, os; print(json.dumps(dict(os.environ)))' "
+                              f"> {shlex.quote(str(dump))}", env)
+        child = json.loads(dump.read_text())
+        for added in ("PWD", "SHLVL", "_"):  # set by the shell between the two
+            child.pop(added, None)
+            env.pop(added, None)
+        assert child == env
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc")
+    def test_one_thread_after_a_first_normal_draw(self):
+        code = ("import os, sys, abcfuzz.cli; from abcfuzz import RandomSource; "
+                "RandomSource(0).standard_normal(1); assert 'scipy' in sys.modules; "
+                "print(os.environ['OPENBLAS_NUM_THREADS'], len(os.listdir('/proc/self/task')))")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=_env_without_blas_threads())
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["1", "1"]

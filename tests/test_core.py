@@ -457,6 +457,49 @@ def test_public_names_are_pinned():
         assert getattr(abcfuzz, name) is not None, name
 
 
+class TestLazyRoot:
+    """The package root loads each public name from its submodule on first use."""
+
+    def test_import_loads_neither_numpy_nor_scipy(self):
+        code = ("import sys, abcfuzz; "
+                "print(sorted({m.split('.')[0] for m in sys.modules} & {'numpy', 'scipy'}))")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
+
+    def test_dir_lists_every_public_name(self):
+        import abcfuzz
+
+        assert set(dir(abcfuzz)) >= set(abcfuzz.__all__) | {"__version__"}
+
+    def test_unknown_attribute_raises_naming_it(self):
+        import abcfuzz
+
+        with pytest.raises(AttributeError, match="'no_such_name'"):
+            abcfuzz.no_such_name
+
+    def test_star_import_binds_every_public_name(self):
+        import abcfuzz
+
+        namespace = {}
+        exec("from abcfuzz import *", namespace)
+        namespace.pop("__builtins__")
+        assert sorted(namespace) == PUBLIC_NAMES
+        assert all(namespace[name] is getattr(abcfuzz, name) for name in PUBLIC_NAMES)
+
+    def test_version_is_the_engine_version(self):
+        import abcfuzz
+        from abcfuzz.core import ENGINE_VERSION
+
+        assert abcfuzz.__version__ == abcfuzz.ENGINE_VERSION == ENGINE_VERSION
+
+    def test_submodule_import_returns_the_submodule(self):
+        import abcfuzz.cli
+        from abcfuzz import cli
+
+        assert cli is sys.modules["abcfuzz.cli"] is abcfuzz.cli
+
+
 def test_public_errors_are_the_ones_main_maps_to_exit_codes():
     import abcfuzz
 
