@@ -65,6 +65,7 @@ from .prior import generate_prior, slice_count
 from .report import (
     CACHE_MIN_BYTES,
     CsvSink,
+    _find_orjson,
     _read_cached,
     emit_plot_data,
     read_particles_csv,
@@ -404,6 +405,7 @@ def cmd_gen_prior(args) -> int:
     particles = generate_prior(cfg)
     zeroed = slice_count(cfg)
     rate = pass_rate(particles, oracle)
+    _find_orjson()
 
     outdir = _output_dir(args.out, f"gen-prior-seed{cfg.seed}")
     write_particles_csv(particles, outdir / "prior.csv")
@@ -510,6 +512,7 @@ def cmd_run(args) -> int:
             passing += count_passing(ParticleSet._adopt(rows), oracle)
 
         header = [f"x{i}" for i in range(particles.dim)]
+        _find_orjson()
         with CsvSink(outdir / "posterior.csv", header, judge) as sink:
             result = run_smc(particles, cfg, sink=sink)
         judged, posterior_rate = n_steps, passing / n_steps
@@ -546,6 +549,7 @@ def cmd_run(args) -> int:
             diagnostics["trace_dim0_summary"] = trace_summary(result.trace_dim0, cfg.burn_in)
         config_echo = {"prior": prior_echo, "mcmc": cfg.to_dict(), "oracle": oracle_echo}
 
+        _find_orjson()  # before the line tables, which precede posterior.csv
         write_lines([range(n_steps), result.trace_dim0], [
             (outdir / "plot-mcmc-trace.dat", "step,x0", None),
             (outdir / "diagnostics.csv", "step,x0,accepted_flag", result.accepted.astype(int))])

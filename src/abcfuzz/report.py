@@ -57,20 +57,47 @@ POOL_MAX_WORKERS = 4
 CELL_BYTES = 25
 
 
-def _format_rows(rows: np.ndarray) -> str:
-    """The one matrix formatter: a float64 matrix as CSV lines, floats by repr.
+def _find_orjson() -> None:
+    """Raise ImportError where orjson cannot be found, without importing it:
+    a command checks this before its first artifact, so a run that could not
+    format its matrices leaves none."""
+    import importlib.util
+
+    if importlib.util.find_spec("orjson") is None:
+        raise ImportError("CSV output needs orjson, which is not installed")
+
+
+def _format_rows(rows: np.ndarray) -> bytes:
+    """The one matrix formatter: a float64 matrix as CSV lines, each float's
+    text that of its repr.
+
+    orjson's compiled shortest round-trip writer prints every row. It prints
+    a float as repr does wherever repr prints no exponent: 0, and any
+    magnitude in [1e-4, 1e16). A row with any other cell (1e-05 and 1e+16
+    in repr, 0.00001 and 1e16 in orjson) is joined from repr instead.
 
     A row whose bits equal the previous row's (a rejected Metropolis
     proposal repeats the chain's state) reuses that row's text. Bits, not
     values: a -0.0 row after a 0.0 row is printed as its own.
     """
+    try:  # at the first matrix formatted: in the workers alone on a pooled write
+        import orjson
+    except ImportError as exc:
+        raise ImportError(f"CSV output needs orjson, which cannot be imported: {exc}") from exc
     bits = rows.view(np.int64)
     new = np.ones(rows.shape[0], dtype=bool)
     np.any(bits[1:] != bits[:-1], axis=1, out=new[1:])
-    starts = np.flatnonzero(new)
-    repeats = np.diff(starts, append=rows.shape[0]).tolist()
-    lines = [",".join(map(repr, row)) + "\n" for row in rows[starts].tolist()]
-    return "".join([line * count for line, count in zip(lines, repeats)])
+    distinct = np.ascontiguousarray(rows[new])  # orjson refuses a strided array
+    magnitude = np.abs(distinct)
+    plain = ((magnitude < 1e16) & ((magnitude >= 1e-4) | (magnitude == 0))).all(axis=1)
+    # "[[a,b],[c,d]]": one line per row between the brackets
+    lines = orjson.dumps(distinct, option=orjson.OPT_SERIALIZE_NUMPY)[2:-2].split(b"],[")
+    for row in np.flatnonzero(~plain).tolist():
+        lines[row] = ",".join(map(repr, distinct[row].tolist())).encode("ascii")
+    if len(lines) < rows.shape[0]:  # each row takes the text of its run's first row
+        lines = list(map(lines.__getitem__, (np.cumsum(new) - 1).tolist()))
+    lines.append(b"")
+    return b"\n".join(lines)
 
 
 def _shared(nbytes: int, what: str):
@@ -90,14 +117,15 @@ def _format_chunk(matrix: np.ndarray, slots, task) -> int:
     fits, and return the text's length, so the parent never waits on a long
     transfer."""
     start, stop, offset = task
-    text = _format_rows(matrix[start:stop]).encode("ascii")
+    text = _format_rows(matrix[start:stop])
     slots[offset:offset + len(text)] = text
     return len(text)
 
 
 def _pool_worker(conn, parent_ends, handle, mask) -> None:
     """A forked pool worker: answer each task the parent sends with
-    ``handle(task)`` until the parent closes its end.
+    ``handle(task)`` until the parent closes its end; an ImportError that
+    ``handle`` raises is sent as its answer.
 
     The worker inherits what ``handle`` reads (a matrix, a shared mapping)
     through fork, so a task carries only bounds. It leaves Ctrl-C to the
@@ -117,7 +145,10 @@ def _pool_worker(conn, parent_ends, handle, mask) -> None:
             task = conn.recv()
         except (EOFError, ConnectionResetError):  # the parent closed its end, or died
             return
-        result = handle(task)
+        try:
+            result = handle(task)
+        except ImportError as exc:  # the parent raises it: no traceback here
+            result = exc
         with contextlib.suppress(BrokenPipeError, ConnectionResetError):  # the parent died
             conn.send(result)
 
@@ -192,7 +223,8 @@ class CsvSink:
     name plus ``.tmp``. On any error or interrupt, a judge's included, the
     workers are killed and reaped and the temporary file is deleted before
     the exception leaves, with every directory made for it that is then
-    empty. A worker that dies raises OSError.
+    empty. A worker that dies raises OSError, and one that cannot import
+    orjson raises its ImportError in the parent.
     """
 
     def __init__(self, path, header: Sequence[str], judge=None):
@@ -290,7 +322,7 @@ class CsvSink:
         pool, fh = self._pool, self._fh
         if not pool:
             for chunk in range(self._written, self._final):
-                fh.write(_format_rows(self._ring[slice(*self._span(chunk))]).encode("ascii"))
+                fh.write(_format_rows(self._ring[slice(*self._span(chunk))]))
             self._sent = self._written = self._final
             return
         try:
@@ -305,6 +337,8 @@ class CsvSink:
                 if self._written >= need and not conn.poll():
                     return
                 size, offset = conn.recv(), self._slot(self._written)
+                if isinstance(size, ImportError):  # the worker could not load orjson
+                    raise size
                 fh.write(memoryview(self._slots)[offset:offset + size])
                 # the text is in the file: unmap the slot's pages from this
                 # process, so its memory does not grow by every slot

@@ -1137,6 +1137,85 @@ class TestPriorReadWithoutScipy:
         assert proc.stdout == "[]\n"
 
 
+# Runs main in a child whose orjson cannot be imported.
+_MAIN_WITHOUT_ORJSON = ("import sys; sys.modules['orjson'] = None; "
+                        "from abcfuzz.cli import main; sys.exit(main(sys.argv[1:]))")
+# Runs main in a child and prints whether it loaded orjson.
+_MAIN_LISTING_ORJSON = ("import sys; from abcfuzz.cli import main; code = main(sys.argv[1:]); "
+                        "print('orjson' in sys.modules); sys.exit(code)")
+# Prints its pid, then runs main in a child whose writer pool starts with two
+# workers whatever the host, so a matrix past POOL_MIN_CELLS is formatted by
+# forked workers alone.
+_MAIN_TWO_WRITERS = ("import os, sys; from abcfuzz import report; from abcfuzz.cli import main; "
+                     "print(os.getpid(), flush=True); report._pool_workers = lambda: 2; "
+                     "sys.exit(main(sys.argv[1:]))")
+# An orjson package whose import logs the importing pid, then fails.
+_FAILING_ORJSON = """
+import os
+with open(os.environ["ORJSON_IMPORT_LOG"], "a", encoding="ascii") as fh:
+    fh.write(f"{os.getpid()}\\n")
+raise ImportError("this orjson cannot be loaded")
+"""
+
+
+def _assert_names_orjson_and_leaves_nothing(proc, out):
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr.startswith("abc-fuzz: environment error: CSV output needs orjson")
+    assert len(proc.stderr.splitlines()) == 1 and "Traceback" not in proc.stderr
+    assert not out.exists()
+
+
+class TestLazyOrjson:
+    """orjson formats every CSV matrix and loads at the first one: a command
+    that cannot find it exits 3 before its first artifact, and --version,
+    config faults and compare, which writes line tables alone, never load it."""
+
+    @pytest.mark.parametrize("args", [
+        ["run", "smc", "--steps", "5"],
+        ["run", "mcmc", "--steps", "5", "--burn-in", "0"],
+        ["gen-prior"],
+    ], ids=["smc", "mcmc", "gen-prior"])
+    def test_missing_orjson_exits_3_before_any_artifact(self, tmp_path, args):
+        out = tmp_path / "run"
+        _assert_names_orjson_and_leaves_nothing(
+            _child(_MAIN_WITHOUT_ORJSON, [*args, "--out", str(out)]), out)
+
+    def test_compare_runs_without_orjson(self, tmp_path):
+        out = tmp_path / "run"
+        proc = _child(_MAIN_WITHOUT_ORJSON, ["compare", "--budget", "5", "--out", str(out)])
+        assert proc.returncode == 0, proc.stderr
+        assert (out / "compare-table.csv").exists()
+
+    @pytest.mark.parametrize("args, code", [
+        (["--version"], 0),
+        (["run", "mcmc", "--steps", "3", "--burn-in", "5"], 2),
+    ], ids=["version", "config-fault"])
+    def test_startup_and_config_faults_load_no_orjson(self, args, code):
+        proc = _child(_MAIN_LISTING_ORJSON, args)
+        assert proc.returncode == code, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "False"
+
+    def test_small_write_loads_orjson(self, tmp_path):
+        proc = _child(_MAIN_LISTING_ORJSON, ["gen-prior", "--out", str(tmp_path / "run")])
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "True"
+
+    def test_pool_worker_without_orjson_exits_3_without_traceback(self, tmp_path):
+        # 3000 x 100 cells, past POOL_MIN_CELLS: only the workers import orjson
+        (tmp_path / "stub" / "orjson").mkdir(parents=True)
+        (tmp_path / "stub" / "orjson" / "__init__.py").write_text(_FAILING_ORJSON)
+        log, out = tmp_path / "imports.txt", tmp_path / "run"
+        env = {**os.environ, "ORJSON_IMPORT_LOG": str(log), "PYTHONPATH": os.pathsep.join(
+            [str(tmp_path / "stub"), *filter(None, [os.environ.get("PYTHONPATH")])])}
+        proc = subprocess.run(
+            [sys.executable, "-c", _MAIN_TWO_WRITERS, "gen-prior", "--n", "3000",
+             "--out", str(out)], capture_output=True, text=True, env=env, timeout=60)
+        _assert_names_orjson_and_leaves_nothing(proc, out)
+        assert "this orjson cannot be loaded" in proc.stderr
+        importers = {int(pid) for pid in log.read_text().split()}
+        assert importers and int(proc.stdout) not in importers
+
+
 class TestPriorFileStd:
     """The std of a --prior file is read only for a derived scale, and its
     overflow prints nothing of its own."""

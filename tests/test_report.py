@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from abcfuzz import (
     ENGINE_VERSION,
@@ -283,7 +284,10 @@ def test_write_json_rejects_nan(tmp_path):
 
 _real_pool_workers = report._pool_workers
 
-SPECIAL_VALUES = [-0.0, 5e-324, 1e16, 1e-05, 1.7976931348623157e308]
+# repr prints the first three past the ends of [1e-4, 1e16) with an
+# exponent; the last three are the ends themselves, printed without one.
+SPECIAL_VALUES = [-0.0, 5e-324, 1e16, 1e-05, 1.7976931348623157e308,
+                  1e-4, 9.999999999999999e-05, 9999999999999998.0]
 
 
 @pytest.fixture
@@ -380,7 +384,8 @@ class TestPoolWriter:
         write_csv(path, ["h"], np.array([SPECIAL_VALUES] * 2))
         line = ",".join(map(repr, SPECIAL_VALUES))
         assert path.read_text() == f"h\n{line}\n{line}\n"
-        assert line == "-0.0,5e-324,1e+16,1e-05,1.7976931348623157e+308"
+        assert line == ("-0.0,5e-324,1e+16,1e-05,1.7976931348623157e+308,"
+                        "0.0001,9.999999999999999e-05,9999999999999998.0")
 
     def test_particle_csv_round_trips_through_the_pool(self, tmp_path, pool_writer):
         prior = generate_prior(PriorConfig(n_particles=9, n_dims=4, seed=5))
@@ -682,11 +687,11 @@ class TestRepeatedRows:
     @given(runs=_RUNS_OF_ROWS, chunk_rows=st.integers(1, 5))
     def test_runs_of_rows_print_like_every_row(self, tmp_path_factory, runs, chunk_rows):
         matrix = np.array([row for row, count in runs for _ in range(count)])
-        text = _per_row_text(matrix)
+        text = _per_row_text(matrix).encode("ascii")
         assert report._format_rows(matrix) == text
         pooled, serial = _csv_bytes_both_ways(tmp_path_factory.mktemp("runs"), matrix,
                                               chunk_rows)
-        assert pooled == serial == b"h\n" + text.encode("ascii")
+        assert pooled == serial == b"h\n" + text
 
     @pytest.mark.parametrize("chunk_rows", [1, 2, 3], ids=["one-row-chunks", "2", "3"])
     def test_zero_and_negative_zero_rows_print_apart(self, tmp_path, chunk_rows):
@@ -704,8 +709,79 @@ class TestRepeatedRows:
     def test_a_strided_view_compares_its_own_cells(self):
         # columns 1 and 3 repeat while the skipped columns do not
         matrix = np.array([[1.0, 2.0, 3.0, 4.0], [9.0, 2.0, 8.0, 4.0], [7.0, 2.0, 6.0, 4.0]])
-        assert report._format_rows(matrix[:, 1::2]) == "2.0,4.0\n" * 3
-        assert report._format_rows(matrix[:, ::2]) == _per_row_text(matrix[:, ::2])
+        assert report._format_rows(matrix[:, 1::2]) == b"2.0,4.0\n" * 3
+        assert report._format_rows(matrix[:, ::2]) == _per_row_text(matrix[:, ::2]).encode()
+
+
+def _neighbours(values) -> list:
+    """Each of ``values``, the float64 on either side of it, and their negations."""
+    values = np.array(values, dtype=np.float64)
+    around = np.concatenate([np.nextafter(values, -np.inf), values, np.nextafter(values, np.inf)])
+    return [*around, *-around]
+
+
+def _integers_to_2_53() -> list:
+    """Integer floats around each power of two and of ten up to 2**53, and
+    integers drawn below it."""
+    edges = [base**k + step for base, top in ((2, 53), (10, 15)) for k in range(top + 1)
+             for step in (-1, 0, 1)]
+    drawn = np.random.default_rng(53).integers(0, 2**53, 2000).tolist()
+    return [float(n) for n in [*edges, *drawn] if 0 <= n <= 2**53]
+
+
+# Cells where shortest round-trip digits change length or notation: every
+# decade from 1e-5 to 1e16 and every power of two, subnormals included,
+# each with its neighbours; and integers up to 2**53.
+_EDGE_CELLS = {
+    "decades": _neighbours([float(f"1e{k}") for k in range(-5, 17)]),
+    "powers-of-two": _neighbours(np.ldexp(1.0, np.arange(-1074, 1024))),
+    "integers": _integers_to_2_53(),
+}
+# Rows that mix cells repr prints with an exponent and cells it prints
+# without one, among rows of the latter alone and runs of repeated rows.
+_MIXED_ROWS = np.array([
+    [0.5, 1e-05, -3.0],
+    [0.5, 1e-05, -3.0],
+    [0.5, 2.0, -3.0],
+    [1e16, 2.0, -0.0],
+    [9999999999999998.0, 1e-4, 0.0],
+    [9.999999999999999e-05, 1.0, 1.0],
+    [1.0, 1.0, 1.0],
+    [1.0, 1.0, 1.0],
+    [-1.7976931348623157e308, 5e-324, 0.25],
+    [123456789.125, -1.5e-7, 2.0**53],
+])
+
+
+def _assert_formatted_as_repr(tmp_path, matrix, chunk_rows):
+    """_format_rows, the pooled writer and the serial writer all print
+    ``matrix`` as the plain per-row repr join does."""
+    text = _per_row_text(matrix).encode("ascii")
+    assert report._format_rows(matrix) == text
+    pooled, serial = _csv_bytes_both_ways(tmp_path, matrix, chunk_rows)
+    assert pooled == serial == b"h\n" + text
+
+
+class TestFormatterMatchesRepr:
+    """orjson prints every finite float64 as repr does, and a row with a cell
+    that repr prints with an exponent is printed by repr itself."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(matrix=arrays(np.float64, st.tuples(st.integers(1, 8), st.integers(1, 5)),
+                         elements=st.floats(allow_nan=False, allow_infinity=False)),
+           chunk_rows=st.integers(1, 4))
+    def test_drawn_matrices(self, tmp_path_factory, matrix, chunk_rows):
+        _assert_formatted_as_repr(tmp_path_factory.mktemp("drawn"), matrix, chunk_rows)
+
+    @pytest.mark.parametrize("cells", _EDGE_CELLS.values(), ids=_EDGE_CELLS.keys())
+    @pytest.mark.parametrize("cols", [1, 7])
+    def test_edge_cells(self, tmp_path, cells, cols):
+        matrix = np.resize(np.array(cells), (-(-len(cells) // cols), cols))
+        _assert_formatted_as_repr(tmp_path, matrix, chunk_rows=256)
+
+    @pytest.mark.parametrize("chunk_rows", [1, 3, 10])
+    def test_rows_mixing_exponent_and_plain_cells(self, tmp_path, chunk_rows):
+        _assert_formatted_as_repr(tmp_path, _MIXED_ROWS, chunk_rows)
 
 
 def _joined(header, rows) -> str:
