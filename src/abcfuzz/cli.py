@@ -630,8 +630,8 @@ def cmd_compare(args) -> int:
 
 def _interrupt_once(signum, frame):
     """Stop-signal handler while a command runs: the first signal interrupts
-    it and every later one is ignored, so the writer workers are reaped, the
-    exit message printed and 128 + signum returned whatever more arrive."""
+    it and every later one is ignored, so the temporary files are removed,
+    the exit message printed and 128 + signum returned whatever more arrive."""
     for sig in _STOP_SIGNALS:
         if signal.getsignal(sig) == _interrupt_once:
             signal.signal(sig, signal.SIG_IGN)

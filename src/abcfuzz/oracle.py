@@ -133,9 +133,10 @@ class ExternalOracle(_Record):
                 _kill_group(proc)
                 raise
             finally:
-                # Joined, not just cancelled, so no thread outlives the call:
-                # the CSV writer forks its pool only from a single-threaded
-                # process.
+                # Joined, not just cancelled, so no thread outlives the
+                # verdict: core._load_ndtri, at the draw after the prior is
+                # judged, takes its lighter scipy load only in a
+                # single-threaded process.
                 watchdog.cancel()
                 if watchdog.is_alive():  # not when an interrupt cut its start short
                     watchdog.join()

@@ -10,10 +10,8 @@ target distinct output directories (out/<run-id>/ by convention).
 import contextlib
 import json
 import os
-import signal
 import warnings
 from datetime import datetime, timezone
-from functools import partial
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -44,17 +42,9 @@ def write_report(payload: dict, path) -> None:
                 "timestamp": datetime.now(timezone.utc).isoformat()}, path)
 
 
-# Cells per chunk of a matrix's rows: a forked worker formats one chunk per
-# task, and the serial path walks the same chunks.
+# Cells per chunk of a matrix's rows: the sink judges, formats and writes a
+# matrix one chunk at a time, so a streamed matrix takes two chunks of memory.
 CHUNK_CELLS = 65536
-# Matrices smaller than this stay in-process: below it, forking the writer
-# pool costs more than the formatting it spreads.
-POOL_MIN_CELLS = 262144
-# Writer workers never exceed this, whatever the host's CPU count.
-POOL_MAX_WORKERS = 4
-# Bytes a float64 cell can take as CSV text: the longest repr
-# ("-1.7976931348623157e+308") and its separator.
-CELL_BYTES = 25
 
 
 def _find_orjson() -> None:
@@ -80,7 +70,7 @@ def _format_rows(rows: np.ndarray) -> bytes:
     proposal repeats the chain's state) reuses that row's text. Bits, not
     values: a -0.0 row after a 0.0 row is printed as its own.
     """
-    try:  # at the first matrix formatted: in the workers alone on a pooled write
+    try:  # at the first matrix formatted
         import orjson
     except ImportError as exc:
         raise ImportError(f"CSV output needs orjson, which cannot be imported: {exc}") from exc
@@ -100,131 +90,19 @@ def _format_rows(rows: np.ndarray) -> bytes:
     return b"\n".join(lines)
 
 
-def _shared(nbytes: int, what: str):
-    """An anonymous shared mapping of ``nbytes`` for ``what``, which forked
-    children share."""
-    import mmap
-
-    try:
-        return mmap.mmap(-1, nbytes)
-    except OSError as exc:  # reported like a failed numpy allocation
-        raise MemoryError(f"Unable to map {nbytes} bytes for {what}: {exc.strerror}") from exc
-
-
-def _format_chunk(matrix: np.ndarray, slots, task) -> int:
-    """Writer task: format rows [start, stop) of ``matrix`` into the shared
-    ``slots`` mapping at ``offset``, which a float64 chunk's text always
-    fits, and return the text's length, so the parent never waits on a long
-    transfer."""
-    start, stop, offset = task
-    text = _format_rows(matrix[start:stop])
-    slots[offset:offset + len(text)] = text
-    return len(text)
-
-
-def _pool_worker(conn, parent_ends, handle, mask) -> None:
-    """A forked pool worker: answer each task the parent sends with
-    ``handle(task)`` until the parent closes its end; an ImportError that
-    ``handle`` raises is sent as its answer.
-
-    The worker inherits what ``handle`` reads (a matrix, a shared mapping)
-    through fork, so a task carries only bounds. It leaves Ctrl-C to the
-    parent, gives SIGTERM and SIGHUP, unless ignored, their default action
-    and only then restores the parent's signal ``mask``. It closes its copies
-    of the parent's pipe ends, so it ends silently when the parent closes its end or dies.
-    """
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-    for sig in (signal.SIGTERM, signal.SIGHUP):  # a forked worker runs where SIGHUP exists
-        if signal.getsignal(sig) != signal.SIG_IGN:
-            signal.signal(sig, signal.SIG_DFL)
-    signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-    for end in parent_ends:
-        end.close()
-    while True:
-        try:
-            task = conn.recv()
-        except (EOFError, ConnectionResetError):  # the parent closed its end, or died
-            return
-        try:
-            result = handle(task)
-        except ImportError as exc:  # the parent raises it: no traceback here
-            result = exc
-        with contextlib.suppress(BrokenPipeError, ConnectionResetError):  # the parent died
-            conn.send(result)
-
-
-def _pool_workers() -> int:
-    """Pool processes this process may fork: min(CPUs, cap), or 0 where it
-    cannot or should not (no ``fork``, a daemonic multiprocessing worker, or
-    another thread running, which a forked child could find holding a lock)."""
-    if not hasattr(os, "fork"):
-        return 0
-    import multiprocessing
-    import threading
-
-    if multiprocessing.current_process().daemon or threading.active_count() > 1:
-        return 0
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    return min(cpus or 1, POOL_MAX_WORKERS)
-
-
-def _fork_pool(pool: list, workers: int, handle) -> None:
-    """Fork ``workers`` pool workers serving ``handle``, appending each
-    (process, connection) to ``pool`` as it starts, so that ``_reap(pool)``
-    in the caller's ``finally`` also ends the ones started before a failure.
-    Stop signals wait until the forks are done and in ``pool``."""
-    import multiprocessing
-
-    context = multiprocessing.get_context("fork")
-    mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT, signal.SIGTERM, signal.SIGHUP})
-    try:
-        for _ in range(workers):
-            conn, child_conn = context.Pipe()
-            parent_ends = [end for _, end in pool] + [conn]
-            proc = context.Process(target=_pool_worker, daemon=True,
-                                   args=(child_conn, parent_ends, handle, mask))
-            proc.start()
-            child_conn.close()
-            pool.append((proc, conn))
-    finally:
-        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-
-
-def _reap(pool: list) -> None:
-    """Kill and join every worker of ``pool``, and empty it."""
-    for proc, conn in pool:
-        proc.kill()
-        conn.close()
-    for proc, _ in pool:
-        proc.join()
-    pool.clear()
-
-
-# A pipe that closes under the parent: the worker at its other end died.
-_WORKER_DIED = (EOFError, BrokenPipeError, ConnectionResetError)
-
-
 class CsvSink:
     """A float64 matrix written to a CSV file while its rows become final, front to back.
 
-    Rows are formatted in chunks of CHUNK_CELLS cells. A matrix of at least
-    POOL_MIN_CELLS cells, in a process that may fork two or more writer
-    workers, is formatted by a pool of forked workers: chunk k goes to
-    worker k mod W, which leaves its text in a shared slot, and the parent
-    writes the texts in input order, so the bytes equal the serial path's.
-    ``buffer`` gives the caller a ring of whole chunks, two per worker plus
-    two, in an anonymous shared mapping for a matrix the pool may format,
-    so workers forked before its rows are filled still read them. Each
-    chunk, once final, is passed to ``judge``, if given, in row order.
-    Nothing is created and nothing forked before the first ``advance``.
+    Rows are judged, formatted and written in this process, in chunks of
+    CHUNK_CELLS cells, in row order. ``buffer`` gives the caller a ring of
+    two whole chunks. Each chunk, once final, is passed to ``judge``, if
+    given, then written. Nothing is created before the first ``advance``.
 
     Use it as a context manager. The file appears under its own name only
     when the block ends cleanly; until then it is written under the same
     name plus ``.tmp``. On any error or interrupt, a judge's included, the
-    workers are killed and reaped and the temporary file is deleted before
-    the exception leaves, with every directory made for it that is then
-    empty. A worker that dies raises OSError, and one that cannot import
-    orjson raises its ImportError in the parent.
+    temporary file is deleted before the exception leaves, with every
+    directory made for it that is then empty.
     """
 
     def __init__(self, path, header: Sequence[str], judge=None):
@@ -235,117 +113,42 @@ class CsvSink:
         self._ring = None  # the matrix's rows, row r at ring row r mod len(ring)
         self._rows = 0     # rows of the matrix
         self._chunk = 1    # rows per chunk
-        self._final = 0    # leading chunks whose rows are all final
-        self._sent = 0     # leading chunks handed to a worker
-        self._written = 0  # leading chunks written to the file
+        self._written = 0  # leading chunks judged and written to the file
         self._fh = None
         self._made = []    # directories made for the file, deepest first
-        self._pool = []    # (process, connection) per worker
-        self._slots = None  # shared text slots, one per chunk in flight
-        self._slot_bytes = 0
-        self._release = None  # madvise option that unmaps a written slot
 
     def buffer(self, rows: int, cols: int) -> np.ndarray:
         """A writable ring for a (rows, cols) float matrix that the caller
         fills front to back, at most half the ring between two ``advance``
         calls: row r goes to ring row r mod len(ring)."""
         chunk = max(1, CHUNK_CELLS // max(1, cols))
-        if rows * cols < POOL_MIN_CELLS:
-            return self._attach(np.empty((min(rows, 2 * chunk), cols)), rows)
-        workers = _pool_workers()
-        size = min(rows, (2 * workers + 2 if workers >= 2 else 2) * chunk)
-        shared = _shared(size * cols * 8, f"a ({size}, {cols}) ring")
-        return self._attach(np.frombuffer(shared).reshape(size, cols), rows)
+        return self._attach(np.empty((min(rows, 2 * chunk), cols)), rows)
 
     def _attach(self, ring: np.ndarray, rows: Optional[int] = None) -> np.ndarray:
-        # CELL_BYTES bounds a float64 cell's text, so each chunk's text fits its slot
         _require(ring.dtype == np.float64,
                  f"CSV matrix must hold float64 values, got {ring.dtype}")
         self._ring, self._rows = ring, ring.shape[0] if rows is None else rows
         self._chunk = max(1, CHUNK_CELLS // max(1, ring.shape[1]))
         return ring
 
-    def _span(self, chunk: int):
-        """Ring rows [start, stop) of chunk ``chunk``, which a ring of whole chunks never wraps."""
-        first = chunk * self._chunk
-        start = first % len(self._ring)
-        return start, start + min(self._chunk, self._rows - first)
-
     def advance(self, stop: int) -> None:
-        """Rows [0, stop) are final: judge and format every chunk they
-        complete, and return once the ring rows that the next half ring of
-        rows takes over are written.
-
-        Pooled, each completed chunk goes to a worker, at most one in flight
-        per worker, and the texts already done are written without waiting
-        for the others.
-        """
+        """Rows [0, stop) are final: judge, format and write every chunk
+        they complete, in row order."""
         if self._fh is None:
-            self._start()
+            directory = self._temp.parent
+            self._made = [d for d in (directory, *directory.parents) if not d.exists()]
+            self._fh = _create(self._temp)
+            self._fh.write((",".join(self._header) + "\n").encode("utf-8"))
         final = -(-self._rows // self._chunk) if stop >= self._rows else stop // self._chunk
-        if self._judge is not None:
-            for chunk in range(self._final, final):
-                self._judge(self._ring[slice(*self._span(chunk))])
-        self._final = final
-        # the leading chunks whose ring rows the next half ring of rows takes over
-        taken = min(self._rows, stop + len(self._ring) // 2) - len(self._ring)
-        self._pump(len(self._pool), -(-taken // self._chunk))
-
-    def _start(self) -> None:
-        directory = self._temp.parent
-        self._made = [d for d in (directory, *directory.parents) if not d.exists()]
-        self._fh = _create(self._temp)
-        self._fh.write((",".join(self._header) + "\n").encode("utf-8"))
-        if self._rows * self._ring.shape[1] < POOL_MIN_CELLS or (workers := _pool_workers()) < 2:
-            return
-
-        import mmap
-
-        # a slot per chunk in flight, at most two per worker, in whole pages;
-        # the first chunk is the largest
-        cells = min(self._chunk, self._rows) * self._ring.shape[1]
-        self._slot_bytes = max(1, -(-cells * CELL_BYTES // mmap.PAGESIZE)) * mmap.PAGESIZE
-        self._release = mmap.MADV_DONTNEED
-        self._slots = _shared(2 * workers * self._slot_bytes, "CSV text")
-        self._fh.flush()  # a forked worker must not inherit unwritten buffered output
-        _fork_pool(self._pool, workers, partial(_format_chunk, self._ring, self._slots))
-
-    def _slot(self, chunk: int) -> int:
-        """Offset of chunk ``chunk``'s slot, reused only once its previous chunk
-        is written: no more chunks are in flight than there are slots."""
-        return chunk % (2 * len(self._pool)) * self._slot_bytes
-
-    def _pump(self, window: int, need: int) -> None:
-        """Hand final chunks to workers, ``window`` at most in flight, and
-        write finished texts in order, waiting for them only until the
-        first ``need`` chunks are written."""
-        pool, fh = self._pool, self._fh
-        if not pool:
-            for chunk in range(self._written, self._final):
-                fh.write(_format_rows(self._ring[slice(*self._span(chunk))]))
-            self._sent = self._written = self._final
-            return
-        try:
-            while True:
-                while self._sent < self._final and self._sent - self._written < window:
-                    pool[self._sent % len(pool)][1].send(
-                        (*self._span(self._sent), self._slot(self._sent)))
-                    self._sent += 1
-                if self._written == self._sent:
-                    return
-                conn = pool[self._written % len(pool)][1]
-                if self._written >= need and not conn.poll():
-                    return
-                size, offset = conn.recv(), self._slot(self._written)
-                if isinstance(size, ImportError):  # the worker could not load orjson
-                    raise size
-                fh.write(memoryview(self._slots)[offset:offset + size])
-                # the text is in the file: unmap the slot's pages from this
-                # process, so its memory does not grow by every slot
-                self._slots.madvise(self._release, offset, size)
-                self._written += 1
-        except _WORKER_DIED as exc:
-            raise OSError(f"a CSV writer process died while writing {self._path}") from exc
+        for chunk in range(self._written, final):
+            # a ring of whole chunks never wraps inside one
+            first = chunk * self._chunk
+            start = first % len(self._ring)
+            rows = self._ring[start:start + min(self._chunk, self._rows - first)]
+            if self._judge is not None:
+                self._judge(rows)
+            self._fh.write(_format_rows(rows))
+            self._written = chunk + 1
 
     def __enter__(self) -> "CsvSink":
         return self
@@ -353,16 +156,11 @@ class CsvSink:
     def __exit__(self, exc_type, exc, tb) -> None:
         try:
             if exc_type is None:
-                # the last chunks go to all workers, two in flight per worker
                 self.advance(self._rows)
-                self._pump(2 * len(self._pool), self._final)
                 self._fh.close()
                 os.replace(self._temp, self._path)
                 self._fh = None
         finally:
-            _reap(self._pool)
-            self._slots = None
-            self._ring = None  # unmaps a shared ring once its caller drops it too
             if self._fh is not None:
                 fh, self._fh = self._fh, None
                 try:

@@ -101,3 +101,21 @@ def gone_within(pid: int, seconds: float) -> bool:
     while running(pid) and time.monotonic() < deadline:
         time.sleep(0.01)
     return not running(pid)
+
+
+# Child-code prelude: every process start of the ``os`` module raises
+# OSError, and the name of each one tried is appended to ``tried``.
+REFUSING_STARTS = """
+import os, sys
+tried = []
+
+def refused(name):
+    def start(*args, **kwargs):
+        tried.append(name)
+        raise OSError(f"{name} refused")
+    return start
+
+for name in ("fork", "forkpty", "posix_spawn", "posix_spawnp"):
+    if hasattr(os, name):
+        setattr(os, name, refused(name))
+"""

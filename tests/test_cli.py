@@ -26,7 +26,7 @@ from abcfuzz import (
 )
 from abcfuzz import cli
 from abcfuzz.cli import main
-from support import gone_within
+from support import REFUSING_STARTS, gone_within
 
 
 def _read_report(outdir):
@@ -1126,7 +1126,7 @@ class TestPriorReadWithoutScipy:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1] == "[]"
 
-    @pytest.mark.parametrize("rows", [2, 3000], ids=["small", "past-pool-min-cells"])
+    @pytest.mark.parametrize("rows", [2, 3000], ids=["small", "3000-rows"])
     def test_read_loads_no_scipy(self, tmp_path, rows):
         text = "x0,x1\n" + "0.5,1.5\n" * rows
         code = ("import sys; from abcfuzz import report; "
@@ -1143,19 +1143,8 @@ _MAIN_WITHOUT_ORJSON = ("import sys; sys.modules['orjson'] = None; "
 # Runs main in a child and prints whether it loaded orjson.
 _MAIN_LISTING_ORJSON = ("import sys; from abcfuzz.cli import main; code = main(sys.argv[1:]); "
                         "print('orjson' in sys.modules); sys.exit(code)")
-# Prints its pid, then runs main in a child whose writer pool starts with two
-# workers whatever the host, so a matrix past POOL_MIN_CELLS is formatted by
-# forked workers alone.
-_MAIN_TWO_WRITERS = ("import os, sys; from abcfuzz import report; from abcfuzz.cli import main; "
-                     "print(os.getpid(), flush=True); report._pool_workers = lambda: 2; "
-                     "sys.exit(main(sys.argv[1:]))")
-# An orjson package whose import logs the importing pid, then fails.
-_FAILING_ORJSON = """
-import os
-with open(os.environ["ORJSON_IMPORT_LOG"], "a", encoding="ascii") as fh:
-    fh.write(f"{os.getpid()}\\n")
-raise ImportError("this orjson cannot be loaded")
-"""
+# An orjson package that is found, but whose import fails.
+_FAILING_ORJSON = 'raise ImportError("this orjson cannot be loaded")\n'
 
 
 def _assert_names_orjson_and_leaves_nothing(proc, out):
@@ -1200,20 +1189,18 @@ class TestLazyOrjson:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1] == "True"
 
-    def test_pool_worker_without_orjson_exits_3_without_traceback(self, tmp_path):
-        # 3000 x 100 cells, past POOL_MIN_CELLS: only the workers import orjson
+    def test_orjson_that_cannot_be_imported_exits_3_without_traceback(self, tmp_path):
+        # found, so the run starts, but the first matrix formatted fails to load it
         (tmp_path / "stub" / "orjson").mkdir(parents=True)
         (tmp_path / "stub" / "orjson" / "__init__.py").write_text(_FAILING_ORJSON)
-        log, out = tmp_path / "imports.txt", tmp_path / "run"
-        env = {**os.environ, "ORJSON_IMPORT_LOG": str(log), "PYTHONPATH": os.pathsep.join(
+        out = tmp_path / "run"
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
             [str(tmp_path / "stub"), *filter(None, [os.environ.get("PYTHONPATH")])])}
         proc = subprocess.run(
-            [sys.executable, "-c", _MAIN_TWO_WRITERS, "gen-prior", "--n", "3000",
-             "--out", str(out)], capture_output=True, text=True, env=env, timeout=60)
+            [sys.executable, "-m", "abcfuzz.cli", "gen-prior", "--n", "3000", "--out", str(out)],
+            capture_output=True, text=True, env=env, timeout=60)
         _assert_names_orjson_and_leaves_nothing(proc, out)
         assert "this orjson cannot be loaded" in proc.stderr
-        importers = {int(pid) for pid in log.read_text().split()}
-        assert importers and int(proc.stdout) not in importers
 
 
 class TestPriorFileStd:
@@ -1467,6 +1454,15 @@ class TestNumericFlagsProperty:
         _run_at_limits(tmp_path_factory, command, flags)
 
 
+# Runs main in a child whose process starts all raise, then prints the starts tried.
+_MAIN_REFUSING_STARTS = REFUSING_STARTS + """
+from abcfuzz.cli import main
+code = main(sys.argv[1:])
+print(tried)
+sys.exit(code)
+"""
+
+
 class TestEnvironment:
     def test_out_root_env_var(self, tmp_path, monkeypatch):
         monkeypatch.setenv("ABC_FUZZ_OUT", str(tmp_path / "root"))
@@ -1479,19 +1475,24 @@ class TestEnvironment:
         assert main(["gen-prior", "--seed", "5"]) == 0
         assert (tmp_path / "out" / "gen-prior-seed5" / "report.json").exists()
 
-    def test_cli_import_loads_no_writer_pool_module(self):
-        # scipy loads at the first normal draw, mmap and multiprocessing only
-        # when a CSV pool starts
-        for argv in (["-c", "import abcfuzz.cli"], ["-m", "abcfuzz.cli", "--version"],
-                     ["-m", "abcfuzz.cli", "run", "--help"]):
+    def test_cli_import_loads_no_writer_pool_module(self, tmp_path):
+        # scipy loads at the first normal draw; mmap and multiprocessing never
+        # load, and 3000x100 CSV matrices, 300000 cells, are written in process
+        startup = [["-c", "import abcfuzz.cli"], ["-m", "abcfuzz.cli", "--version"],
+                   ["-m", "abcfuzz.cli", "run", "--help"]]
+        writes = [["-c", _MAIN_REFUSING_STARTS, *args, "--out", str(tmp_path / args[0])]
+                  for args in (["run", "smc", "--steps", "3000"], ["gen-prior", "--n", "3000"])]
+        for argv in startup + writes:
             proc = subprocess.run([sys.executable, "-X", "importtime", *argv],
-                                  capture_output=True, text=True)
+                                  capture_output=True, text=True, timeout=120)
             assert proc.returncode == 0, proc.stderr
             loaded = {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
                       if line.startswith("import time:")}
             assert "abcfuzz.core" in loaded
-            assert not {name.split(".")[0] for name in loaded} & {
-                "scipy", "mmap", "multiprocessing"}, argv
+            unwanted = {"mmap", "multiprocessing"} | ({"scipy"} if argv in startup else set())
+            assert not {name.split(".")[0] for name in loaded} & unwanted, argv
+            if argv in writes:
+                assert proc.stdout.splitlines()[-1] == "[]", argv  # no process start tried
 
     def test_module_invocation(self):
         proc = subprocess.run([sys.executable, "-m", "abcfuzz.cli", "--version"],

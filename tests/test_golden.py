@@ -36,12 +36,13 @@ RUNS = {
     "mcmc-prior-file": ["run", "mcmc", "--prior", "gen-prior/prior.csv", "--steps", "300",
                         "--burn-in", "50"],
     "compare": ["compare", "--budget", "500"],
-    # 3000x100 = 300000 cells, past report.POOL_MIN_CELLS: these CSVs take the
-    # writer pool where the host has two usable CPUs, the serial path otherwise
+    # 3000x100 = 300000 cells: each CSV spans five chunks of report.CHUNK_CELLS
+    # cells, and smc-pooled's posterior wraps the sink's two-chunk ring. The
+    # names, kept as the digests' keys, are those of a former writer pool.
     "smc-pooled": ["run", "smc", "--steps", "3000"],
     "mcmc-pooled": ["run", "mcmc", "--steps", "3100", "--burn-in", "100"],
     # a wide proposal rejects about three steps in four, so most rows of this
-    # pooled-size chain repeat the row before them
+    # five-chunk chain repeat the row before them
     "mcmc-pooled-repeats": ["run", "mcmc", "--steps", "3100", "--burn-in", "100",
                             "--step-std", "5"],
     # reads smc-pooled's 3000x100 posterior.csv, parsed in process on any host;

@@ -132,13 +132,7 @@ class TestRunSmc:
         assert_read_only(run_smc(prior, _reference_smc_config(seed=2, n_steps=4)).posterior)
 
     @pytest.mark.parametrize("steps", [4, 1000, 5000])
-    @pytest.mark.parametrize("workers", [2, 0], ids=["shared-buffer", "private-buffer"])
-    def test_sink_buffer_holds_at_most_two_chunks_per_worker_plus_two(self, tmp_path,
-                                                                      monkeypatch, workers,
-                                                                      steps):
-        # two pool workers, or a matrix too small for the pool
-        monkeypatch.setattr(report, "POOL_MIN_CELLS", 0 if workers else 10**9)
-        monkeypatch.setattr(report, "_pool_workers", lambda: 2)
+    def test_sink_buffer_holds_at_most_two_chunks(self, tmp_path, steps):
         prior = generate_prior(PriorConfig(n_particles=5, n_dims=100, seed=1))
         buffers = []
         path = tmp_path / "posterior.csv"
@@ -153,10 +147,8 @@ class TestRunSmc:
             result = run_smc(prior, _reference_smc_config(seed=2, n_steps=steps), sink=sink)
         (buffer,) = buffers
         chunk = report.CHUNK_CELLS // 100
-        assert buffer.shape == (min(steps, (2 * workers + 2) * chunk), 100)
-        # a ring the pool may format lives in a shared mapping, which workers
-        # forked before its rows are filled still read; any other is private
-        assert buffer.flags.owndata != bool(workers)
+        assert buffer.shape == (min(steps, 2 * chunk), 100)
+        assert buffer.flags.owndata
         assert result.posterior is None
         assert len(path.read_text().splitlines()) == steps + 1
 
