@@ -338,6 +338,33 @@ class TestCsvWriter:
         assert line == ("-0.0,5e-324,1e+16,1e-05,1.7976931348623157e+308,"
                         "0.0001,9.999999999999999e-05,9999999999999998.0")
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_cells_keep_their_repr(self, tmp_path, small_chunks, value):
+        # such a row is joined from repr, the rows around it by orjson
+        matrix = np.array([[0.5, 1.0], [value, 2.0], [value, 2.0], [0.25, value]])
+        path = tmp_path / "m.csv"
+        write_csv(path, ["h"], matrix)
+        assert path.read_bytes() == b"h\n" + _per_row_text(matrix).encode("ascii")
+        assert repr(value).encode() in path.read_bytes()
+
+    @pytest.mark.parametrize("layout", [
+        lambda m: m.copy(),
+        np.asfortranarray,
+        lambda m: np.repeat(m, 2, axis=1)[:, ::2],
+        lambda m: m[::-1],
+    ], ids=["c-order", "fortran-order", "strided-columns", "reversed-rows"])
+    def test_any_memory_layout_writes_its_rows(self, tmp_path, small_chunks, layout):
+        matrix = layout(np.vstack([np.arange(21.0).reshape(7, 3) / 7, [SPECIAL_VALUES[:3]] * 2]))
+        path = tmp_path / "m.csv"
+        write_csv(path, ["h"], matrix)
+        assert sum(small_chunks) == 9
+        assert path.read_bytes() == b"h\n" + _per_row_text(matrix).encode("ascii")
+
+    def test_an_empty_matrix_writes_the_header_alone(self, tmp_path, small_chunks):
+        write_csv(tmp_path / "m.csv", ["x0", "x1"], np.empty((0, 2)))
+        assert (tmp_path / "m.csv").read_bytes() == b"x0,x1\n"
+        assert small_chunks == []
+
     def test_particle_csv_round_trips_across_chunks(self, tmp_path, small_chunks):
         prior = generate_prior(PriorConfig(n_particles=9, n_dims=4, seed=5))
         path = tmp_path / "prior.csv"
@@ -827,6 +854,118 @@ class TestRing:
                 run_smc(prior, cfg, sink=sink)
         assert len(judged) == 20
         assert list(out.iterdir()) == []  # made before the sink, so it stays
+
+
+def _raising_judge(calls=2):
+    """A judge whose call number ``calls`` raises ConfigError."""
+    judged = []
+
+    def judge(rows):
+        judged.append(len(rows))
+        if len(judged) == calls:
+            raise ConfigError("judge failed")
+
+    return judge
+
+
+class TestSinkContract:
+    """``CsvSink`` driven by hand, as its docstring states it: a ring of two
+    whole chunks, each chunk judged and written once its rows are final, and
+    nothing left behind but the finished file."""
+
+    @pytest.mark.parametrize("rows, cols, ring_rows", [
+        (5, 100, 5),             # the whole matrix is under two chunks
+        (20000, 100, 1310),      # 655-row chunks
+        (10, 100000, 2),         # a row is wider than a chunk: one-row chunks
+        (10**6, 1, 131072),
+    ], ids=["whole-matrix", "two-chunks", "one-row-chunks", "one-column"])
+    def test_the_ring_is_two_chunks_or_the_whole_matrix(self, tmp_path, rows, cols, ring_rows):
+        with pytest.raises(ConfigError, match="abandoned"):
+            with report.CsvSink(tmp_path / "m.csv", ["h"]) as sink:
+                ring = sink.buffer(rows, cols)
+                raise ConfigError("abandoned")
+        assert ring.shape == (ring_rows, cols)
+        assert ring.dtype == np.float64 and ring.flags.owndata and ring.flags.writeable
+        assert list(tmp_path.iterdir()) == []
+
+    def test_nothing_is_created_before_the_first_advance(self, tmp_path):
+        with pytest.raises(ConfigError, match="stop"):
+            with report.CsvSink(tmp_path / "made" / "m.csv", ["h"]) as sink:
+                sink.buffer(4, 2)
+                assert list(tmp_path.iterdir()) == []
+                raise ConfigError("stop")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("rows", [10, 12], ids=["partial-last-chunk", "whole-chunks"])
+    @pytest.mark.parametrize("step", [1, 2, 3])
+    def test_a_ring_filled_by_hand(self, tmp_path, small_chunks, rows, step):
+        # two columns: 3-row chunks in a 6-row ring, filled at most half of it at a time
+        matrix = np.arange(rows * 2.0).reshape(rows, 2) / 3
+        judged = []
+        path = tmp_path / "m.csv"
+        with report.CsvSink(path, ["a", "b"], lambda chunk: judged.append(chunk.copy())) as sink:
+            ring = sink.buffer(rows, 2)
+            assert ring.shape == (6, 2)
+            for start in range(0, rows, step):
+                stop = min(start + step, rows)
+                for row in range(start, stop):
+                    ring[row % len(ring)] = matrix[row]
+                sink.advance(stop)
+                assert sum(small_chunks) == (rows if stop == rows else stop // 3 * 3)
+        assert [len(chunk) for chunk in judged] == small_chunks
+        assert np.concatenate(judged).tobytes() == matrix.tobytes()
+        assert path.read_bytes() == b"a,b\n" + _per_row_text(matrix).encode("ascii")
+
+    def test_a_repeated_advance_judges_nothing_twice(self, tmp_path, small_chunks):
+        matrix = np.arange(12.0).reshape(6, 2)
+        judged = []
+        path = tmp_path / "m.csv"
+        with report.CsvSink(path, ["a", "b"], lambda chunk: judged.append(len(chunk))) as sink:
+            ring = sink.buffer(6, 2)
+            ring[:3] = matrix[:3]
+            for stop in (3, 3, 2, 0):
+                sink.advance(stop)
+            assert judged == small_chunks == [3]
+            ring[3:] = matrix[3:]
+        assert judged == small_chunks == [3, 3]
+        assert path.read_bytes() == b"a,b\n" + _per_row_text(matrix).encode("ascii")
+
+    @pytest.mark.parametrize("failure", ["full-disk", "interrupt", "judge"])
+    def test_a_failed_rewrite_keeps_the_previous_file(self, tmp_path, monkeypatch,
+                                                      small_chunks, failure):
+        # as when a run is repeated into the same output directory
+        path = tmp_path / "m.csv"
+        path.write_bytes(b"h\nprevious\n")
+        judge, raised = None, ConfigError
+        if failure == "full-disk":
+            monkeypatch.setattr(report, "_format_rows",
+                                _failing_second_call(report._format_rows))
+            raised = OSError
+        elif failure == "interrupt":
+            monkeypatch.setattr(report, "_format_rows", _interrupting(report._format_rows))
+            raised = KeyboardInterrupt
+        else:
+            judge = _raising_judge()
+        with pytest.raises(raised):
+            with report.CsvSink(path, ["h"], judge) as sink:
+                sink._attach(np.ones((200, 3)))
+        assert path.read_bytes() == b"h\nprevious\n"
+        assert list(tmp_path.iterdir()) == [path]
+
+    def test_a_made_directory_that_is_not_empty_stays(self, tmp_path, small_chunks):
+        # the sink makes made/kept/gone/too; a file put in made/kept keeps it and made
+        path = tmp_path / "made" / "kept" / "gone" / "too" / "m.csv"
+        judge = _raising_judge()
+
+        def judge_and_put_a_file(rows):
+            (tmp_path / "made" / "kept" / "other.txt").touch()
+            judge(rows)
+
+        with pytest.raises(ConfigError, match="judge failed"):
+            with report.CsvSink(path, ["h"], judge_and_put_a_file) as sink:
+                sink._attach(np.ones((9, 2)))
+        assert sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*")) == [
+            "made", "made/kept", "made/kept/other.txt"]
 
 
 _CELLS = st.one_of(st.floats(allow_nan=False, allow_infinity=False, width=64),
