@@ -65,7 +65,6 @@ from .prior import generate_prior, slice_count
 from .report import (
     CACHE_MIN_BYTES,
     CsvSink,
-    _find_orjson,
     _read_cached,
     emit_plot_data,
     read_particles_csv,
@@ -405,7 +404,6 @@ def cmd_gen_prior(args) -> int:
     particles = generate_prior(cfg)
     zeroed = slice_count(cfg)
     rate = pass_rate(particles, oracle)
-    _find_orjson()
 
     outdir = _output_dir(args.out, f"gen-prior-seed{cfg.seed}")
     write_particles_csv(particles, outdir / "prior.csv")
@@ -512,7 +510,6 @@ def cmd_run(args) -> int:
             passing += count_passing(ParticleSet._adopt(rows), oracle)
 
         header = [f"x{i}" for i in range(particles.dim)]
-        _find_orjson()
         with CsvSink(outdir / "posterior.csv", header, judge) as sink:
             result = run_smc(particles, cfg, sink=sink)
         judged, posterior_rate = n_steps, passing / n_steps
@@ -549,14 +546,14 @@ def cmd_run(args) -> int:
             diagnostics["trace_dim0_summary"] = trace_summary(result.trace_dim0, cfg.burn_in)
         config_echo = {"prior": prior_echo, "mcmc": cfg.to_dict(), "oracle": oracle_echo}
 
-        _find_orjson()  # before the line tables, which precede posterior.csv
-        write_lines([range(n_steps), result.trace_dim0], [
-            (outdir / "plot-mcmc-trace.dat", "step,x0", None),
-            (outdir / "diagnostics.csv", "step,x0,accepted_flag", result.accepted.astype(int))])
+        # matrices first: without orjson the first sink fails and leaves nothing
         if result.trace_full is not None:
             write_particles_csv(ParticleSet._adopt(result.trace_full),
                                 outdir / "trace-full.csv")
         write_particles_csv(result.chain, outdir / "posterior.csv")
+        write_lines([range(n_steps), result.trace_dim0], [
+            (outdir / "plot-mcmc-trace.dat", "step,x0", None),
+            (outdir / "diagnostics.csv", "step,x0,accepted_flag", result.accepted.astype(int))])
 
     oracle_calls = particles.n + judged
     write_report({

@@ -43,18 +43,8 @@ def write_report(payload: dict, path) -> None:
 
 
 # Cells per chunk of a matrix's rows: the sink judges, formats and writes a
-# matrix one chunk at a time, so a streamed matrix takes two chunks of memory.
+# matrix one chunk at a time, so a streamed matrix takes one chunk of memory.
 CHUNK_CELLS = 65536
-
-
-def _find_orjson() -> None:
-    """Raise ImportError where orjson cannot be found, without importing it:
-    a command checks this before its first artifact, so a run that could not
-    format its matrices leaves none."""
-    import importlib.util
-
-    if importlib.util.find_spec("orjson") is None:
-        raise ImportError("CSV output needs orjson, which is not installed")
 
 
 def _format_rows(rows: np.ndarray) -> bytes:
@@ -91,12 +81,14 @@ def _format_rows(rows: np.ndarray) -> bytes:
 
 
 class CsvSink:
-    """A float64 matrix written to a CSV file while its rows become final, front to back.
+    """A float64 matrix written to a CSV file as its rows are pushed, front to back.
 
-    Rows are judged, formatted and written in this process, in chunks of
-    CHUNK_CELLS cells, in row order. ``buffer`` gives the caller a ring of
-    two whole chunks. Each chunk, once final, is passed to ``judge``, if
-    given, then written. Nothing is created before the first ``advance``.
+    ``write(rows)`` copies the caller's next rows into a buffer of one chunk,
+    CHUNK_CELLS cells, that the sink owns. Each chunk, as it fills, is
+    passed to ``judge``, if given, then formatted and written in this
+    process, and the last, partial chunk when the block ends cleanly. The
+    rows ``judge`` gets are a view of that reused buffer, valid only during
+    the call. Nothing is created before the first ``write``.
 
     Use it as a context manager. The file appears under its own name only
     when the block ends cleanly; until then it is written under the same
@@ -110,45 +102,35 @@ class CsvSink:
         self._temp = self._path.with_name(self._path.name + ".tmp")
         self._header = header
         self._judge = judge
-        self._ring = None  # the matrix's rows, row r at ring row r mod len(ring)
-        self._rows = 0     # rows of the matrix
-        self._chunk = 1    # rows per chunk
-        self._written = 0  # leading chunks judged and written to the file
+        self._chunk = None  # the chunk buffer, made at the first write
+        self._filled = 0    # its leading rows not yet written
         self._fh = None
-        self._made = []    # directories made for the file, deepest first
+        self._made = []     # directories made for the file, deepest first
 
-    def buffer(self, rows: int, cols: int) -> np.ndarray:
-        """A writable ring for a (rows, cols) float matrix that the caller
-        fills front to back, at most half the ring between two ``advance``
-        calls: row r goes to ring row r mod len(ring)."""
-        chunk = max(1, CHUNK_CELLS // max(1, cols))
-        return self._attach(np.empty((min(rows, 2 * chunk), cols)), rows)
-
-    def _attach(self, ring: np.ndarray, rows: Optional[int] = None) -> np.ndarray:
-        _require(ring.dtype == np.float64,
-                 f"CSV matrix must hold float64 values, got {ring.dtype}")
-        self._ring, self._rows = ring, ring.shape[0] if rows is None else rows
-        self._chunk = max(1, CHUNK_CELLS // max(1, ring.shape[1]))
-        return ring
-
-    def advance(self, stop: int) -> None:
-        """Rows [0, stop) are final: judge, format and write every chunk
-        they complete, in row order."""
+    def write(self, rows: np.ndarray) -> None:
+        """Append ``rows``, a float64 matrix, to the file: judge, format and
+        write every chunk they fill."""
+        _require(rows.dtype == np.float64,
+                 f"CSV matrix must hold float64 values, got {rows.dtype}")
         if self._fh is None:
-            directory = self._temp.parent
+            directory, cols = self._temp.parent, rows.shape[1]
             self._made = [d for d in (directory, *directory.parents) if not d.exists()]
             self._fh = _create(self._temp)
             self._fh.write((",".join(self._header) + "\n").encode("utf-8"))
-        final = -(-self._rows // self._chunk) if stop >= self._rows else stop // self._chunk
-        for chunk in range(self._written, final):
-            # a ring of whole chunks never wraps inside one
-            first = chunk * self._chunk
-            start = first % len(self._ring)
-            rows = self._ring[start:start + min(self._chunk, self._rows - first)]
-            if self._judge is not None:
-                self._judge(rows)
-            self._fh.write(_format_rows(rows))
-            self._written = chunk + 1
+            self._chunk = np.empty((max(1, CHUNK_CELLS // max(1, cols)), cols))
+        while len(rows):
+            part = rows[:len(self._chunk) - self._filled]
+            self._chunk[self._filled:self._filled + len(part)] = part
+            self._filled, rows = self._filled + len(part), rows[len(part):]
+            if self._filled == len(self._chunk):
+                self._flush()
+
+    def _flush(self) -> None:
+        rows = self._chunk[:self._filled]
+        if self._judge is not None:
+            self._judge(rows)
+        self._fh.write(_format_rows(rows))
+        self._filled = 0
 
     def __enter__(self) -> "CsvSink":
         return self
@@ -156,7 +138,10 @@ class CsvSink:
     def __exit__(self, exc_type, exc, tb) -> None:
         try:
             if exc_type is None:
-                self.advance(self._rows)
+                if self._fh is None:  # no rows: the header alone
+                    self.write(np.empty((0, len(self._header))))
+                if self._filled:
+                    self._flush()
                 self._fh.close()
                 os.replace(self._temp, self._path)
                 self._fh = None
@@ -175,11 +160,11 @@ class CsvSink:
 
 def write_csv(path, header: Sequence[str], rows: np.ndarray) -> None:
     """Plain comma-separated writer of a 2-D float64 array, floats at full
-    round-trip precision, through a CsvSink, which converts it to Python
-    numbers one chunk of rows at a time (never the whole matrix at once,
-    which would multiply peak memory)."""
+    round-trip precision, through a CsvSink, which formats it one chunk of
+    rows at a time (never the whole matrix at once, which would multiply
+    peak memory)."""
     with CsvSink(path, header) as sink:
-        sink._attach(rows)
+        sink.write(rows)
 
 
 def write_particles_csv(particles: ParticleSet, path) -> None:

@@ -5,8 +5,8 @@ with a Gaussian random walk, reweights them by the directed likelihood,
 records one posterior particle drawn by weight (pre-resampling
 coordinates), then resamples the population systematically. Running T
 steps therefore yields exactly T posterior particles regardless of the
-population size. A run given a CSV sink streams them through the sink's
-ring of rows instead of holding them.
+population size. A run given a CSV sink hands them to the sink one draw
+block at a time instead of holding them.
 """
 
 from dataclasses import dataclass
@@ -100,11 +100,11 @@ def run_smc(prior: ParticleSet, config: SmcConfig, sink=None) -> SmcResult:
     them one step at a time. Identical (prior, config) pairs produce
     bitwise-identical results.
 
-    When a sink is given (an entered ``report.CsvSink``), step s writes its
-    posterior particle to row s mod len(ring) of the sink's ring, and the
-    sink is told after each draw block which rows are final, so it judges
-    and writes them while the loop runs. The result's posterior is then
-    None. The caller's ``with`` block completes or discards the file.
+    When a sink is given (an entered ``report.CsvSink``, or any object
+    with its ``write(rows)``), each draw block's posterior particles are
+    handed to ``sink.write`` from one reused block-sized array, which the
+    sink judges and writes while the loop runs. The result's posterior is
+    then None. The caller's ``with`` block completes or discards the file.
 
     Raises DegeneracyError, naming the step, if every particle
     weight collapses.
@@ -119,9 +119,8 @@ def run_smc(prior: ParticleSet, config: SmcConfig, sink=None) -> SmcResult:
     rng = RandomSource(config.seed)
 
     population = prior.to_array()
-    ring = np.empty((steps, d)) if sink is None else sink.buffer(steps, d)
-    # at most half the ring between two advances; a block's size never moves a draw
-    rows = _block_rows(nd + 2, max(1, len(ring) // 2))
+    rows = _block_rows(nd + 2, steps)
+    posterior = np.empty((steps if sink is None else rows, d))
     weight_sums = np.empty(steps)
     ess = np.empty(steps)  # each step's sum of squared weights until the loop ends
     grid = np.arange(n) / n
@@ -141,6 +140,7 @@ def run_smc(prior: ParticleSet, config: SmcConfig, sink=None) -> SmcResult:
             noise *= config.step_std
             # per step: the n resampling grid points, then the posterior pick
             points = np.hstack([block[:, nd, np.newaxis] / n + grid, block[:, nd + 1:]])
+            picked = posterior if sink is not None else posterior[first:]
 
             for j in range(block.shape[0]):
                 step = first + j
@@ -161,10 +161,10 @@ def run_smc(prior: ParticleSet, config: SmcConfig, sink=None) -> SmcResult:
                 # an infinite last bound does systematic_resample's clamp to N - 1
                 np.add.accumulate(w, out=cumulative)[-1] = np.inf
                 selected = cumulative.searchsorted(points[j], "right")
-                ring[step % len(ring)] = population[selected[n]]
+                picked[j] = population[selected[n]]
                 population = population.take(selected[:n], axis=0)
             if sink is not None:
-                sink.advance(first + block.shape[0])
+                sink.write(picked[:block.shape[0]])
 
     # float round-off can push 1/sum(w^2) past N by ~1e-15; keep the
     # recorded series inside its documented [1, N] range
@@ -172,7 +172,7 @@ def run_smc(prior: ParticleSet, config: SmcConfig, sink=None) -> SmcResult:
     weight_sums.setflags(write=False)
     ess.setflags(write=False)
     return SmcResult(
-        posterior=ParticleSet._adopt(ring) if sink is None else None,
+        posterior=ParticleSet._adopt(posterior) if sink is None else None,
         weight_sum_series=weight_sums,
         ess_series=ess,
     )

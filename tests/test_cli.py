@@ -748,7 +748,7 @@ class TestSizeLimits:
         assert "out of memory" in capsys.readouterr().err
 
     def test_steps_whose_series_cannot_be_allocated_exit_3(self, tmp_path):
-        # 10**12 steps: the posterior ring stays a few chunks, and the 8 TB
+        # 10**12 steps: the posterior goes out a draw block at a time, and the 8 TB
         # weight-sum series fails at once, in a child with 1 GiB of address
         # space and 10 s to run
         out = tmp_path / "run"
@@ -785,7 +785,7 @@ print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
 
 class TestFlatMemory:
     def test_smc_peak_memory_does_not_grow_with_steps(self, tmp_path):
-        # the posterior streams through the sink's ring: ten times the steps
+        # the posterior streams through the sink's one chunk: ten times the steps
         # adds only the 16-byte-a-step weight-sum and ESS series (0.3 MB)
         peaks = {}
         for steps in (2000, 20000):

@@ -37,7 +37,7 @@ RUNS = {
                         "--burn-in", "50"],
     "compare": ["compare", "--budget", "500"],
     # 3000x100 = 300000 cells: each CSV spans five chunks of report.CHUNK_CELLS
-    # cells, and smc-pooled's posterior wraps the sink's two-chunk ring. The
+    # cells, and smc-pooled's posterior reuses the sink's one chunk buffer. The
     # names, kept as the digests' keys, are those of a former writer pool.
     "smc-pooled": ["run", "smc", "--steps", "3000"],
     "mcmc-pooled": ["run", "mcmc", "--steps", "3100", "--burn-in", "100"],

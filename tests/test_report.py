@@ -788,10 +788,10 @@ class TestStreamingSink:
 EXEC_RANGE = "exec:awk 'NR==1{exit !($1>=-0.5 && $1<=0.5)}'"
 
 
-class TestRing:
-    """``CsvSink.buffer`` is a ring of two whole chunks, which the SMC loop
-    fills row by row: the file, the rows judged and the verdicts equal those
-    of a run that holds its whole posterior."""
+class TestJudgedChunks:
+    """The SMC loop writes each draw block's rows to a ``CsvSink``, which
+    judges them a chunk at a time: the file, the rows judged and the
+    verdicts equal those of a run that holds its whole posterior."""
 
     @pytest.mark.parametrize("block_doubles", [16, 24, 40],
                              ids=["2-step-blocks", "blocks-of-a-chunk", "5-step-blocks"])
@@ -799,20 +799,10 @@ class TestRing:
                                                 block_doubles):
         monkeypatch.setattr(core, "BLOCK_DOUBLES", block_doubles)
         prior, cfg = _stream_inputs(300)
-        judged, buffers = [], []
+        judged = []
         path = tmp_path / "posterior.csv"
         with report.CsvSink(path, ["x0", "x1"], lambda rows: judged.append(rows.copy())) as sink:
-            allocate = sink.buffer
-
-            def recorded(*args):
-                buffers.append(allocate(*args))
-                return buffers[-1]
-
-            sink.buffer = recorded
             result = run_smc(prior, cfg, sink=sink)
-        (buffer,) = buffers
-        # a 5-step block is cut to half the ring
-        assert buffer.shape == (6, 2)
         assert result.posterior is None
         assert [len(rows) for rows in judged] == [3] * 100
         expected = run_smc(prior, cfg).posterior.values
@@ -844,7 +834,7 @@ class TestRing:
 
         def judge(rows):
             judged.append(len(rows))
-            if len(judged) == 20:  # well after the ring has wrapped
+            if len(judged) == 20:  # well after the chunk buffer is first reused
                 raise ConfigError("judge failed")
 
         out = tmp_path / "run"
@@ -869,65 +859,38 @@ def _raising_judge(calls=2):
 
 
 class TestSinkContract:
-    """``CsvSink`` driven by hand, as its docstring states it: a ring of two
-    whole chunks, each chunk judged and written once its rows are final, and
-    nothing left behind but the finished file."""
+    """``CsvSink`` driven by hand, as its docstring states it: rows copied in
+    by ``write``, each chunk judged and written once it fills, and nothing
+    left behind but the finished file."""
 
-    @pytest.mark.parametrize("rows, cols, ring_rows", [
-        (5, 100, 5),             # the whole matrix is under two chunks
-        (20000, 100, 1310),      # 655-row chunks
-        (10, 100000, 2),         # a row is wider than a chunk: one-row chunks
-        (10**6, 1, 131072),
-    ], ids=["whole-matrix", "two-chunks", "one-row-chunks", "one-column"])
-    def test_the_ring_is_two_chunks_or_the_whole_matrix(self, tmp_path, rows, cols, ring_rows):
-        with pytest.raises(ConfigError, match="abandoned"):
-            with report.CsvSink(tmp_path / "m.csv", ["h"]) as sink:
-                ring = sink.buffer(rows, cols)
-                raise ConfigError("abandoned")
-        assert ring.shape == (ring_rows, cols)
-        assert ring.dtype == np.float64 and ring.flags.owndata and ring.flags.writeable
-        assert list(tmp_path.iterdir()) == []
-
-    def test_nothing_is_created_before_the_first_advance(self, tmp_path):
+    def test_nothing_is_created_before_the_first_write(self, tmp_path):
+        temp = tmp_path / "made" / "m.csv.tmp"
         with pytest.raises(ConfigError, match="stop"):
             with report.CsvSink(tmp_path / "made" / "m.csv", ["h"]) as sink:
-                sink.buffer(4, 2)
                 assert list(tmp_path.iterdir()) == []
+                sink.write(np.ones((1, 2)))
+                assert temp.exists()
                 raise ConfigError("stop")
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("rows", [10, 12], ids=["partial-last-chunk", "whole-chunks"])
-    @pytest.mark.parametrize("step", [1, 2, 3])
-    def test_a_ring_filled_by_hand(self, tmp_path, small_chunks, rows, step):
-        # two columns: 3-row chunks in a 6-row ring, filled at most half of it at a time
+    @pytest.mark.parametrize("step", [1, 2, 3, 7, None],
+                             ids=["1", "2", "3", "7", "whole-matrix"])
+    def test_rows_written_by_hand(self, tmp_path, small_chunks, rows, step):
+        # two columns: 3-row chunks, each filled by one write or by several
         matrix = np.arange(rows * 2.0).reshape(rows, 2) / 3
+        step = step or rows
         judged = []
         path = tmp_path / "m.csv"
         with report.CsvSink(path, ["a", "b"], lambda chunk: judged.append(chunk.copy())) as sink:
-            ring = sink.buffer(rows, 2)
-            assert ring.shape == (6, 2)
             for start in range(0, rows, step):
-                stop = min(start + step, rows)
-                for row in range(start, stop):
-                    ring[row % len(ring)] = matrix[row]
-                sink.advance(stop)
-                assert sum(small_chunks) == (rows if stop == rows else stop // 3 * 3)
+                part = matrix[start:start + step].copy()
+                sink.write(part)
+                part.fill(np.nan)  # the sink holds a copy: the caller may reuse its rows
+                assert sum(small_chunks) == min(start + step, rows) // 3 * 3
+        assert small_chunks == [3] * (rows // 3) + [rows % 3] * (rows % 3 > 0)
         assert [len(chunk) for chunk in judged] == small_chunks
         assert np.concatenate(judged).tobytes() == matrix.tobytes()
-        assert path.read_bytes() == b"a,b\n" + _per_row_text(matrix).encode("ascii")
-
-    def test_a_repeated_advance_judges_nothing_twice(self, tmp_path, small_chunks):
-        matrix = np.arange(12.0).reshape(6, 2)
-        judged = []
-        path = tmp_path / "m.csv"
-        with report.CsvSink(path, ["a", "b"], lambda chunk: judged.append(len(chunk))) as sink:
-            ring = sink.buffer(6, 2)
-            ring[:3] = matrix[:3]
-            for stop in (3, 3, 2, 0):
-                sink.advance(stop)
-            assert judged == small_chunks == [3]
-            ring[3:] = matrix[3:]
-        assert judged == small_chunks == [3, 3]
         assert path.read_bytes() == b"a,b\n" + _per_row_text(matrix).encode("ascii")
 
     @pytest.mark.parametrize("failure", ["full-disk", "interrupt", "judge"])
@@ -948,7 +911,7 @@ class TestSinkContract:
             judge = _raising_judge()
         with pytest.raises(raised):
             with report.CsvSink(path, ["h"], judge) as sink:
-                sink._attach(np.ones((200, 3)))
+                sink.write(np.ones((200, 3)))
         assert path.read_bytes() == b"h\nprevious\n"
         assert list(tmp_path.iterdir()) == [path]
 
@@ -963,7 +926,7 @@ class TestSinkContract:
 
         with pytest.raises(ConfigError, match="judge failed"):
             with report.CsvSink(path, ["h"], judge_and_put_a_file) as sink:
-                sink._attach(np.ones((9, 2)))
+                sink.write(np.ones((9, 2)))
         assert sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*")) == [
             "made", "made/kept", "made/kept/other.txt"]
 

@@ -1,6 +1,7 @@
 """SMC: weight normalization, resampling, full loop."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from abcfuzz import (
     run_smc,
     systematic_resample,
 )
-from abcfuzz import core, report, smc
+from abcfuzz import core, smc
 from support import assert_read_only, replay_smc
 
 
@@ -132,25 +133,17 @@ class TestRunSmc:
         assert_read_only(run_smc(prior, _reference_smc_config(seed=2, n_steps=4)).posterior)
 
     @pytest.mark.parametrize("steps", [4, 1000, 5000])
-    def test_sink_buffer_holds_at_most_two_chunks(self, tmp_path, steps):
+    def test_sink_gets_the_posterior_in_draw_blocks(self, steps):
+        # any object with write(rows) is a sink; each block it gets is valid
+        # only during the call, so it keeps copies
         prior = generate_prior(PriorConfig(n_particles=5, n_dims=100, seed=1))
-        buffers = []
-        path = tmp_path / "posterior.csv"
-        with report.CsvSink(path, [f"x{i}" for i in range(100)]) as sink:
-            allocate = sink.buffer
-
-            def recorded(*args):
-                buffers.append(allocate(*args))
-                return buffers[-1]
-
-            sink.buffer = recorded
-            result = run_smc(prior, _reference_smc_config(seed=2, n_steps=steps), sink=sink)
-        (buffer,) = buffers
-        chunk = report.CHUNK_CELLS // 100
-        assert buffer.shape == (min(steps, 2 * chunk), 100)
-        assert buffer.flags.owndata
+        cfg = _reference_smc_config(seed=2, n_steps=steps)
+        blocks = []
+        result = run_smc(prior, cfg, sink=SimpleNamespace(
+            write=lambda rows: blocks.append(rows.copy())))
         assert result.posterior is None
-        assert len(path.read_text().splitlines()) == steps + 1
+        assert all(1 <= len(block) <= core._block_rows(5 * 100 + 2, steps) for block in blocks)
+        assert np.concatenate(blocks).tobytes() == run_smc(prior, cfg).posterior.values.tobytes()
 
     def test_posterior_has_one_particle_per_step(self):
         prior = generate_prior(PriorConfig(seed=1))
