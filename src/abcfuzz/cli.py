@@ -213,11 +213,19 @@ def _sampler_section(file_cfg: dict, name: str, args, **flags):
 
 
 def _output_dir(out_flag, run_id: str) -> Path:
-    """The run's output directory; the writers create it with the first artifact,
-    so a run that fails before writing leaves none behind."""
+    """The run's output directory, resolved before any draw. The writers
+    create it with the first artifact, so a run that fails before writing
+    leaves none behind; one whose nearest existing ancestor is not a
+    directory is a ConfigError, naming the flag or variable that gave it."""
+    root = os.environ.get("ABC_FUZZ_OUT")
     if out_flag is not None:
-        return Path(out_flag)
-    return Path(os.environ.get("ABC_FUZZ_OUT") or "out") / run_id
+        outdir, name = Path(out_flag), "--out"
+    else:
+        outdir, name = Path(root or "out") / run_id, "$ABC_FUZZ_OUT" if root else "output root"
+    existing = next((each for each in (outdir, *outdir.parents) if each.exists()), None)
+    _require(existing is None or existing.is_dir(),
+             f"{name} {outdir}: {existing} is not a directory")
+    return outdir
 
 
 def _add_config_flags(parser):
@@ -400,12 +408,12 @@ def _generated_std(cfg: PriorConfig) -> float:
 def cmd_gen_prior(args) -> int:
     file_cfg = _load_file_config(args.config)
     cfg = PriorConfig.from_dict(_section(file_cfg, "prior", args, seed=args.seed))
+    outdir = _output_dir(args.out, f"gen-prior-seed{cfg.seed}")
     oracle, oracle_echo = _resolve_oracle(args, file_cfg)
     particles = generate_prior(cfg)
     zeroed = slice_count(cfg)
     rate = pass_rate(particles, oracle)
 
-    outdir = _output_dir(args.out, f"gen-prior-seed{cfg.seed}")
     write_particles_csv(particles, outdir / "prior.csv")
     write_lines([range(zeroed)], [(outdir / "slice-indices.csv", "index", None)])
     emit_plot_data(particles, "prior-histogram-data", outdir / "plot-prior-histogram.dat",
@@ -461,6 +469,10 @@ def _resolve_run_prior(args, file_cfg: dict, sampler_seed: int):
     """The prior before any draw: (particles, config, echo). A --prior file
     is read, with no config; a generated prior is configured, not drawn."""
     if args.prior is not None:
+        for dest in (*_FLAG_FIELDS["prior"], "prior_seed"):
+            if getattr(args, dest) is not None:
+                raise ConfigError(f"--{dest.replace('_', '-')} only applies to a generated "
+                                  "prior, not with --prior")
         particles = _read_prior(_input_file(args.prior, "--prior", capped=False))
         echo = {"file": str(args.prior), "n_particles": particles.n,
                 "n_dims": particles.dim}
@@ -482,6 +494,7 @@ def cmd_run(args) -> int:
                 raise ConfigError(f"{name} only applies to mcmc")
 
     data, seed = _sampler_section(file_cfg, sampler, args)
+    outdir = _output_dir(args.out, f"{sampler}-seed{seed}")
     # every config record is built before a generated prior is drawn
     particles, prior_cfg, prior_echo = _resolve_run_prior(args, file_cfg, seed)
     if particles is not None:
@@ -498,7 +511,6 @@ def cmd_run(args) -> int:
     # an oracle that does not fit the particles fails here, before the loop
     prior_rate = pass_rate(particles, oracle)
     n_steps = cfg.n_steps
-    outdir = _output_dir(args.out, f"{sampler}-seed{seed}")
 
     if sampler == "smc":
         # posterior.csv is judged and formatted chunk by chunk while the loop
@@ -578,6 +590,7 @@ def cmd_compare(args) -> int:
              "(seed + 1); remove the key from the config file")
     budget = args.budget
     data, seed = _sampler_section(file_cfg, "smc", args, n_steps=budget)
+    outdir = _output_dir(args.out, f"compare-seed{seed}")
     oracle, oracle_echo = _resolve_oracle(args, file_cfg)
 
     prior_cfg = PriorConfig.from_dict(
@@ -604,7 +617,6 @@ def cmd_compare(args) -> int:
         ("random", budget, random_found, random_found / budget),
         ("smc", budget, smc_found, smc_found / budget),
     ]
-    outdir = _output_dir(args.out, f"compare-seed{seed}")
     write_lines(list(zip(*rows)), [
         (outdir / "compare-table.csv", "method,oracle_calls,passing,pass_rate", None)])
     write_report({

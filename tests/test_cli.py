@@ -1,6 +1,7 @@
 """CLI contract: artifacts, exit codes, determinism, config merging."""
 
 import contextlib
+import errno
 import io
 import json
 import os
@@ -10,6 +11,7 @@ import shlex
 import signal
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -573,10 +575,17 @@ class TestConfigValueProperty:
 
 
 class TestExitCodes:
-    def test_unwritable_output_exits_3(self, tmp_path):
-        blocker = tmp_path / "blocker"
-        blocker.write_text("file, not a directory")
-        assert main(["gen-prior", "--out", str(blocker / "sub")]) == 3
+    def test_unwritable_output_exits_3(self, tmp_path, monkeypatch, capsys):
+        # as in a directory without write permission, which binds no root user;
+        # an --out below a file exits 2 (TestOutputDirectory)
+        def refuse(self, *args, **kwargs):
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), str(self))
+
+        monkeypatch.setattr(Path, "mkdir", refuse)
+        assert main(["gen-prior", "--n", "3", "--out", str(tmp_path / "locked" / "sub")]) == 3
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("abc-fuzz: environment error: [Errno 13] Permission denied")
+        assert list(tmp_path.iterdir()) == []
 
     def test_bad_oracle_spec_exits_2(self, tmp_path, capsys):
         assert main(["run", "smc", "--oracle", "bogus", "--out", str(tmp_path)]) == 2
@@ -643,8 +652,9 @@ class TestExitCodes:
         ragged = tmp_path / "ragged.csv"
         ragged.write_text("x0,x1,x2\n1.0,2.0,3.0\n4.0,5.0\n")
         proc = subprocess.run(
-            [sys.executable, "-m", "abcfuzz.cli", "run", "smc", "--dims", "3",
-             "--steps", "2", flag, str(ragged), "--out", str(tmp_path / "run")],
+            [sys.executable, "-m", "abcfuzz.cli", "run", "smc", "--steps", "2",
+             *(["--dims", "3"] if flag == "--target" else []),  # a --prior file sets dims
+             flag, str(ragged), "--out", str(tmp_path / "run")],
             capture_output=True, text=True)
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr
@@ -899,6 +909,70 @@ class TestUsageErrorsBeforeOutput:
         err = capsys.readouterr().err
         assert "std_dev (1e+308)" in err and "mean (0.0)" in err
         assert not out.exists()
+
+
+    @pytest.mark.parametrize("sampler", ["smc", "mcmc"])
+    @pytest.mark.parametrize("flag, value", [("--n", "5"), ("--dims", "3"), ("--mean", "1"),
+                                             ("--std", "2"), ("--zero-fraction", "0.5"),
+                                             ("--prior-seed", "9")])
+    def test_a_prior_flag_with_a_prior_file_exits_2_naming_it(self, tmp_path, capsys, sampler,
+                                                               flag, value):
+        # the file does not exist, so a read would exit 3: the flag is refused first
+        out = tmp_path / "X"
+        assert main(["run", sampler, "--prior", str(tmp_path / "missing.csv"), flag, value,
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"abc-fuzz: error: {flag} only applies to a generated prior, not with --prior\n")
+        assert not out.exists()
+
+    def test_a_config_files_prior_section_is_kept_with_a_prior_file(self, tmp_path):
+        # one config file may serve gen-prior and run alike
+        config = tmp_path / "F.json"
+        config.write_text(json.dumps({"prior": {"n_particles": 5, "seed": 3}}))
+        out = tmp_path / "X"
+        assert main(["run", "smc", "--prior", str(_small_prior_file(tmp_path)), "--steps", "2",
+                     "--config", str(config), "--out", str(out)]) == 0
+        assert _read_report(out)["config_echo"]["prior"]["n_particles"] == 2  # the file's
+
+
+def _no_draw(*args, **kwargs):
+    raise AssertionError("a prior was drawn")
+
+
+_OUT_COMMANDS = [["gen-prior"], ["run", "smc"], ["run", "mcmc"], ["compare", "--budget", "2"]]
+
+
+class TestOutputDirectory:
+    """An output path that is, or lies below, a regular file is a usage
+    fault, found before any draw."""
+
+    @pytest.mark.parametrize("command", _OUT_COMMANDS, ids=" ".join)
+    @pytest.mark.parametrize("below", [False, True], ids=["a-file", "below-a-file"])
+    def test_out_at_or_below_a_file_exits_2_before_any_draw(self, tmp_path, monkeypatch,
+                                                             capsys, command, below):
+        monkeypatch.setattr(cli, "generate_prior", _no_draw)
+        blocker = tmp_path / "F"
+        blocker.write_bytes(b"kept\n")
+        out = blocker / "sub" if below else blocker
+        assert main([*command, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"abc-fuzz: error: --out {out}: {blocker} is not a directory\n")
+        assert blocker.read_bytes() == b"kept\n"
+        assert list(tmp_path.iterdir()) == [blocker]
+
+    @pytest.mark.parametrize("command", _OUT_COMMANDS, ids=" ".join)
+    def test_out_root_of_a_file_exits_2_naming_the_variable(self, tmp_path, monkeypatch,
+                                                            capsys, command):
+        monkeypatch.setattr(cli, "generate_prior", _no_draw)
+        blocker = tmp_path / "F"
+        blocker.write_bytes(b"kept\n")
+        monkeypatch.setenv("ABC_FUZZ_OUT", str(blocker))
+        assert main([*command, "--seed", "5"]) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith(f"abc-fuzz: error: $ABC_FUZZ_OUT {blocker}{os.sep}")
+        assert line.endswith(f"-seed5: {blocker} is not a directory")
+        assert blocker.read_bytes() == b"kept\n"
+        assert list(tmp_path.iterdir()) == [blocker]
 
 
 # Runs main in a child and prints which scipy modules it loaded.
