@@ -7,6 +7,8 @@ module-scoped run (the golden digests) never writes the user's cache, and
 no test finds an entry another one stored.
 """
 
+import signal
+
 import pytest
 
 
@@ -29,3 +31,16 @@ def _module_cache_home(tmp_path_factory):
 @pytest.fixture(autouse=True)
 def _test_cache_home(tmp_path_factory):
     yield from _cache_home(tmp_path_factory, "cache-test")
+
+
+@pytest.fixture
+def default_sighup():
+    """SIGHUP at its default disposition for one test, so that the CLI, in
+    process or in a child (which inherits it), takes the signal over even
+    where the suite runs under nohup, which ignores it. The caller's
+    disposition is given back afterwards."""
+    caller = signal.signal(signal.SIGHUP, signal.SIG_DFL)
+    try:
+        yield
+    finally:
+        signal.signal(signal.SIGHUP, caller)

@@ -211,6 +211,7 @@ class TestFaults:
         assert not (tmp_path / "relative").exists()
         assert os.stat(tmp_path / "home" / ".cache" / "abc-fuzz").st_mode & 0o777 == 0o700
 
+    @pytest.mark.usefixtures("default_sighup")
     @pytest.mark.parametrize("signum, code", [
         (signal.SIGINT, 130), (signal.SIGTERM, 143), (signal.SIGHUP, 129),
     ], ids=["sigint", "sigterm", "sighup"])

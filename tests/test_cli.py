@@ -602,6 +602,7 @@ class TestExitCodes:
     def test_missing_subcommand_exits_2(self, capsys):
         assert main([]) == 2
 
+    @pytest.mark.usefixtures("default_sighup")
     @pytest.mark.parametrize("first, second, code", [
         (signal.SIGINT, signal.SIGINT, 130),
         (signal.SIGTERM, signal.SIGTERM, 143),

@@ -446,6 +446,7 @@ class TestStopSignals:
     """SIGTERM and SIGHUP exit like Ctrl-C: 128 + signum, one line on
     stderr, and no temporary file or oracle child left."""
 
+    @pytest.mark.usefixtures("default_sighup")
     @pytest.mark.parametrize("signum, code", [(signal.SIGTERM, 143), (signal.SIGHUP, 129)],
                              ids=["sigterm", "sighup"])
     def test_signal_while_the_writer_writes_leaves_no_tmp(self, tmp_path, signum, code):
@@ -470,6 +471,7 @@ class TestStopSignals:
         assert (tmp_path / "run" / "report.json").exists()
         assert not list((tmp_path / "run").glob("*.tmp"))
 
+    @pytest.mark.usefixtures("default_sighup")
     @pytest.mark.parametrize("signum, code", [(signal.SIGTERM, 143), (signal.SIGHUP, 129)],
                              ids=["sigterm", "sighup"])
     def test_signal_during_a_verdict_kills_the_oracle_child(self, tmp_path, signum, code):
