@@ -9,14 +9,17 @@ degeneracy, 130 interrupted (Ctrl-C), 143 and 129 terminated (SIGTERM, SIGHUP).
 """
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import math
 import os
 import re
+import shutil
 import signal
 import stat
 import sys
+import tempfile
 import threading
 from pathlib import Path
 
@@ -213,9 +216,8 @@ def _sampler_section(file_cfg: dict, name: str, args, **flags):
 
 
 def _output_dir(out_flag, run_id: str) -> Path:
-    """The run's output directory, resolved before any draw. The writers
-    create it with the first artifact, so a run that fails before writing
-    leaves none behind; one whose nearest existing ancestor is not a
+    """The run's output directory, resolved before any draw and made only
+    by ``_staged``; one whose nearest existing ancestor is not a
     directory is a ConfigError, naming the flag or variable that gave it."""
     root = os.environ.get("ABC_FUZZ_OUT")
     if out_flag is not None:
@@ -226,6 +228,36 @@ def _output_dir(out_flag, run_id: str) -> Path:
     _require(existing is None or existing.is_dir(),
              f"{name} {outdir}: {existing} is not a directory")
     return outdir
+
+
+@contextlib.contextmanager
+def _staged(outdir: Path):
+    """Yield a new ``.partial-*`` directory in ``outdir``, made with its
+    parents, for a run's artifacts; a clean end moves each into ``outdir``.
+    An error or interrupt removes it, then each directory made for it that
+    is empty, deepest first, and names an OSError's file at its final path,
+    or else ``outdir``, never the staging path."""
+    made = [each for each in (outdir, *outdir.parents) if not each.exists()]
+    stage = None
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+        stage = Path(tempfile.mkdtemp(prefix=".partial-", dir=outdir))
+        yield stage
+        for each in stage.iterdir():
+            os.replace(each, outdir / each.name)
+        stage.rmdir()
+    except BaseException as exc:
+        if stage is not None:
+            shutil.rmtree(stage, ignore_errors=True)
+        with contextlib.suppress(OSError):  # a directory that is not empty stays
+            for each in made:
+                each.rmdir()
+        if isinstance(exc, OSError) and exc.errno is not None:
+            named = Path(exc.filename or outdir)
+            if outdir in (named, *named.parents[:2]):  # outdir, a staging directory or its file
+                final = outdir / named.name if named.parent.parent == outdir else outdir
+                raise OSError(exc.errno, exc.strerror, str(final)) from exc
+        raise
 
 
 def _add_config_flags(parser):
@@ -410,25 +442,26 @@ def cmd_gen_prior(args) -> int:
     cfg = PriorConfig.from_dict(_section(file_cfg, "prior", args, seed=args.seed))
     outdir = _output_dir(args.out, f"gen-prior-seed{cfg.seed}")
     oracle, oracle_echo = _resolve_oracle(args, file_cfg)
-    particles = generate_prior(cfg)
-    zeroed = slice_count(cfg)
-    rate = pass_rate(particles, oracle)
+    with _staged(outdir) as stage:
+        particles = generate_prior(cfg)
+        zeroed = slice_count(cfg)
+        rate = pass_rate(particles, oracle)
 
-    write_particles_csv(particles, outdir / "prior.csv")
-    write_lines([range(zeroed)], [(outdir / "slice-indices.csv", "index", None)])
-    emit_plot_data(particles, "prior-histogram-data", outdir / "plot-prior-histogram.dat",
-                   zeroed=zeroed)
-    if particles.dim >= 4:
-        emit_plot_data(particles, "dims-1-3-surface-data", outdir / "plot-prior-surface.dat")
+        write_particles_csv(particles, stage / "prior.csv")
+        write_lines([range(zeroed)], [(stage / "slice-indices.csv", "index", None)])
+        emit_plot_data(particles, "prior-histogram-data", stage / "plot-prior-histogram.dat",
+                       zeroed=zeroed)
+        if particles.dim >= 4:
+            emit_plot_data(particles, "dims-1-3-surface-data", stage / "plot-prior-surface.dat")
 
-    write_report({
-        "kind": "prior",
-        "seed": cfg.seed,
-        "config_echo": {"prior": cfg.to_dict(), "oracle": oracle_echo},
-        "pass_rate": rate,
-        "oracle_calls": particles.n,
-        "slice_indices": list(range(zeroed)),
-    }, outdir / "report.json")
+        write_report({
+            "kind": "prior",
+            "seed": cfg.seed,
+            "config_echo": {"prior": cfg.to_dict(), "oracle": oracle_echo},
+            "pass_rate": rate,
+            "oracle_calls": particles.n,
+            "slice_indices": list(range(zeroed)),
+        }, stage / "report.json")
 
     print(f"prior pass rate: {rate!r} (n={cfg.n_particles}, oracle={oracle_echo['kind']})")
     print(f"wrote {outdir}")
@@ -506,77 +539,75 @@ def cmd_run(args) -> int:
                                          lambda: _generated_std(prior_cfg))
     oracle, oracle_echo = _resolve_oracle(args, file_cfg)
     cfg = _SAMPLERS[sampler].from_dict({**data, "likelihood": likelihood})
-    if particles is None:
-        particles = generate_prior(prior_cfg)
-    # an oracle that does not fit the particles fails here, before the loop
-    prior_rate = pass_rate(particles, oracle)
-    n_steps = cfg.n_steps
+    with _staged(outdir) as stage:
+        if particles is None:
+            particles = generate_prior(prior_cfg)
+        # an oracle that does not fit the particles fails here, before the loop
+        prior_rate = pass_rate(particles, oracle)
+        n_steps = cfg.n_steps
 
-    if sampler == "smc":
-        # posterior.csv is judged and formatted chunk by chunk while the loop
-        # runs, so a failing oracle leaves none
-        passing = 0
+        if sampler == "smc":
+            # posterior.csv is judged and formatted chunk by chunk while the loop runs
+            passing = 0
 
-        def judge(rows):
-            nonlocal passing
-            passing += count_passing(ParticleSet._adopt(rows), oracle)
+            def judge(rows):
+                nonlocal passing
+                passing += count_passing(ParticleSet._adopt(rows), oracle)
 
-        header = [f"x{i}" for i in range(particles.dim)]
-        with CsvSink(outdir / "posterior.csv", header, judge) as sink:
-            result = run_smc(particles, cfg, sink=sink)
-        judged, posterior_rate = n_steps, passing / n_steps
+            header = [f"x{i}" for i in range(particles.dim)]
+            with CsvSink(stage / "posterior.csv", header, judge) as sink:
+                result = run_smc(particles, cfg, sink=sink)
+            judged, posterior_rate = n_steps, passing / n_steps
 
-        sums = result.weight_sum_series
-        write_lines([range(n_steps), sums, result.ess_series], [
-            (outdir / "plot-smc-weights.dat", "step,log_weight_sum,ess,delta",
-             np.abs(np.diff(sums, prepend=np.nan))),
-            (outdir / "diagnostics.csv", "step,log_weight_sum,ess", None)])
-        diagnostics = {
-            "n_steps": n_steps,
-            "n_particles": particles.n,
-            "final_log_weight_sum": float(result.weight_sum_series[-1]),
-            "ess_final": float(result.ess_series[-1]),
-            "ess_min": float(result.ess_series.min()),
-            "ess_mean": float(result.ess_series.mean()),
-        }
-        if n_steps >= 2:
-            deltas = weight_sum_delta_series(result.weight_sum_series)
-            diagnostics["weight_updates_converging"] = weight_updates_converging(deltas)
-            diagnostics["convergence_note"] = CONVERGENCE_NOTE
-        config_echo = {"prior": prior_echo, "smc": cfg.to_dict(), "oracle": oracle_echo}
-    else:
-        result = run_mcmc(particles, cfg, trace_all_dims=bool(args.trace_all))
-        judged, posterior_rate = result.chain.n, pass_rate(result.chain, oracle)
-        # a summary that overflows fails here, before the first artifact
-        diagnostics = {
-            "n_steps": n_steps,
-            "burn_in": cfg.burn_in,
-            "chain_length": result.chain.n,
-            "acceptance_rate": result.acceptance_rate,
-        }
-        if result.chain.n >= 2:
-            diagnostics["trace_dim0_summary"] = trace_summary(result.trace_dim0, cfg.burn_in)
-        config_echo = {"prior": prior_echo, "mcmc": cfg.to_dict(), "oracle": oracle_echo}
+            sums = result.weight_sum_series
+            write_lines([range(n_steps), sums, result.ess_series], [
+                (stage / "plot-smc-weights.dat", "step,log_weight_sum,ess,delta",
+                 np.abs(np.diff(sums, prepend=np.nan))),
+                (stage / "diagnostics.csv", "step,log_weight_sum,ess", None)])
+            diagnostics = {
+                "n_steps": n_steps,
+                "n_particles": particles.n,
+                "final_log_weight_sum": float(result.weight_sum_series[-1]),
+                "ess_final": float(result.ess_series[-1]),
+                "ess_min": float(result.ess_series.min()),
+                "ess_mean": float(result.ess_series.mean()),
+            }
+            if n_steps >= 2:
+                deltas = weight_sum_delta_series(result.weight_sum_series)
+                diagnostics["weight_updates_converging"] = weight_updates_converging(deltas)
+                diagnostics["convergence_note"] = CONVERGENCE_NOTE
+            config_echo = {"prior": prior_echo, "smc": cfg.to_dict(), "oracle": oracle_echo}
+        else:
+            result = run_mcmc(particles, cfg, trace_all_dims=bool(args.trace_all))
+            judged, posterior_rate = result.chain.n, pass_rate(result.chain, oracle)
+            diagnostics = {
+                "n_steps": n_steps,
+                "burn_in": cfg.burn_in,
+                "chain_length": result.chain.n,
+                "acceptance_rate": result.acceptance_rate,
+            }
+            if result.chain.n >= 2:
+                diagnostics["trace_dim0_summary"] = trace_summary(result.trace_dim0, cfg.burn_in)
+            config_echo = {"prior": prior_echo, "mcmc": cfg.to_dict(), "oracle": oracle_echo}
 
-        # matrices first: without orjson the first sink fails and leaves nothing
-        if result.trace_full is not None:
-            write_particles_csv(ParticleSet._adopt(result.trace_full),
-                                outdir / "trace-full.csv")
-        write_particles_csv(result.chain, outdir / "posterior.csv")
-        write_lines([range(n_steps), result.trace_dim0], [
-            (outdir / "plot-mcmc-trace.dat", "step,x0", None),
-            (outdir / "diagnostics.csv", "step,x0,accepted_flag", result.accepted.astype(int))])
+            if result.trace_full is not None:
+                write_particles_csv(ParticleSet._adopt(result.trace_full),
+                                    stage / "trace-full.csv")
+            write_particles_csv(result.chain, stage / "posterior.csv")
+            write_lines([range(n_steps), result.trace_dim0], [
+                (stage / "plot-mcmc-trace.dat", "step,x0", None),
+                (stage / "diagnostics.csv", "step,x0,accepted_flag", result.accepted.astype(int))])
 
-    oracle_calls = particles.n + judged
-    write_report({
-        "sampler": sampler,
-        "seed": seed,
-        "config_echo": config_echo,
-        "prior_pass_rate": prior_rate,
-        "posterior_pass_rate": posterior_rate,
-        "oracle_calls": oracle_calls,
-        "diagnostics": diagnostics,
-    }, outdir / "report.json")
+        oracle_calls = particles.n + judged
+        write_report({
+            "sampler": sampler,
+            "seed": seed,
+            "config_echo": config_echo,
+            "prior_pass_rate": prior_rate,
+            "posterior_pass_rate": posterior_rate,
+            "oracle_calls": oracle_calls,
+            "diagnostics": diagnostics,
+        }, stage / "report.json")
 
     print(f"{sampler} steps={n_steps} prior_pass_rate={prior_rate!r} "
           f"posterior_pass_rate={posterior_rate!r} oracle_calls={oracle_calls}")
@@ -601,35 +632,36 @@ def cmd_compare(args) -> int:
                                      lambda: prior_cfg.std_dev)
     smc_cfg = SmcConfig.from_dict({**data, "likelihood": likelihood})
 
-    # Arm 1: random sampling. Budget fresh draws from the prior construction,
-    # every one of them oracle-evaluated.
-    random_cfg = dataclasses.replace(prior_cfg, n_particles=budget,
-                                     seed=(seed + 2) % _SEED_MODULUS)
-    random_found = count_passing(generate_prior(random_cfg), oracle)
+    with _staged(outdir) as stage:
+        # Arm 1: random sampling. Budget fresh draws from the prior construction,
+        # every one of them oracle-evaluated.
+        random_cfg = dataclasses.replace(prior_cfg, n_particles=budget,
+                                         seed=(seed + 2) % _SEED_MODULUS)
+        random_found = count_passing(generate_prior(random_cfg), oracle)
 
-    # Arm 2: SMC. One posterior particle per step, so budget steps produce
-    # exactly budget oracle-evaluated candidates; the small live population
-    # itself is never oracle-evaluated.
-    smc_result = run_smc(generate_prior(prior_cfg), smc_cfg)
-    smc_found = count_passing(smc_result.posterior, oracle)
+        # Arm 2: SMC. One posterior particle per step, so budget steps produce
+        # exactly budget oracle-evaluated candidates; the small live population
+        # itself is never oracle-evaluated.
+        smc_result = run_smc(generate_prior(prior_cfg), smc_cfg)
+        smc_found = count_passing(smc_result.posterior, oracle)
 
-    rows = [
-        ("random", budget, random_found, random_found / budget),
-        ("smc", budget, smc_found, smc_found / budget),
-    ]
-    write_lines(list(zip(*rows)), [
-        (outdir / "compare-table.csv", "method,oracle_calls,passing,pass_rate", None)])
-    write_report({
-        "kind": "compare",
-        "seed": seed,
-        "budget": budget,
-        "config_echo": {"prior": prior_cfg.to_dict(), "random_prior": random_cfg.to_dict(),
-                        "smc": smc_cfg.to_dict(), "oracle": oracle_echo},
-        "results": [
-            {"method": m, "oracle_calls": c, "passing": f, "pass_rate": r}
-            for m, c, f, r in rows
-        ],
-    }, outdir / "report.json")
+        rows = [
+            ("random", budget, random_found, random_found / budget),
+            ("smc", budget, smc_found, smc_found / budget),
+        ]
+        write_lines(list(zip(*rows)), [
+            (stage / "compare-table.csv", "method,oracle_calls,passing,pass_rate", None)])
+        write_report({
+            "kind": "compare",
+            "seed": seed,
+            "budget": budget,
+            "config_echo": {"prior": prior_cfg.to_dict(), "random_prior": random_cfg.to_dict(),
+                            "smc": smc_cfg.to_dict(), "oracle": oracle_echo},
+            "results": [
+                {"method": m, "oracle_calls": c, "passing": f, "pass_rate": r}
+                for m, c, f, r in rows
+            ],
+        }, stage / "report.json")
 
     print(f"{'method':<8} {'oracle_calls':>12} {'passing':>8} pass_rate")
     for method, calls, found, rate in rows:
@@ -639,7 +671,7 @@ def cmd_compare(args) -> int:
 
 def _interrupt_once(signum, frame):
     """Stop-signal handler while a command runs: the first signal interrupts
-    it and every later one is ignored, so the temporary files are removed,
+    it and every later one is ignored, so the staging directory is removed,
     the exit message printed and 128 + signum returned whatever more arrive."""
     for sig in _STOP_SIGNALS:
         if signal.getsignal(sig) == _interrupt_once:

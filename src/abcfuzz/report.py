@@ -3,8 +3,9 @@
 Figures are emitted as plain columnar data (CSV with a header, ``.dat``
 extension) rather than rendered images; any external plotting tool can
 consume them. Every file ends with a newline, and floats are written at
-full round-trip precision. One writer per path: concurrent runs must
-target distinct output directories (out/<run-id>/ by convention).
+full round-trip precision. Each writer opens its path in place and makes
+no directory; the CLI writes a run's files into a staging directory and
+moves them into its output directory once the run succeeds.
 """
 
 import contextlib
@@ -12,7 +13,6 @@ import json
 import os
 import warnings
 from datetime import datetime, timezone
-from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
@@ -20,18 +20,11 @@ import numpy as np
 from .core import ConfigError, ENGINE_VERSION, ParticleSet, _require
 
 
-def _create(path):
-    """Open ``path`` for writing bytes, creating its directory first: an
-    output directory appears only once a run has an artifact to put in it."""
-    Path(path).parent.mkdir(parents=True, exist_ok=True)
-    return open(path, "wb")
-
-
 def write_json(payload: dict, path) -> None:
     """Write a JSON document with sorted keys and a trailing newline; a
     payload that cannot be encoded raises before the file is opened."""
     text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
-    with _create(path) as fh:
+    with open(path, "wb") as fh:
         fh.write(f"{text}\n".encode())
 
 
@@ -88,35 +81,24 @@ class CsvSink:
     passed to ``judge``, if given, then formatted and written in this
     process, and the last, partial chunk when the block ends cleanly. The
     rows ``judge`` gets are a view of that reused buffer, valid only during
-    the call. Nothing is created before the first ``write``.
-
-    Use it as a context manager. The file appears under its own name only
-    when the block ends cleanly; until then it is written under the same
-    name plus ``.tmp``. On any error or interrupt, a judge's included, the
-    temporary file is deleted before the exception leaves, with every
-    directory made for it that is then empty.
+    the call. Use it as a context manager: entering it opens the file in
+    place and writes the header, and leaving it closes the file.
     """
 
     def __init__(self, path, header: Sequence[str], judge=None):
-        self._path = Path(path)
-        self._temp = self._path.with_name(self._path.name + ".tmp")
+        self._path = path
         self._header = header
         self._judge = judge
         self._chunk = None  # the chunk buffer, made at the first write
         self._filled = 0    # its leading rows not yet written
-        self._fh = None
-        self._made = []     # directories made for the file, deepest first
 
     def write(self, rows: np.ndarray) -> None:
         """Append ``rows``, a float64 matrix, to the file: judge, format and
         write every chunk they fill."""
         _require(rows.dtype == np.float64,
                  f"CSV matrix must hold float64 values, got {rows.dtype}")
-        if self._fh is None:
-            directory, cols = self._temp.parent, rows.shape[1]
-            self._made = [d for d in (directory, *directory.parents) if not d.exists()]
-            self._fh = _create(self._temp)
-            self._fh.write((",".join(self._header) + "\n").encode("utf-8"))
+        if self._chunk is None:
+            cols = rows.shape[1]
             self._chunk = np.empty((max(1, CHUNK_CELLS // max(1, cols)), cols))
         while len(rows):
             part = rows[:len(self._chunk) - self._filled]
@@ -133,29 +115,14 @@ class CsvSink:
         self._filled = 0
 
     def __enter__(self) -> "CsvSink":
+        self._fh = open(self._path, "wb")
+        self._fh.write((",".join(self._header) + "\n").encode("utf-8"))
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        try:
-            if exc_type is None:
-                if self._fh is None:  # no rows: the header alone
-                    self.write(np.empty((0, len(self._header))))
-                if self._filled:
-                    self._flush()
-                self._fh.close()
-                os.replace(self._temp, self._path)
-                self._fh = None
-        finally:
-            if self._fh is not None:
-                fh, self._fh = self._fh, None
-                try:
-                    fh.close()
-                finally:
-                    os.unlink(self._temp)
-                    # a directory that is not empty stays, and so do its parents
-                    with contextlib.suppress(OSError):
-                        for directory in self._made:
-                            directory.rmdir()
+        with self._fh:
+            if exc_type is None and self._filled:
+                self._flush()
 
 
 def write_csv(path, header: Sequence[str], rows: np.ndarray) -> None:
@@ -324,7 +291,7 @@ def write_lines(columns, outputs) -> None:
 
     form = ",".join(["%s"] * len(columns))
     with contextlib.ExitStack() as stack:
-        files = [(stack.enter_context(_create(path)), tail) for path, _, tail in outputs]
+        files = [(stack.enter_context(open(path, "wb")), tail) for path, _, tail in outputs]
         for (fh, _), (_, header, _) in zip(files, outputs):
             fh.write(f"{header}\n".encode())
         for start in range(0, len(columns[0]), LINE_BATCH):

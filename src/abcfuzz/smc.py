@@ -104,7 +104,7 @@ def run_smc(prior: ParticleSet, config: SmcConfig, sink=None) -> SmcResult:
     with its ``write(rows)``), each draw block's posterior particles are
     handed to ``sink.write`` from one reused block-sized array, which the
     sink judges and writes while the loop runs. The result's posterior is
-    then None. The caller's ``with`` block completes or discards the file.
+    then None. The sink writes the last rows when the caller's block ends.
 
     Raises DegeneracyError, naming the step, if every particle
     weight collapses.

@@ -26,7 +26,7 @@ from abcfuzz import (
     pass_rate,
     read_particles_csv,
 )
-from abcfuzz import cli
+from abcfuzz import cli, smc
 from abcfuzz.cli import main
 from support import REFUSING_STARTS, gone_within
 
@@ -694,7 +694,7 @@ class TestOracleTimeoutOnOutput:
         err = capsys.readouterr().err
         assert err == "abc-fuzz: environment error: oracle command 'sh' exceeded 0.5 s\n"
         assert counter.read_text() == "4\n"
-        # the SMC posterior sink discarded its .tmp file and the directory it made
+        # the run removed its staging directory and the output directory it made
         assert not out.exists()
 
     def test_timeout_kills_the_oracle_childs_own_children(self, tmp_path, capsys):
@@ -716,7 +716,7 @@ class TestOracleTimeoutOnOutput:
 
 class TestStreamedRunFailure:
     """An SMC run that degenerates once its posterior sink has started
-    writing (at step 903 here) removes the directories the sink made, and
+    writing (at step 903 here) removes the directories the run made, and
     keeps a --out directory that existed before the run."""
 
     ARGS = ["run", "smc", "--step-std", "1e152", "--steps", "2000"]
@@ -943,9 +943,99 @@ def _no_draw(*args, **kwargs):
 _OUT_COMMANDS = [["gen-prior"], ["run", "smc"], ["run", "mcmc"], ["compare", "--budget", "2"]]
 
 
+# Sets RLIMIT_FSIZE in a child: a write past 20 KiB fails with EFBIG
+# (Python ignores SIGXFSZ).
+def _files_of_20_kib():
+    resource.setrlimit(resource.RLIMIT_FSIZE, (20 << 10, 20 << 10))
+
+
+def _contents(directory):
+    return {path.name: path.read_bytes() for path in directory.iterdir()}
+
+
 class TestOutputDirectory:
     """An output path that is, or lies below, a regular file is a usage
-    fault, found before any draw."""
+    fault, found before any draw. A run writes its artifacts into a
+    ``.partial-*`` directory of its own and moves them into the output
+    directory only when it succeeds: a failed run leaves that directory as
+    it found it, and removes the directories it made for it."""
+
+    def test_a_failed_rerun_leaves_the_previous_files_byte_identical(self, tmp_path):
+        out = tmp_path / "D"
+        assert main(["run", "mcmc", "--dims", "1", "--seed", "1", "--out", str(out)]) == 0
+        before = _contents(out)
+        proc = subprocess.run(
+            [sys.executable, "-m", "abcfuzz.cli", "run", "mcmc", "--dims", "1", "--seed", "2",
+             "--out", str(out)],
+            capture_output=True, text=True, timeout=60, preexec_fn=_files_of_20_kib)
+        assert proc.returncode == 3, proc.stderr
+        too_large = OSError(errno.EFBIG, os.strerror(errno.EFBIG), str(out))
+        assert proc.stderr == f"abc-fuzz: environment error: {too_large}\n"
+        assert _contents(out) == before
+        assert sorted(before) == ["diagnostics.csv", "plot-mcmc-trace.dat", "posterior.csv",
+                                  "report.json"]
+
+    def test_a_staging_directory_that_cannot_be_made_is_named_as_the_output(
+            self, tmp_path, monkeypatch, capsys):
+        # as in an existing directory without write permission, which binds no root user
+        make = os.mkdir
+
+        def refuse_staging(path, *args):
+            if os.path.basename(path).startswith(".partial-"):
+                raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
+            make(path, *args)
+
+        out = tmp_path / "D"
+        out.mkdir()
+        monkeypatch.setattr(os, "mkdir", refuse_staging)
+        assert main(["gen-prior", "--out", str(out)]) == 3
+        denied = OSError(errno.EACCES, os.strerror(errno.EACCES), str(out))
+        assert capsys.readouterr().err == f"abc-fuzz: environment error: {denied}\n"
+        assert list(tmp_path.iterdir()) == [out]
+        assert list(out.iterdir()) == []
+
+    def test_a_users_own_file_survives_a_run_and_a_failed_run(self, tmp_path, capsys):
+        out = tmp_path / "D"
+        out.mkdir()
+        (out / "notes.txt").write_bytes(b"mine\n")
+        assert main(["run", "smc", "--steps", "5", "--out", str(out)]) == 0
+        after_run = _contents(out)
+        assert sorted(after_run) == ["diagnostics.csv", "notes.txt", "plot-smc-weights.dat",
+                                     "posterior.csv", "report.json"]
+        assert main(["run", "smc", *TestStreamedRunFailure.ARGS[2:], "--out", str(out)]) == 4
+        assert _contents(out) == after_run
+        assert after_run["notes.txt"] == b"mine\n"
+
+    def test_a_failed_run_into_a_new_nested_directory_leaves_none(self, tmp_path, capsys):
+        out = tmp_path / "a" / "b" / "c"
+        missing = tmp_path / "missing-oracle"
+        assert main(["run", "mcmc", "--oracle", f"exec:{missing}", "--out", str(out)]) == 3
+        assert "missing-oracle" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.usefixtures("default_sighup")
+    @pytest.mark.parametrize("signum, code", [
+        (signal.SIGTERM, 143), (signal.SIGHUP, 129), (signal.SIGINT, 130),
+    ], ids=["sigterm", "sighup", "sigint"])
+    def test_sigterm_sighup_or_sigint_mid_loop_leaves_no_partial(self, tmp_path, monkeypatch,
+                                                                  capsys, signum, code):
+        out = tmp_path / "D"
+        out.mkdir()
+        (out / "notes.txt").write_bytes(b"mine\n")
+        steps, score = [], smc._score_rows
+
+        def signalled(*args):
+            steps.append(len(steps))
+            if len(steps) == 50:
+                assert len(list(out.glob(".partial-*/posterior.csv"))) == 1
+                signal.raise_signal(signum)
+            return score(*args)
+
+        monkeypatch.setattr(smc, "_score_rows", signalled)
+        assert main(["run", "smc", "--steps", "200", "--out", str(out)]) == code
+        assert capsys.readouterr().err.startswith("abc-fuzz: ")
+        assert len(steps) == 50
+        assert os.listdir(out) == ["notes.txt"]
 
     @pytest.mark.parametrize("command", _OUT_COMMANDS, ids=" ".join)
     @pytest.mark.parametrize("below", [False, True], ids=["a-file", "below-a-file"])

@@ -33,7 +33,7 @@ from abcfuzz import (
     write_particles_csv,
     write_report,
 )
-from abcfuzz import core, report, smc
+from abcfuzz import cli, core, report, smc
 from abcfuzz.cli import main
 from abcfuzz.report import write_csv, write_json, write_lines
 from support import REFUSING_STARTS, assert_read_only, running
@@ -325,9 +325,9 @@ class TestCsvWriter:
     @pytest.mark.parametrize("dtype", [np.int64, np.float32, object])
     def test_matrices_other_than_float64_are_rejected(self, tmp_path, small_chunks, dtype):
         # the formatter prints float64 texts and compares rows by their 64-bit patterns
-        path = tmp_path / "m.csv"
         with pytest.raises(ConfigError, match="float64 values, got"):
-            write_csv(path, ["h"], np.ones((3, 2), dtype=dtype))
+            with cli._staged(tmp_path / "run") as stage:
+                write_csv(stage / "m.csv", ["h"], np.ones((3, 2), dtype=dtype))
         assert list(tmp_path.iterdir()) == []
 
     def test_special_values_keep_their_repr(self, tmp_path, small_chunks):
@@ -376,14 +376,16 @@ class TestCsvWriter:
         monkeypatch.setattr(report, "_format_rows", _failing_second_call(report._format_rows))
         out = tmp_path / "run"
         assert main(["gen-prior", "--n", "40", "--dims", "10", "--out", str(out)]) == 3
-        full = OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        # named as the output directory, never as the staging directory
+        full = OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), str(out))
         assert capfd.readouterr().err == f"abc-fuzz: environment error: {full}\n"
         assert not out.exists()
 
     def test_one_interrupt_leaves_no_tmp(self, tmp_path, monkeypatch, small_chunks):
         monkeypatch.setattr(report, "_format_rows", _interrupting(report._format_rows))
         with pytest.raises(KeyboardInterrupt):
-            write_csv(tmp_path / "big.csv", ["h"], np.ones((200, 3)))
+            with cli._staged(tmp_path / "run") as stage:
+                write_csv(stage / "big.csv", ["h"], np.ones((200, 3)))
         assert list(tmp_path.iterdir()) == []
 
     def test_interrupt_through_main_exits_130_without_traceback(self, tmp_path, monkeypatch,
@@ -444,7 +446,7 @@ def _exited(proc):
 
 class TestStopSignals:
     """SIGTERM and SIGHUP exit like Ctrl-C: 128 + signum, one line on
-    stderr, and no temporary file or oracle child left."""
+    stderr, and no staging directory or oracle child left."""
 
     @pytest.mark.usefixtures("default_sighup")
     @pytest.mark.parametrize("signum, code", [(signal.SIGTERM, 143), (signal.SIGHUP, 129)],
@@ -455,7 +457,8 @@ class TestStopSignals:
         returncode, err = _exited(proc)
         assert returncode == code, err
         assert err == "abc-fuzz: terminated\n"
-        assert not list((tmp_path / "run").glob("*.tmp"))
+        assert not list(tmp_path.rglob(".partial-*"))
+        assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("signum", [signal.SIGTERM, signal.SIGHUP],
                              ids=["sigterm", "sighup"])
@@ -469,7 +472,7 @@ class TestStopSignals:
         assert err == ""
         assert len((tmp_path / "run" / "prior.csv").read_text().splitlines()) == 5
         assert (tmp_path / "run" / "report.json").exists()
-        assert not list((tmp_path / "run").glob("*.tmp"))
+        assert not list((tmp_path / "run").glob(".partial-*"))
 
     @pytest.mark.usefixtures("default_sighup")
     @pytest.mark.parametrize("signum, code", [(signal.SIGTERM, 143), (signal.SIGHUP, 129)],
@@ -751,7 +754,7 @@ class TestStreamingSink:
         path = tmp_path / "posterior.csv"
         with report.CsvSink(path, ["x0", "x1"]) as sink:
             result = run_smc(prior, cfg, sink=sink)
-        assert not (tmp_path / "posterior.csv.tmp").exists()
+        assert os.listdir(tmp_path) == ["posterior.csv"]  # written in place
         assert result.posterior is None
         assert path.read_bytes() == _posterior_text(run_smc(prior, cfg).posterior.values)
 
@@ -771,13 +774,13 @@ class TestStreamingSink:
         assert main([*STREAM_ARGS, "--out", str(out)]) == 130
         assert capfd.readouterr().err == "abc-fuzz: interrupted\n"
         assert len(calls) < 300
-        assert not out.exists()  # no posterior.csv, no posterior.csv.tmp, no directory
+        assert not out.exists()  # no posterior.csv, no staging directory, no directory
 
     def test_weights_collapsing_mid_loop_exit_4(self, tmp_path, monkeypatch, capfd, streaming):
         out = tmp_path / "run"
         seen = []
         _watch_loop(monkeypatch, 100, fail=True, look=lambda: seen.append(
-            ((out / "posterior.csv.tmp").exists(), sum(streaming))))
+            (bool(list(out.glob(".partial-*/posterior.csv"))), sum(streaming))))
         assert main([*STREAM_ARGS, "--out", str(out)]) == 4
         err = capfd.readouterr().err
         assert "degeneracy (step 99)" in err and "Traceback" not in err
@@ -842,8 +845,9 @@ class TestJudgedChunks:
         out = tmp_path / "run"
         out.mkdir()
         with pytest.raises(ConfigError, match="judge failed"):
-            with report.CsvSink(out / "posterior.csv", ["x0", "x1"], judge) as sink:
-                run_smc(prior, cfg, sink=sink)
+            with cli._staged(out) as stage:
+                with report.CsvSink(stage / "posterior.csv", ["x0", "x1"], judge) as sink:
+                    run_smc(prior, cfg, sink=sink)
         assert len(judged) == 20
         assert list(out.iterdir()) == []  # made before the sink, so it stays
 
@@ -862,17 +866,16 @@ def _raising_judge(calls=2):
 
 class TestSinkContract:
     """``CsvSink`` driven by hand, as its docstring states it: rows copied in
-    by ``write``, each chunk judged and written once it fills, and nothing
-    left behind but the finished file."""
+    by ``write``, each chunk judged and written once it fills. In the CLI's
+    staging directory, a failed sink leaves nothing behind."""
 
-    def test_nothing_is_created_before_the_first_write(self, tmp_path):
-        temp = tmp_path / "made" / "m.csv.tmp"
+    def test_a_failed_staged_sink_leaves_nothing(self, tmp_path):
         with pytest.raises(ConfigError, match="stop"):
-            with report.CsvSink(tmp_path / "made" / "m.csv", ["h"]) as sink:
-                assert list(tmp_path.iterdir()) == []
-                sink.write(np.ones((1, 2)))
-                assert temp.exists()
-                raise ConfigError("stop")
+            with cli._staged(tmp_path / "made") as stage:
+                with report.CsvSink(stage / "m.csv", ["h"]) as sink:
+                    assert list(stage.iterdir()) == [stage / "m.csv"]  # opened on entry
+                    sink.write(np.ones((1, 2)))
+                    raise ConfigError("stop")
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("rows", [10, 12], ids=["partial-last-chunk", "whole-chunks"])
@@ -912,14 +915,14 @@ class TestSinkContract:
         else:
             judge = _raising_judge()
         with pytest.raises(raised):
-            with report.CsvSink(path, ["h"], judge) as sink:
-                sink.write(np.ones((200, 3)))
+            with cli._staged(tmp_path) as stage:
+                with report.CsvSink(stage / path.name, ["h"], judge) as sink:
+                    sink.write(np.ones((200, 3)))
         assert path.read_bytes() == b"h\nprevious\n"
         assert list(tmp_path.iterdir()) == [path]
 
     def test_a_made_directory_that_is_not_empty_stays(self, tmp_path, small_chunks):
-        # the sink makes made/kept/gone/too; a file put in made/kept keeps it and made
-        path = tmp_path / "made" / "kept" / "gone" / "too" / "m.csv"
+        # staging makes made/kept/gone/too; a file put in made/kept keeps it and made
         judge = _raising_judge()
 
         def judge_and_put_a_file(rows):
@@ -927,8 +930,9 @@ class TestSinkContract:
             judge(rows)
 
         with pytest.raises(ConfigError, match="judge failed"):
-            with report.CsvSink(path, ["h"], judge_and_put_a_file) as sink:
-                sink.write(np.ones((9, 2)))
+            with cli._staged(tmp_path / "made" / "kept" / "gone" / "too") as stage:
+                with report.CsvSink(stage / "m.csv", ["h"], judge_and_put_a_file) as sink:
+                    sink.write(np.ones((9, 2)))
         assert sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*")) == [
             "made", "made/kept", "made/kept/other.txt"]
 
